@@ -3,8 +3,9 @@
 Four experiments over *simulated cycles* (not wall clock), all on the
 staged engine so only the timing model varies:
 
-* **dispatch suite** — the dispatch-bound workloads from
-  ``bench_dispatch.py`` under both timing models.  Gated: the OoO
+* **dispatch suite** — dispatch-bound workloads (a synthetic
+  straight-line ALU kernel plus loopy Sightglass/SPEC members) under
+  both timing models.  Gated: the OoO
   backend must never report more cycles than the in-order model on
   this suite (a wide machine strictly adds overlap on dispatch-bound
   code), and architectural counters must be bit-identical.
@@ -41,7 +42,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from bench_common import gate, write_envelope
-from bench_dispatch import DISPATCH_SUITE, _builder, build_mem_kernel
 
 OUT_DEFAULT = pathlib.Path(__file__).resolve().parents[1] / \
     "BENCH_ooo_sweep.json"
@@ -51,6 +51,66 @@ WIDTHS = (1, 2, 4, 8)
 ROB_DEPTHS = (16, 64, 128)
 TRANSITION_ITERS = 200
 
+#: (suite, benchmark, strategy, scale) of the dispatch-bound suite.
+DISPATCH_SUITE = [
+    ("synthetic", "alu", "guard-pages", 8),
+    ("synthetic", "alu", "hfi", 8),
+    ("sightglass", "fib2", "guard-pages", 8),
+    ("sightglass", "memmove", "hfi", 6),
+    ("spec", "429.mcf", "hfi", 4),
+]
+
+
+def build_alu_kernel(scale):
+    """A hot straight-line ALU loop: four independent chains."""
+    from repro.wasm.ir import (BinOp, BinaryOp, Const, Function, Loop,
+                               Module, StoreGlobal)
+    ops = [Const("a", 1), Const("b", 2), Const("c", 3), Const("d", 4)]
+    chain = []
+    for _ in range(4):
+        chain += [
+            BinOp(BinaryOp.ADD, "a", "a", "b"),
+            BinOp(BinaryOp.XOR, "b", "b", "c"),
+            BinOp(BinaryOp.ADD, "c", "c", "d"),
+            BinOp(BinaryOp.SUB, "d", "d", "a"),
+        ]
+    ops.append(Loop(scale * 1500, chain))
+    ops.append(StoreGlobal("result", "a"))
+    return Module("alu-kernel", [Function("main", ops)],
+                  globals=["result"])
+
+
+def build_mem_kernel(scale):
+    """A load/store-dense loop: one bounds check per access."""
+    from repro.wasm.ir import (BinOp, BinaryOp, Const, Function, Load,
+                               Loop, Module, Store, StoreGlobal)
+    ops = [Const("addr", 64), Const("acc", 0)]
+    chain = []
+    for i in range(4):
+        chain += [
+            Load("t", "addr", offset=8 * i),
+            BinOp(BinaryOp.ADD, "acc", "acc", "t"),
+            Store("addr", "acc", offset=8 * i + 256),
+        ]
+    chain.append(BinOp(BinaryOp.ADD, "addr", "addr", 8))
+    ops.append(Loop(scale * 1000, chain))
+    ops.append(StoreGlobal("result", "acc"))
+    return Module("mem-kernel", [Function("main", ops)],
+                  globals=["result"])
+
+
+SYNTHETIC = {"alu": build_alu_kernel, "mem": build_mem_kernel}
+
+
+def _builder(suite, name):
+    if suite == "synthetic":
+        return SYNTHETIC[name]
+    if suite == "sightglass":
+        from repro.workloads.sightglass import SIGHTGLASS_BENCHMARKS
+        return SIGHTGLASS_BENCHMARKS[name]
+    from repro.workloads.spec import SPEC_BENCHMARKS
+    return SPEC_BENCHMARKS[name]
+
 
 def _run_workload(suite, name, strategy, scale, timing, params=None):
     """One workload on the staged engine under ``timing``; returns the
@@ -59,8 +119,7 @@ def _run_workload(suite, name, strategy, scale, timing, params=None):
     from repro.wasm import WasmRuntime, make_strategy
 
     module = _builder(suite, name)(scale)
-    runtime = WasmRuntime(params or MachineParams(), engine="staged",
-                          timing=timing)
+    runtime = WasmRuntime(params or MachineParams(), timing=timing)
     instance = runtime.instantiate(module, make_strategy(strategy))
     result = runtime.run(instance, max_instructions=50_000_000)
     assert result.reason == "hlt", (name, timing, result.reason)
@@ -199,7 +258,7 @@ def _transition_cycles(timing, serialized, iterations=TRANSITION_ITERS):
 
     params = MachineParams()
     mem = AddressSpace(params)
-    cpu = Cpu(params, memory=mem, engine="staged", timing=timing)
+    cpu = Cpu(params, memory=mem, timing=timing)
     heap = mem.mmap(1 << 20, Prot.rw(), addr=0x10_0000)
     stack = mem.mmap(1 << 16, Prot.rw(), addr=0x7F_0000)
     cpu.regs.write(Reg.RSP, stack + (1 << 16) - 64)

@@ -22,8 +22,7 @@ import sys
 from typing import List, Optional
 
 from .analysis import format_table, format_telemetry
-from .cpu.machine import (ENGINES, TIMING_MODELS, default_engine,
-                          default_timing)
+from .cpu.timing import TIMING_MODELS, default_timing
 from .params import MachineParams
 from .wasm import STRATEGIES, WasmRuntime, make_strategy
 
@@ -56,7 +55,6 @@ def cmd_list_workloads(args) -> int:
 
 
 def _run_one(name: str, strategy_name: str, scale: int,
-             engine: Optional[str] = None,
              timing: Optional[str] = None):
     workloads = _all_workloads()
     if name not in workloads:
@@ -64,7 +62,7 @@ def _run_one(name: str, strategy_name: str, scale: int,
                          f"try: repro-hfi list-workloads")
     _, builder = workloads[name]
     module = builder(scale)
-    runtime = WasmRuntime(MachineParams(), engine=engine, timing=timing)
+    runtime = WasmRuntime(MachineParams(), timing=timing)
     instance = runtime.instantiate(module, make_strategy(strategy_name))
     result = runtime.run(instance)
     value = runtime.space.read(instance.layout.globals_base)
@@ -73,13 +71,11 @@ def _run_one(name: str, strategy_name: str, scale: int,
 
 def cmd_run(args) -> int:
     result, value, instance = _run_one(args.workload, args.strategy,
-                                       args.scale, engine=args.engine,
-                                       timing=args.timing)
+                                       args.scale, timing=args.timing)
     stats = result.stats
     payload = {
         "workload": args.workload, "scale": args.scale,
-        "strategy": args.strategy, "engine": args.engine,
-        "timing": args.timing,
+        "strategy": args.strategy, "timing": args.timing,
         "reason": result.reason,
         "result": value, "cycles": stats.cycles,
         "instructions": stats.instructions, "loads": stats.loads,
@@ -93,7 +89,6 @@ def cmd_run(args) -> int:
     }
     lines = [f"workload:     {args.workload} (scale {args.scale})",
              f"strategy:     {args.strategy}",
-             f"engine:       {args.engine}",
              f"timing:       {args.timing}",
              f"stopped:      {result.reason}"]
     if result.fault is not None:
@@ -311,17 +306,16 @@ def cmd_verify(args) -> int:
     if args.seeds < 1:
         raise SystemExit("--seeds must be >= 1")
     seeds = range(args.seed_base, args.seed_base + args.seeds)
-    # The requested engine leads the differential matrix (it is the
-    # baseline the others are diffed against) and also becomes the
-    # process default, so the smoke batteries exercise it too.
-    engines = ((args.engine,)
-               + tuple(e for e in ENGINES if e != args.engine))
+    # The requested timing model leads the differential matrix (its
+    # staged cell is the baseline the others are diffed against) and
+    # also becomes the process default, so the smoke batteries
+    # exercise it too.
     timings = ((args.timing,)
                + tuple(t for t in TIMING_MODELS if t != args.timing))
-    with default_engine(args.engine), default_timing(args.timing):
+    with default_timing(args.timing):
         stats, report = run_verify(
             seeds=seeds, comparator_trials=args.comparator_trials,
-            engines=engines, timings=timings)
+            timings=timings)
     comparator = report["comparator"]
     lines = [
         f"engines:           {' vs '.join(report['engines'])}",
@@ -408,18 +402,17 @@ def cmd_serve(args) -> int:
         if args.max_inflight else args.cores * args.slots_per_shard)
     rows = []
     runs = {}
-    with default_engine(args.engine), default_timing(args.timing):
-        for scheme in schemes:
-            metrics = simulate_serving(
-                scheme, n_requests=args.requests, seed=args.seed,
-                arrival=args.arrival, offered_load=args.load,
-                config=config)
-            runs[scheme] = metrics.as_dict()
-            rows.append((scheme, f"{metrics.goodput_rps:,.0f}",
-                         f"{metrics.p50_ms:.2f}", f"{metrics.p99_ms:.2f}",
-                         f"{metrics.p999_ms:.2f}", str(metrics.shed),
-                         str(metrics.failed), str(metrics.steals),
-                         str(metrics.peak_inflight)))
+    for scheme in schemes:
+        metrics = simulate_serving(
+            scheme, n_requests=args.requests, seed=args.seed,
+            arrival=args.arrival, offered_load=args.load,
+            config=config)
+        runs[scheme] = metrics.as_dict()
+        rows.append((scheme, f"{metrics.goodput_rps:,.0f}",
+                     f"{metrics.p50_ms:.2f}", f"{metrics.p99_ms:.2f}",
+                     f"{metrics.p999_ms:.2f}", str(metrics.shed),
+                     str(metrics.failed), str(metrics.steals),
+                     str(metrics.peak_inflight)))
     table = format_table(
         ("scheme", "goodput req/s", "p50 ms", "p99 ms", "p99.9 ms",
          "shed", "failed", "steals", "peak inflight"), rows)
@@ -430,8 +423,7 @@ def cmd_serve(args) -> int:
     payload = {"config": {"requests": args.requests, "seed": args.seed,
                           "arrival": args.arrival, "load": args.load,
                           "cores": args.cores,
-                          "slots_per_shard": args.slots_per_shard,
-                          "engine": args.engine, "timing": args.timing},
+                          "slots_per_shard": args.slots_per_shard},
                "schemes": runs}
     _emit(args, payload, f"{header}\n\n{table}")
     # every request must be accounted for in every run
@@ -447,11 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of tables")
     # Shared by every subcommand that executes instructions.
-    engine = argparse.ArgumentParser(add_help=False)
-    engine.add_argument("--engine", default="staged",
-                        choices=sorted(ENGINES),
-                        help="execution backend (default: staged)")
-    engine.add_argument("--timing", default="inorder",
+    timing = argparse.ArgumentParser(add_help=False)
+    timing.add_argument("--timing", default="inorder",
                         choices=sorted(TIMING_MODELS),
                         help="timing backend (default: inorder)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -460,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list workloads and strategies").set_defaults(
         func=cmd_list_workloads)
 
-    p = sub.add_parser("run", parents=[output, engine],
+    p = sub.add_parser("run", parents=[output, timing],
                        help="run one workload under one strategy")
     p.add_argument("workload")
     p.add_argument("--strategy", default="hfi",
@@ -512,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_telemetry)
 
     p = sub.add_parser(
-        "verify", parents=[output, engine],
+        "verify", parents=[output, timing],
         help="differential oracle + comparator fuzz + invariant probes")
     p.add_argument("--seeds", type=int, default=50,
                    help="number of ISA fuzz seeds to run (default 50)")
@@ -545,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
-        "serve", parents=[output, engine],
+        "serve", parents=[output],
         help="discrete-event serving simulator: open-loop load over "
              "sharded pools with work-stealing")
     p.add_argument("--schemes", default="",

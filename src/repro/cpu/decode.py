@@ -46,31 +46,14 @@ class _StopSpeculation(Exception):
 #: opcode -> builder(ins, addr, next_rip) -> run(cpu) closure.
 DECODERS: Dict[Opcode, Callable] = {}
 
-#: Opcodes the superblock compiler may place *inside* a block
-#: (see :mod:`.blocks`).  Everything else — control flow, HFI
-#: transitions, serializers, anything that can redirect rip or rebind
-#: the code regions — ends the block and executes single-step.
-#: New opcodes default to block-ender, which is always safe.
-BLOCK_SAFE: set = set()
 
-
-def decoder(*opcodes: Opcode, block_safe: bool = False):
-    """Register a decode builder for one or more opcodes.
-
-    ``block_safe=True`` declares that the opcode's handler can run in
-    the middle of a compiled superblock: it always falls through to
-    ``next_rip`` (faults excepted), never opens a speculation window,
-    never rebinds the HFI code regions, never halts, and never reads
-    ``stats.cycles`` as an absolute value mid-instruction.  Opcodes
-    that do not declare this force a block exit (the safe default).
-    """
+def decoder(*opcodes: Opcode):
+    """Register a decode builder for one or more opcodes."""
     def register(build):
         for opcode in opcodes:
             if opcode in DECODERS:
                 raise ValueError(f"duplicate decoder for {opcode}")
             DECODERS[opcode] = build
-            if block_safe:
-                BLOCK_SAFE.add(opcode)
         return build
     return register
 
@@ -255,26 +238,19 @@ class CodeMap(dict):
     Any write or delete drops the corresponding :class:`DecodedOp` so
     the next fetch at that address re-decodes (lazily) — code patched
     via ``cpu._code[addr] = ins`` behaves exactly as before the staged
-    engine.  When a superblock cache (:class:`~repro.cpu.blocks.
-    BlockCache`) is attached, the same writes also invalidate every
-    compiled block that covers the patched address, so self-modifying
-    code stays coherent under the ``blocks`` engine too.
+    engine.
     """
 
-    __slots__ = ("decoded", "invalidations", "blocks")
+    __slots__ = ("decoded", "invalidations")
 
-    def __init__(self, decoded: Dict[int, DecodedOp], blocks=None):
+    def __init__(self, decoded: Dict[int, DecodedOp]):
         super().__init__()
         self.decoded = decoded
         self.invalidations = 0
-        #: Optional superblock cache notified on every invalidation.
-        self.blocks = blocks
 
     def _invalidate(self, addr) -> None:
         if self.decoded.pop(addr, None) is not None:
             self.invalidations += 1
-        if self.blocks is not None:
-            self.blocks.invalidate(addr)
 
     def __setitem__(self, addr, ins) -> None:
         self._invalidate(addr)
@@ -291,8 +267,6 @@ class CodeMap(dict):
     def clear(self) -> None:
         dict.clear(self)
         self.decoded.clear()
-        if self.blocks is not None:
-            self.blocks.clear()
 
     def update(self, other=(), **kwargs) -> None:
         for addr, ins in dict(other, **kwargs).items():

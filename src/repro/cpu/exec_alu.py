@@ -77,7 +77,7 @@ def _reg_shapes(ins):
 # ----------------------------------------------------------------------
 # arithmetic
 # ----------------------------------------------------------------------
-@decoder(Opcode.ADD, block_safe=True)
+@decoder(Opcode.ADD)
 def _add(ins, addr, next_rip):
     shape = _reg_shapes(ins)
     if shape is not None:
@@ -131,7 +131,7 @@ def _add(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.SUB, block_safe=True)
+@decoder(Opcode.SUB)
 def _sub(ins, addr, next_rip):
     shape = _reg_shapes(ins)
     if shape is not None:
@@ -182,7 +182,7 @@ def _sub(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.AND, Opcode.OR, Opcode.XOR, block_safe=True)
+@decoder(Opcode.AND, Opcode.OR, Opcode.XOR)
 def _bitop(ins, addr, next_rip):
     opcode = ins.opcode
     shape = _reg_shapes(ins)
@@ -299,7 +299,7 @@ def _bitop(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.NOT, block_safe=True)
+@decoder(Opcode.NOT)
 def _not(ins, addr, next_rip):
     dst = ins.operands[0]
     if type(dst) is Reg:
@@ -322,7 +322,7 @@ def _not(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.NEG, block_safe=True)
+@decoder(Opcode.NEG)
 def _neg(ins, addr, next_rip):
     dst = ins.operands[0]
     if type(dst) is Reg:
@@ -355,7 +355,7 @@ def _neg(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.SHL, Opcode.SHR, Opcode.SAR, block_safe=True)
+@decoder(Opcode.SHL, Opcode.SHR, Opcode.SAR)
 def _shift(ins, addr, next_rip):
     opcode = ins.opcode
     shape = _reg_shapes(ins)
@@ -439,7 +439,7 @@ def _shift(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.IMUL, block_safe=True)
+@decoder(Opcode.IMUL)
 def _imul(ins, addr, next_rip):
     read_dst = make_reader(ins.operands[0])
     read_src = make_reader(ins.operands[1])
@@ -455,7 +455,7 @@ def _imul(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.IDIV, Opcode.IMOD, block_safe=True)
+@decoder(Opcode.IDIV, Opcode.IMOD)
 def _divide(ins, addr, next_rip):
     want_quotient = ins.opcode is Opcode.IDIV
     read_dst = make_reader(ins.operands[0])
@@ -480,7 +480,7 @@ def _divide(ins, addr, next_rip):
 # ----------------------------------------------------------------------
 # compares and unary increments
 # ----------------------------------------------------------------------
-@decoder(Opcode.CMP, block_safe=True)
+@decoder(Opcode.CMP)
 def _cmp(ins, addr, next_rip):
     shape = _reg_shapes(ins)
     if shape is not None:
@@ -522,7 +522,7 @@ def _cmp(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.TEST, block_safe=True)
+@decoder(Opcode.TEST)
 def _test(ins, addr, next_rip):
     shape = _reg_shapes(ins)
     if shape is not None:
@@ -559,7 +559,7 @@ def _test(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.INC, block_safe=True)
+@decoder(Opcode.INC)
 def _inc(ins, addr, next_rip):
     dst = ins.operands[0]
     if type(dst) is Reg:
@@ -591,7 +591,7 @@ def _inc(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.DEC, block_safe=True)
+@decoder(Opcode.DEC)
 def _dec(ins, addr, next_rip):
     dst = ins.operands[0]
     if type(dst) is Reg:

@@ -23,7 +23,7 @@ from .decode import (
 )
 
 
-@decoder(Opcode.MOV, block_safe=True)
+@decoder(Opcode.MOV)
 def _mov(ins, addr, next_rip):
     dst, src = ins.operands[0], ins.operands[1]
     # Fully inlined fast paths for the dominant register-destination
@@ -59,7 +59,7 @@ def _mov(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.HMOV0, Opcode.HMOV1, Opcode.HMOV2, Opcode.HMOV3, block_safe=True)
+@decoder(Opcode.HMOV0, Opcode.HMOV1, Opcode.HMOV2, Opcode.HMOV3)
 def _hmov(ins, addr, next_rip):
     region = HMOV_REGION[ins.opcode]
     ops = ins.operands
@@ -87,7 +87,7 @@ def _hmov(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.LEA, block_safe=True)
+@decoder(Opcode.LEA)
 def _lea(ins, addr, next_rip):
     ea_of = make_ea(ins.operands[1])
     write_dst = make_writer(ins.operands[0])
@@ -98,7 +98,7 @@ def _lea(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.PUSH, block_safe=True)
+@decoder(Opcode.PUSH)
 def _push(ins, addr, next_rip):
     read_src = make_reader(ins.operands[0])
 
@@ -110,7 +110,7 @@ def _push(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.POP, block_safe=True)
+@decoder(Opcode.POP)
 def _pop(ins, addr, next_rip):
     write_dst = make_writer(ins.operands[0])
 

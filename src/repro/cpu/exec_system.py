@@ -81,7 +81,7 @@ def _lfence(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.CLFLUSH, block_safe=True)
+@decoder(Opcode.CLFLUSH)
 def _clflush(ins, addr, next_rip):
     ea_of = make_ea(ins.operands[0])
 
@@ -103,7 +103,7 @@ def _rdtsc(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.NOP, block_safe=True)
+@decoder(Opcode.NOP)
 def _nop(ins, addr, next_rip):
     def run(cpu):
         cpu.regs.rip = next_rip
@@ -120,7 +120,7 @@ def _hlt(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.XSAVE, block_safe=True)
+@decoder(Opcode.XSAVE)
 def _xsave(ins, addr, next_rip):
     ea_of = make_ea(ins.operands[0])
 
@@ -171,7 +171,7 @@ def _wrpkru(ins, addr, next_rip):
     return run
 
 
-@decoder(Opcode.RDPKRU, block_safe=True)
+@decoder(Opcode.RDPKRU)
 def _rdpkru(ins, addr, next_rip):
     def run(cpu):
         cpu.regs.rip = next_rip

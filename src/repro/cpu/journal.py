@@ -60,15 +60,6 @@ class SpeculationJournal:
     # ------------------------------------------------------------------
     def open(self, cpu) -> None:
         """Record the pre-window scalars and arm the HFI hook."""
-        if cpu._in_block:
-            # Superblocks elide the speculation branch in their inlined
-            # fragments, so undo-log correctness depends on windows
-            # never opening mid-block.  Every speculation-capable
-            # opcode is a block ender; this guard turns any future
-            # violation of that invariant into a loud failure instead
-            # of silent wrong-path state corruption.
-            raise RuntimeError(
-                "speculation window opened inside a compiled superblock")
         self.windows += 1
         self.entries.clear()
         regs = cpu.regs

@@ -30,8 +30,6 @@ seam (:mod:`.timing`); and wrong-path squash is an undo log
 
 from __future__ import annotations
 
-import contextlib
-
 from dataclasses import dataclass
 from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
 
@@ -40,7 +38,6 @@ from ..core.faults import FaultCause, HfiFault
 from ..core.regions import RegionError
 from ..core.state import HfiState
 from ..isa.instruction import Instruction, Program
-from ..isa.operands import Imm, Mem
 from ..isa.registers import MASK64, Reg, RegisterFile
 from ..os.address_space import AccessKind, AddressSpace, PageFault
 from ..os.kernel import Kernel
@@ -48,22 +45,13 @@ from ..os.process import Process
 from ..params import DEFAULT_PARAMS, MachineParams
 from ..telemetry.sink import Telemetry, coalesce
 from ..telemetry.stats import DecodeCacheStats
-from .blocks import BlockCache
 from .cache import CacheHierarchy
 from .decode import CodeMap, DecodedOp, _StopSpeculation, decode_one, \
     decode_program
 from .journal import SpeculationJournal
 from .predictors import BranchTargetBuffer, PatternHistoryTable, ReturnStackBuffer
 from . import timing as timing_seam
-from .timing import (  # noqa: F401  (re-exported: the timing axis mirrors
-    TIMING_MODELS,     # the engine axis for CLI/verify convenience)
-    TimingBackend,
-    TimingModel,
-    create_timing,
-    default_timing,
-    set_default_timing,
-    _validate_timing,
-)
+from .timing import create_timing, _validate_timing
 from .tlb import Tlb
 
 _READ = AccessKind.READ
@@ -120,24 +108,22 @@ class RunResult:
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """What every execution engine must provide.
+    """What the verify differential needs of an execution backend.
 
-    Three conforming backends ship today, all selected through
-    ``Cpu(engine=...)`` (or the ``--engine`` CLI flag):
+    Two conforming backends exist, both built by name through
+    :func:`create_backend`:
 
-    * ``"staged"`` — the per-instruction commit loop over predecoded
-      :class:`~repro.cpu.decode.DecodedOp` closures (the default);
-    * ``"blocks"`` — the staged loop plus superblock compilation of
-      basic blocks (:mod:`repro.cpu.blocks`);
+    * ``"staged"`` — :class:`Cpu`, the per-instruction commit loop over
+      predecoded :class:`~repro.cpu.decode.DecodedOp` closures: the
+      engine every workload, figure and benchmark runs on;
     * ``"reference"`` — the deliberately naive differential oracle
       (:class:`repro.verify.reference.ReferenceCpu`).
 
     A backend must expose the architectural surface the verify layer
     digests (``regs``, ``hfi``, ``mem``, ``stats``) and the program
-    lifecycle below.  Timing parity beyond the architectural contract
-    is *not* required of every backend (the reference oracle charges a
-    simplified cost model); ``staged`` and ``blocks`` are additionally
-    held bit-identical by the golden-cycle fixture.
+    lifecycle below.  Timing parity is *not* part of the contract: the
+    reference oracle charges a simplified cost model, while ``staged``
+    is held bit-identical by the golden-cycle fixtures.
     """
 
     engine: str
@@ -149,83 +135,39 @@ class ExecutionBackend(Protocol):
     def attach_telemetry(self, telemetry: Optional[Telemetry]) -> None: ...
 
 
-#: Engines selectable via ``Cpu(engine=...)`` / ``--engine``.
-ENGINES = ("staged", "blocks", "reference")
-
-#: Process-wide default, used when ``engine`` is not passed explicitly.
-#: The CLI/golden runner thread their ``--engine`` flag through
-#: :func:`default_engine` so deeply nested construction sites (wasm
-#: runtime, workloads, attacks) pick it up without plumbing.
+#: The one execution engine (the name benchmark envelopes report).
 DEFAULT_ENGINE = "staged"
 
 
-def _validate_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return engine
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide default engine; returns the previous one."""
-    global DEFAULT_ENGINE
-    previous = DEFAULT_ENGINE
-    DEFAULT_ENGINE = _validate_engine(engine)
-    return previous
-
-
-@contextlib.contextmanager
-def default_engine(engine: str):
-    """Scope the process-wide default engine to a ``with`` block."""
-    previous = set_default_engine(engine)
-    try:
-        yield
-    finally:
-        set_default_engine(previous)
-
-
-def create_backend(engine: Optional[str] = None,
-                   timing: Optional[str] = None,
+def create_backend(engine: str, timing: Optional[str] = None,
                    **kwargs) -> "ExecutionBackend":
     """Construct a conforming backend by name (the verify-layer seam).
 
-    ``engine`` picks the execution backend, ``timing`` the timing
-    backend (:data:`repro.cpu.timing.TIMING_MODELS`); both default to
-    the process-wide settings.
+    ``"staged"`` builds a :class:`Cpu`, ``"reference"`` the oracle;
+    ``timing`` picks the timing backend
+    (:data:`repro.cpu.timing.TIMING_MODELS`), defaulting to the
+    process-wide setting.
     """
-    return Cpu(engine=engine, timing=timing, **kwargs)
+    if engine == DEFAULT_ENGINE:
+        return Cpu(timing=timing, **kwargs)
+    if engine == "reference":
+        from ..verify.reference import ReferenceCpu
+        return ReferenceCpu(timing=timing, **kwargs)
+    raise ValueError(f"unknown engine {engine!r}; "
+                     f"expected {DEFAULT_ENGINE!r} or 'reference'")
 
 
 class Cpu:
     """A single simulated core."""
 
-    def __new__(cls, params: MachineParams = DEFAULT_PARAMS,
-                memory: Optional[AddressSpace] = None,
-                process: Optional[Process] = None,
-                kernel: Optional[Kernel] = None,
-                telemetry: Optional[Telemetry] = None,
-                engine: Optional[str] = None,
-                timing: Optional[str] = None):
-        # ``Cpu(engine="reference")`` hands back the differential
-        # oracle so every construction site gets engine selection for
-        # free.  ReferenceCpu is not a Cpu subclass (it shares only the
-        # ExecutionBackend surface), so ``__init__`` below is skipped.
-        resolved = _validate_engine(engine or DEFAULT_ENGINE)
-        if resolved == "reference" and cls is Cpu:
-            from ..verify.reference import ReferenceCpu
-            return ReferenceCpu(params=params, memory=memory,
-                                process=process, kernel=kernel,
-                                telemetry=telemetry, timing=timing)
-        return super().__new__(cls)
+    engine = DEFAULT_ENGINE
 
     def __init__(self, params: MachineParams = DEFAULT_PARAMS,
                  memory: Optional[AddressSpace] = None,
                  process: Optional[Process] = None,
                  kernel: Optional[Kernel] = None,
                  telemetry: Optional[Telemetry] = None,
-                 engine: Optional[str] = None,
                  timing: Optional[str] = None):
-        self.engine = _validate_engine(engine or DEFAULT_ENGINE)
         self.timing_model = _validate_timing(
             timing if timing is not None else timing_seam.DEFAULT_TIMING)
         self.params = params
@@ -247,27 +189,10 @@ class Cpu:
         self.stats = CpuStats()
         #: Ready-to-run predecoded ops, keyed by mapped address.
         self._decoded: Dict[int, DecodedOp] = {}
-        #: Superblock cache (``blocks`` engine only); CodeMap routes
-        #: code-write invalidations through it so compiled blocks stay
-        #: coherent with self-modifying code.  Compiled blocks bake the
-        #: in-order accounting into generated source, so a non-inline
-        #: timing backend degrades ``blocks`` to the staged loop
-        #: (architectural behavior is identical either way).
-        self._blocks = (BlockCache(self)
-                        if self.engine == "blocks"
-                        and self.timing_model == "inorder" else None)
         #: Raw instruction map; writes invalidate ``_decoded`` entries.
-        self._code: Dict[int, Instruction] = CodeMap(self._decoded,
-                                                    blocks=self._blocks)
+        self._code: Dict[int, Instruction] = CodeMap(self._decoded)
         self._predecoded = 0
         self._lazy_decodes = 0
-        #: Superblock execution bookkeeping: ``_in_block`` guards the
-        #: speculation journal (windows must never open inside a
-        #: compiled block); ``_block_retired`` reports how many of a
-        #: block's instructions committed (exact even on a mid-block
-        #: fault) so the run budget stays instruction-accurate.
-        self._in_block = False
-        self._block_retired = 0
         #: The timing seam — all cycle charging by the exec layer.
         self.timing = create_timing(self.timing_model, self)
         #: Undo log for wrong-path squash (no deepcopy anywhere).
@@ -306,9 +231,6 @@ class Cpu:
                              ("decode", self.decode_stats),
                              ("journal", self._journal.stats)):
                 self.telemetry.register_component(name, fn)
-            if self._blocks is not None:
-                self.telemetry.register_component("blocks",
-                                                  self._blocks.stats)
             if self.timing_model == "ooo":
                 self.telemetry.register_component("ooo",
                                                   self.timing.ooo_stats)
@@ -397,12 +319,6 @@ class Cpu:
         l1i_line = l1i.line_bytes
         l1i_nsets = l1i.n_sets
         l1i_hit_cycles = self.params.l1i_hit_cycles
-        # Superblock dispatch (blocks engine only).  A tracer forces
-        # single-step for the whole run: per-instruction trace records
-        # must interleave with commits exactly.
-        blocks = self._blocks
-        btable = (blocks.table
-                  if blocks is not None and tracer is None else None)
         while executed < max_instructions:
             if self._halted:
                 return RunResult("hlt", stats, rip=regs.rip)
@@ -413,33 +329,6 @@ class Cpu:
                     continue
                 return RunResult("fault", stats, fault=fault, rip=regs.rip)
             pc = regs.rip
-            if btable is not None:
-                blk = btable.get(pc, False)
-                if blk is False:
-                    blk = blocks.compile_at(pc)
-                if blk is not None:
-                    # A block runs whole or not at all: it must fit the
-                    # remaining budget, and (when HFI is on) a single
-                    # code region must cover every pc so the per-fetch
-                    # check can hoist.  Otherwise single-step below
-                    # reproduces the exact per-instruction semantics.
-                    if (executed + blk.n <= max_instructions
-                            and (not hfi_regs.enabled
-                                 or blk.covered(hfi_regs.code))):
-                        try:
-                            blk.run(self)
-                        except HfiFault as fault:
-                            self._raise_fault(fault)
-                        except PageFault as fault:
-                            self._raise_page_fault(fault)
-                        except RegionError as err:
-                            self._raise_fault(HfiFault(
-                                FaultCause.HARDWARE_TRAP, detail=str(err)))
-                        executed += self._block_retired
-                        blocks.executions += 1
-                        blocks.block_instructions += self._block_retired
-                        continue
-                    blocks.fallbacks += 1
             # HFI code-region check happens at decode, before execution
             # and before any micro-op enters the pipeline (§4.1).
             # (``hfi_regs.code`` is re-read per fetch: enter/restore
@@ -601,30 +490,10 @@ class Cpu:
     # ------------------------------------------------------------------
     # memory path
     # ------------------------------------------------------------------
-    def _effective_address(self, mem: Mem) -> int:
-        ea = mem.disp
-        if mem.base is not None:
-            ea += self.regs.read(mem.base)
-        if mem.index is not None:
-            ea += self.regs.read(mem.index) * mem.scale
-        return ea & MASK64
-
-    def _charge_mem(self, ea: int) -> None:
-        self.timing.mem_access(ea)
-
-    def _check_pkey(self, ea: int, size: int, kind: AccessKind):
-        vma = self.mem.check_access(ea, size, kind)
-        if (self.enforce_pkeys and self.process is not None
-                and self.process.pkru and vma.pkey):
-            bits = (self.process.pkru >> (2 * vma.pkey)) & 0b11
-            if bits & 0b01 or (kind is AccessKind.WRITE and bits & 0b10):
-                raise PageFault(ea, kind, f"pkey {vma.pkey} denied")
-        return vma
-
     def _load_ea(self, ea: int, size: int) -> int:
         """Data load at a resolved (and HFI-checked) address."""
-        # _check_pkey, inlined (once per load): the common case is no
-        # pkey restriction on the touched VMA.
+        # The MPK check: the common case is no pkey restriction on the
+        # touched VMA.
         vma = self.mem.check_access(ea, size, _READ)
         if self.enforce_pkeys and vma.pkey:
             process = self.process
@@ -672,50 +541,3 @@ class Cpu:
         if self._speculative:
             self._journal.entries.append((reg, self.regs.regs[reg]))
         self.regs.regs[reg] = value & MASK64
-
-    # Operand-level compat wrappers (the exec layer uses decode-time
-    # accessor closures instead; these remain for external callers).
-    def _load(self, mem: Mem, hmov_region: Optional[int] = None) -> int:
-        if hmov_region is not None:
-            index_val = (self.regs.read(mem.index)
-                         if mem.index is not None else 0)
-            ea = self.hfi.hmov_address(hmov_region, index_val, mem.scale,
-                                       mem.disp, mem.size, is_write=False)
-        else:
-            ea = self._effective_address(mem)
-            self.hfi.check_data_access(ea, mem.size, is_write=False)
-        return self._load_ea(ea, mem.size)
-
-    def _store(self, mem: Mem, value: int,
-               hmov_region: Optional[int] = None) -> None:
-        if hmov_region is not None:
-            index_val = (self.regs.read(mem.index)
-                         if mem.index is not None else 0)
-            ea = self.hfi.hmov_address(hmov_region, index_val, mem.scale,
-                                       mem.disp, mem.size, is_write=True)
-        else:
-            ea = self._effective_address(mem)
-            self.hfi.check_data_access(ea, mem.size, is_write=True)
-        self._store_ea(ea, mem.size, value)
-
-    def _read_operand(self, op, hmov_region: Optional[int] = None) -> int:
-        if isinstance(op, Reg):
-            return self.regs.read(op)
-        if isinstance(op, Imm):
-            return op.value & MASK64
-        if isinstance(op, Mem):
-            return self._load(op, hmov_region)
-        raise TypeError(f"unreadable operand {op!r}")
-
-    def _write_operand(self, op, value: int,
-                       hmov_region: Optional[int] = None) -> None:
-        if isinstance(op, Reg):
-            self.regs.write(op, value)
-        elif isinstance(op, Mem):
-            self._store(op, value, hmov_region)
-        else:
-            raise TypeError(f"unwritable operand {op!r}")
-
-    def _dispatch(self, ins: Instruction, pc: int) -> None:
-        """Compat shim: decode (cached) and execute one instruction."""
-        decode_one(ins, pc).run(self)

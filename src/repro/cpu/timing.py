@@ -3,10 +3,10 @@
 The staged engine keeps instruction *semantics* (the ``exec_*``
 modules) separate from instruction *cost* so the two can evolve
 independently — the gem5 split between functional and timing models.
-Timing is a pluggable axis, exactly like the execution-engine axis in
-:mod:`.machine`: a :class:`TimingBackend` is selected per-``Cpu`` via
-``Cpu(timing=...)`` and process-wide via :func:`set_default_timing` /
-:func:`default_timing`.  Two conforming backends ship:
+Timing is a pluggable axis: a :class:`TimingBackend` is selected
+per-``Cpu`` via ``Cpu(timing=...)`` and process-wide via
+:func:`set_default_timing` / :func:`default_timing`.  Two conforming
+backends ship:
 
 * ``inorder`` (:class:`InOrderTiming`, the fast default) — the charge
   stream is accumulated directly into ``stats.cycles`` as each

@@ -11,7 +11,8 @@ Models the pieces ERIM-style sandboxes rely on:
   move region metadata from memory into registers (Fig. 5).
 
 Enforcement itself happens in the CPU model: each access checks the
-VMA's pkey against the process PKRU (see ``Cpu._check_pkey``).
+VMA's pkey against the process PKRU (see ``Cpu._load_ea`` and
+``Cpu._store_ea``).
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from .stats import (
     SandboxStats,
     ServingStats,
     ShardedPoolStats,
-    SuperblockStats,
     TlbStats,
     TracerStats,
     VerifyStats,
@@ -41,7 +40,7 @@ __all__ = [
     "Telemetry", "NullTelemetry", "NULL_TELEMETRY", "SANDBOX_CYCLES",
     "coalesce", "Counter", "Histogram", "CycleAccumulator",
     "MetricsRegistry", "Span", "SpanLog",
-    "ComponentStats", "SuperblockStats", "CacheStats", "TlbStats",
+    "ComponentStats", "CacheStats", "TlbStats",
     "PredictorStats", "TracerStats", "SandboxStats",
     "SandboxManagerStats", "HfiDeviceStats", "PoolStats", "KernelStats",
     "OooStats", "MpkDomainStats", "MpkVirtStats",

@@ -341,33 +341,6 @@ class SpeculationJournalStats(ComponentStats):
 
 
 @dataclass
-class SuperblockStats(ComponentStats):
-    """Superblock-compiler effectiveness (``blocks`` engine only).
-
-    ``compiled``/``invalidated`` count block formation and
-    code-write-driven teardown; ``cached`` is the live table size
-    (including negative entries for too-short runs).  ``executions``
-    is block dispatches, ``block_instructions`` the instructions they
-    retired — their ratio is the fused run length the engine actually
-    achieves.  ``fallbacks`` counts dispatches that found a compiled
-    block but single-stepped anyway (HFI coverage not hoistable, or
-    the block didn't fit the remaining instruction budget).
-    """
-
-    compiled: int = 0
-    invalidated: int = 0
-    executions: int = 0
-    block_instructions: int = 0
-    fallbacks: int = 0
-    cached: int = 0
-
-    @property
-    def mean_block_length(self) -> float:
-        return (self.block_instructions / self.executions
-                if self.executions else 0.0)
-
-
-@dataclass
 class OooStats(ComponentStats):
     """Scoreboard counters of the out-of-order timing backend
     (``cpu/ooo.py``, ``timing="ooo"``).

@@ -6,9 +6,9 @@ recycling runtime:
 * :mod:`repro.verify.reference` — a deliberately naive straight-line
   interpreter whose architectural end state is the oracle.
 * :mod:`repro.verify.fuzz_isa` — seeded program generation over the
-  full opcode table, executed on every conforming execution backend
-  (staged, superblock-compiling, reference) with full-state equality
-  asserted against the first.
+  full opcode table, executed on the staged engine and the reference
+  oracle (under every timing model) with full-state equality asserted
+  against the first.
 * :mod:`repro.verify.fuzz_checks` — randomized sweep of the §4.2
   hardware comparator against the golden hmov semantics, with every
   disagreement classified.

@@ -8,17 +8,17 @@ in every flag combination, in- and out-of-bounds ``hmov``,
 ``hfi_exit``/``hfi_reenter``), ``xsave``/``xrstor`` pairs, syscalls,
 and deliberately-faulting accesses.  ``run_differential(seed)`` then
 executes the same program on every requested engine — by default the
-staged interpreter, the superblock-compiling ``blocks`` engine, and
-the naive :class:`~repro.verify.reference.ReferenceCpu` — starting
-from bit-identical address spaces, and asserts equality of the full
+staged interpreter and the naive
+:class:`~repro.verify.reference.ReferenceCpu` — starting from
+bit-identical address spaces, and asserts equality of the full
 architectural end state against the first engine: every GPR, the
 flags, ``rip``, the stop reason, the fault record, the
 committed-instruction count, the HFI bank (regions, sandbox flags,
 cause MSR, lifecycle counters), and all non-zero memory.
 
 Backends are constructed by name through
-:func:`repro.cpu.machine.create_backend` — the public engine seam —
-so a new conforming backend joins the matrix by adding its name.
+:func:`repro.cpu.machine.create_backend`, the one place that maps an
+engine name to a backend.
 
 ``rdtsc`` is the one architectural instruction never generated: it
 reads the cycle counter, which the reference engine does not model.
@@ -45,9 +45,9 @@ from ..isa.registers import Reg
 from ..os.address_space import AddressSpace, Prot
 from ..params import MachineParams
 
-#: The default differential matrix: every conforming backend, with the
-#: staged interpreter as the baseline the others are compared against.
-DEFAULT_ENGINES: Tuple[str, ...] = ("staged", "blocks", "reference")
+#: The default differential matrix: the staged interpreter as the
+#: baseline, and the reference oracle it is compared against.
+DEFAULT_ENGINES: Tuple[str, ...] = ("staged", "reference")
 
 #: Timing models the verify gate crosses with the engine matrix.  The
 #: architectural end state must be identical across all of them; only
@@ -502,14 +502,15 @@ def build_matrix(engines: Tuple[str, ...],
     """The (engine, timing) cross, minus redundant cells.
 
     The reference oracle has no timing backend (it is architectural
-    only), so it appears once regardless of how many timing models are
-    swept.
+    only), so it appears once, as ``reference/inorder``, regardless of
+    which timing models are swept or which one leads.
     """
     matrix: List[Tuple[str, str]] = []
     for engine in engines:
+        if engine == "reference":
+            matrix.append((engine, "inorder"))
+            continue
         for timing in timings:
-            if engine == "reference" and timing != timings[0]:
-                continue
             matrix.append((engine, timing))
     return matrix
 

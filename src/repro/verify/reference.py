@@ -64,8 +64,8 @@ class ReferenceCpu:
     """Straight-line architectural interpreter of ``isa`` programs.
 
     A conforming :class:`repro.cpu.machine.ExecutionBackend`: it is
-    what ``Cpu(engine="reference")`` (and ``--engine reference``)
-    hands back.  The public surface mirrors the subset of
+    what ``create_backend("reference")`` builds for the verify
+    differential.  The public surface mirrors the subset of
     :class:`repro.cpu.Cpu` that the differential harness needs:
     ``load_program``, ``run``, ``regs``, ``hfi``, ``mem``, ``stats``,
     ``fault_resume_address``.  ``telemetry`` is accepted for
@@ -79,12 +79,7 @@ class ReferenceCpu:
     def __init__(self, params: MachineParams = DEFAULT_PARAMS,
                  memory: Optional[AddressSpace] = None,
                  process=None, kernel=None, telemetry=None,
-                 engine: Optional[str] = None,
                  timing: Optional[str] = None):
-        if engine not in (None, "reference"):
-            raise ValueError(
-                f"ReferenceCpu only implements engine='reference', "
-                f"got {engine!r}")
         # The oracle is architectural-only: any *valid* timing model is
         # accepted and ignored (its simplified cost stream is never
         # compared), so matrix construction sites need no special case.

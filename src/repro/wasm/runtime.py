@@ -71,18 +71,15 @@ class WasmRuntime:
                  space: Optional[AddressSpace] = None,
                  kernel: Optional[Kernel] = None,
                  code_budget: int = _DEFAULT_CODE_BUDGET,
-                 engine: Optional[str] = None,
                  timing: Optional[str] = None):
         self.params = params
         self.space = space if space is not None else AddressSpace(params)
         self.kernel = kernel
         self.code_budget = code_budget
-        # ``engine=None``/``timing=None`` defer to the process-wide
-        # defaults, so CLI ``--engine``/``--timing`` flags (threaded
-        # through ``default_engine``/``default_timing``) reach runtimes
-        # constructed deep inside workloads.
-        self.cpu = Cpu(params, memory=self.space, engine=engine,
-                       timing=timing)
+        # ``timing=None`` defers to the process-wide default, so the
+        # CLI ``--timing`` flag (threaded through ``default_timing``)
+        # reaches runtimes constructed deep inside workloads.
+        self.cpu = Cpu(params, memory=self.space, timing=timing)
         self.instances: List[WasmInstance] = []
 
     # ------------------------------------------------------------------

@@ -29,7 +29,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core import ImplicitCodeRegion, ImplicitDataRegion, SandboxFlags
 from ..core.encoding import encode_region, encode_sandbox
 from ..core.regions import ExplicitDataRegion
-from ..cpu.machine import Cpu, CpuStats, default_engine, default_timing
+from ..cpu.machine import Cpu, CpuStats
+from ..cpu.timing import default_timing
 from ..isa import Assembler, Imm, Mem, Reg
 from ..os.address_space import AddressSpace, Prot
 from ..params import MachineParams
@@ -216,19 +217,13 @@ GOLDEN_WORKLOADS: Dict[str, Callable[[], Metrics]] = {
 }
 
 
-def run_all(engine: Optional[str] = None,
-            timing: Optional[str] = None) -> Dict[str, Metrics]:
+def run_all(timing: Optional[str] = None) -> Dict[str, Metrics]:
     """Evaluate every golden workload, in registry order.
 
-    ``engine`` (and ``timing``) scope the process-wide default
-    execution and timing backends for the duration of the run, so
-    every CPU constructed inside the workloads (wasm runtimes, attack
-    harnesses, transition loops) uses them.  Each fixture file is
-    regenerated under ``staged`` with one timing model and replayed
-    under every engine that promises cycle parity for it."""
-    with contextlib.ExitStack() as scopes:
-        if engine is not None:
-            scopes.enter_context(default_engine(engine))
-        if timing is not None:
-            scopes.enter_context(default_timing(timing))
+    ``timing`` scopes the process-wide default timing backend for the
+    duration of the run, so every CPU constructed inside the workloads
+    (wasm runtimes, attack harnesses, transition loops) uses it.  Each
+    timing model has its own fixture file."""
+    with (default_timing(timing) if timing is not None
+          else contextlib.nullcontext()):
         return {name: build() for name, build in GOLDEN_WORKLOADS.items()}

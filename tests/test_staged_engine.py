@@ -9,7 +9,9 @@ into decode / exec / timing / journal stages:
   (self-modifying setups stay coherent with the predecode cache);
 * speculation squashes via the undo journal — the register file and
   HFI state keep their object identity, and ``copy.deepcopy`` never
-  runs on the speculation or snapshot paths.
+  runs on the speculation or snapshot paths;
+* ``create_backend`` maps the verify matrix's engine names to the
+  staged ``Cpu`` and the reference oracle, and rejects any other name.
 """
 
 import copy
@@ -18,10 +20,13 @@ import unittest.mock
 import pytest
 
 from repro.cpu import Cpu
+from repro.cpu.machine import ExecutionBackend, create_backend
 from repro.isa import Assembler, Imm, Mem, Reg
 from repro.os import AddressSpace, Prot
 from repro.params import MachineParams
 from repro.telemetry import Telemetry
+from repro.verify.fuzz_isa import DEFAULT_ENGINES
+from repro.verify.reference import ReferenceCpu
 
 UNMAPPED = 0x66_0000
 
@@ -231,3 +236,24 @@ class TestTelemetrySurface:
         assert "hit_rate" in decode
         journal = snap["components"]["journal"]
         assert journal["windows"] == journal["rollbacks"]
+
+
+class TestBackendApi:
+    def test_staged_engine_is_the_cpu(self, params):
+        assert type(create_backend("staged", params=params)) is Cpu
+
+    def test_reference_engine_is_the_oracle(self, params):
+        assert isinstance(create_backend("reference", params=params),
+                          ReferenceCpu)
+
+    def test_every_engine_conforms(self, params):
+        for engine in DEFAULT_ENGINES:
+            backend = create_backend(engine, params=params)
+            assert isinstance(backend, ExecutionBackend)
+            assert backend.engine == engine
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            create_backend("blocks")
+        with pytest.raises(ValueError, match="unknown engine"):
+            create_backend("Staged")

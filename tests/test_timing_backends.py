@@ -13,9 +13,7 @@ Pins down the pluggable timing contract introduced with the
   finish faster than in-order; dependent chains do not), hides the
   hmov bounds check under the access latency (§4.2), pays for pipeline
   drains (§3.4), and keeps its rename/ROB/free-list bookkeeping exact
-  under the structural audit;
-* the blocks engine degrades to the staged loop under non-default
-  timing rather than emitting stale in-order accounting.
+  under the structural audit.
 """
 
 import pytest
@@ -45,10 +43,10 @@ def params():
     return MachineParams()
 
 
-def make_cpu(timing="inorder", params=None, engine="staged"):
+def make_cpu(timing="inorder", params=None):
     params = params or MachineParams()
     mem = AddressSpace(params)
-    cpu = Cpu(params, memory=mem, engine=engine, timing=timing)
+    cpu = Cpu(params, memory=mem, timing=timing)
     mem.mmap(1 << 16, Prot.rw(), addr=HEAP)
     stack = mem.mmap(1 << 16, Prot.rw(), addr=0x7F_0000)
     cpu.regs.write(Reg.RSP, stack + (1 << 16) - 64)
@@ -178,15 +176,6 @@ class TestArchitecturalParity:
             outcome = run_differential(
                 seed, engines=("staged",), timings=("inorder", "ooo"))
             assert outcome.divergences == [], (seed, outcome.divergences)
-
-    def test_blocks_engine_degrades_under_ooo(self, params):
-        staged = make_cpu(timing="ooo", engine="staged", params=params)
-        blocks = make_cpu(timing="ooo", engine="blocks", params=params)
-        assert blocks._blocks is None  # generated code bakes in in-order
-        run_asm(staged, _parallel_alu())
-        run_asm(blocks, _parallel_alu())
-        assert _arch_digest(staged) == _arch_digest(blocks)
-        assert staged.stats.cycles == blocks.stats.cycles
 
     def test_precise_exceptions(self, params):
         """A faulting access retires with the same architectural state

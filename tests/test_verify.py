@@ -252,6 +252,8 @@ class TestRunVerify:
                                    comparator_trials=2_000)
         assert report["failures"] == []
         assert stats.clean
+        assert report["matrix"] == ["staged/inorder", "staged/ooo",
+                                    "reference/inorder"]
         assert stats.oracle_runs == 8
         assert stats.comparator_trials > 2_000   # + boundary sweep
         assert stats.poison_writes > 0
