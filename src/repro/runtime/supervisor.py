@@ -68,23 +68,32 @@ class FaultKind(str, enum.Enum):
 CLASSIFICATIONS = ("retried", "shed", "quarantined", "killed")
 
 
+def shed_rank(order_key: int, request: "Request") -> tuple:
+    """The admission-control shed order: the smallest rank is shed
+    first — lowest priority first, newest (largest ``order_key``)
+    first within a priority."""
+    return (request.priority, -order_key)
+
+
 def shed_victims(candidates, overflow: int,
                  no_shed_priority: int) -> List[int]:
-    """Admission-control victim selection, shared by the synchronous
-    :class:`Supervisor` loop and the discrete-event serving simulator
-    (:mod:`repro.runtime.serving`).
+    """Admission-control victim selection for the batch
+    :class:`Supervisor` loop.
 
     ``candidates`` are ``(order_key, request)`` pairs where a larger
-    ``order_key`` means *newer*; victims are the lowest-priority
-    requests first, newest first within a priority, and requests at or
-    above ``no_shed_priority`` are never chosen.  Returns the chosen
-    order keys, at most ``overflow`` of them.
+    ``order_key`` means *newer*; victims are taken in
+    :func:`shed_rank` order, and requests at or above
+    ``no_shed_priority`` are never chosen.  Returns the chosen order
+    keys, at most ``overflow`` of them.  The discrete-event serving
+    simulator (:mod:`repro.runtime.serving`) keeps its queued requests
+    in a heap ordered by the same :func:`shed_rank` instead of
+    re-sorting them per arrival; this function is its test reference.
     """
     if overflow <= 0:
         return []
     sheddable = [(key, request) for key, request in candidates
                  if request.priority < no_shed_priority]
-    ranked = sorted(sheddable, key=lambda kr: (kr[1].priority, -kr[0]))
+    ranked = sorted(sheddable, key=lambda kr: shed_rank(*kr))
     return [key for key, _ in ranked[:overflow]]
 
 

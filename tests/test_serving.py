@@ -8,6 +8,8 @@ telemetry snapshot.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.params import MachineParams
 from repro.runtime import (
@@ -26,6 +28,7 @@ from repro.runtime import (
     load_trace,
     save_trace,
     scheme_costs,
+    shed_victims,
     simulate_serving,
 )
 from repro.os import AddressSpace
@@ -294,6 +297,22 @@ class TestServingLoop:
         # the earliest arrivals survive; the late pile-on is shed
         assert min(kept) < min(shed_indices)
 
+    def test_duplicate_request_index_rejected(self):
+        """Indices rank shed victims and key chaos injections, so two
+        requests sharing one are refused before any event runs.
+        Admitted, the NORMAL #5 below would be shed in place of the
+        queued LOW #5."""
+        config = ServingConfig(n_cores=1, slots_per_shard=8,
+                               max_inflight=3)
+        reqs = [Request(0, "t0", 1_000_000, Priority.NORMAL, 10),
+                Request(5, "t0", 30_000, Priority.LOW, 20),
+                Request(5, "t0", 30_000, Priority.NORMAL, 30),
+                Request(9, "t0", 30_000, Priority.NORMAL, 40)]
+        sim = ServingSimulator("hfi", config, MachineParams(), seed=0)
+        with pytest.raises(ValueError, match="duplicate request index 5"):
+            sim.run(reqs)
+        assert sim.outcomes == [] and sim.counters.requests == 0
+
     def test_normal_newcomer_evicts_queued_low(self):
         config = ServingConfig(n_cores=1, slots_per_shard=8,
                                max_inflight=2)
@@ -399,6 +418,82 @@ class TestServingLoop:
         sim.run(self.requests(10))
         snapshot = telemetry.snapshot()
         assert "serving" in str(snapshot)
+
+
+# ----------------------------------------------------------------------
+# the admission index against its full-scan reference
+# ----------------------------------------------------------------------
+class ScanCheckedSimulator(ServingSimulator):
+    """Works out, before every victim choice, what a full scan would
+    shed — ``shed_victims`` over every queued record plus the
+    newcomer — and asserts the index shed that request (or none).
+    After every change to the index it asserts that the index holds
+    exactly the queued sheddable records, plus at most as many started
+    ones."""
+
+    def _scan(self, newcomer=None):
+        candidates = [(record.request.index, record.request)
+                      for core in self._cores for record in core.queue]
+        if newcomer is not None:
+            candidates.append((newcomer.index, newcomer))
+        return shed_victims(candidates, 1, self.config.no_shed_priority)
+
+    def _assert_shed(self, expected, before):
+        assert [o.request.index for o in self.outcomes[before:]] == expected
+        self._assert_index()
+
+    def _assert_index(self):
+        queued = {id(record) for core in self._cores
+                  for record in core.queue
+                  if record.request.priority < self.config.no_shed_priority}
+        live = {id(record) for _, record in self._victims
+                if not record.started}
+        assert live == queued and self._victims_live == len(queued)
+        assert len(self._victims) <= 2 * len(queued)
+
+    def _make_room(self, newcomer, injection):
+        expected, before = self._scan(newcomer), len(self.outcomes)
+        admitted = super()._make_room(newcomer, injection)
+        self._assert_shed(expected, before)
+        return admitted
+
+    def _evict_one_queued(self):
+        expected, before = self._scan(), len(self.outcomes)
+        evicted = super()._evict_one_queued()
+        self._assert_shed(expected, before)
+        return evicted
+
+    def _maybe_start(self, heap, core_index):
+        super()._maybe_start(heap, core_index)
+        self._assert_index()
+
+
+@st.composite
+def overload_streams(draw):
+    """5-60 requests of every priority, indices not in arrival order,
+    some sharing an arrival cycle."""
+    n = draw(st.integers(5, 60))
+    clock, stream = 0, []
+    for index in draw(st.permutations(range(n))):
+        clock += draw(st.sampled_from((0, 0, 2_000, 20_000, 60_000)))
+        stream.append(Request(
+            index=index, tenant=f"t{index % 3}",
+            service_cycles=draw(st.integers(10_000, 150_000)),
+            priority=draw(st.sampled_from(list(Priority))),
+            arrival_cycle=clock))
+    return stream
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=overload_streams(), n_cores=st.integers(1, 4),
+       slots=st.integers(1, 6), max_inflight=st.integers(1, 12),
+       scheme=st.sampled_from(SERVING_SCHEMES))
+def test_admission_index_matches_full_scan(stream, n_cores, slots,
+                                           max_inflight, scheme):
+    config = ServingConfig(n_cores=n_cores, slots_per_shard=slots,
+                           max_inflight=max_inflight)
+    sim = ScanCheckedSimulator(scheme, config, MachineParams(), seed=0)
+    assert sim.run(stream).accounted
 
 
 # ----------------------------------------------------------------------

@@ -317,7 +317,7 @@ class TestSupervisorPolicyInServingLoop:
     hold unchanged when driven by open-loop arrivals through the
     discrete-event loop (``repro.runtime.serving``) instead of the
     batch ``Supervisor.serve`` path.  Both paths share the actual
-    policy code (``shed_victims``/``record_breaker_fault``), so a
+    policy code (``shed_rank``/``record_breaker_fault``), so a
     divergence here means the event loop wired it up wrong.
     """
 
@@ -407,7 +407,8 @@ class TestSupervisorPolicyInServingLoop:
 
     def test_batch_and_event_paths_agree_on_shed_policy(self, params):
         """The same one-instant overflow decided by both paths picks
-        the same victims (both call shed_victims)."""
+        the same victims (both rank by shed_rank: the batch path sorts
+        with it, the event loop keeps a heap ordered by it)."""
         stream = []
         for i in range(8):
             priority = (Priority.HIGH if i in (1, 6)
