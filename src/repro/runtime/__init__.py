@@ -2,7 +2,6 @@
 and the supervised (robustness) serving loop."""
 
 from .chaining import ChainHop, ChainModel
-from .faas import FaasMetrics, FaasServer, percentile
 from .pool import InstancePool, PoolSlot, ShardedInstancePool
 from .sandbox import (
     InvokeResult,
@@ -24,6 +23,7 @@ from .serving import (
     build_requests,
     connection_lifecycle_costs,
     load_trace,
+    percentile,
     save_trace,
     scheme_costs,
     simulate_serving,
@@ -45,7 +45,7 @@ from .supervisor import (
 from .transitions import TransitionKind, TransitionModel
 
 __all__ = [
-    "FaasMetrics", "FaasServer", "percentile", "InvokeResult",
+    "percentile", "InvokeResult",
     "SandboxError", "SandboxHandle", "SandboxManager", "TransitionKind",
     "TransitionModel", "ChainHop", "ChainModel", "InstancePool",
     "PoolSlot", "StartupModel", "MultiplexModel", "ScheduleOutcome",

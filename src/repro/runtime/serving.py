@@ -4,10 +4,9 @@ The paper's FaaS/CDN scenario is where HFI's cheap transitions pay
 off: one process multiplexes thousands of sandboxed invocations, and
 the per-request protection cost (transition round trips, instance
 staging, teardown madvise) decides how much offered load the node
-sustains before the tail blows up.  :class:`FaasServer` models this as
-a closed-form M/G/k loop; this module is the production-shaped
-version — an event-heap simulator in the image of the Firecracker
-serving architecture and the Faasm cluster setup (SNIPPETS.md):
+sustains before the tail blows up.  This module models that node as
+an event-heap simulator in the image of the Firecracker serving
+architecture and the Faasm cluster setup (SNIPPETS.md):
 
 * **open-loop arrivals** — Poisson, bursty (2-state MMPP), or a
   replayable trace file; the offered load never waits for the server;
@@ -34,16 +33,23 @@ seed fully determines a run — the property the golden serving fixture
 (tests/golden_serving.json) and the ``repro-hfi verify`` determinism
 gate pin down.  Latency percentiles (p50/p99/p999) are computed over
 integer cycle latencies with the exact nearest-rank rule of
-:func:`repro.runtime.faas.percentile`.
+:func:`percentile`.
+
+Table 1 runs here too: fed one constant service time and a zero-cost
+:class:`SchemeCosts`, the node is an FCFS M/D/c queue — request *i*
+goes to core *i mod n*, and with equal service times the earliest-free
+core is always the one that took request *i - n*.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..os.address_space import AddressSpace
@@ -51,7 +57,6 @@ from ..params import DEFAULT_PARAMS, MachineParams
 from ..telemetry.sink import Telemetry, coalesce
 from ..telemetry.stats import ServingStats
 from ..wasm import make_strategy
-from .faas import percentile
 from .pool import PoolSlot, ShardedInstancePool
 from .startup import StartupModel
 from .supervisor import (
@@ -61,8 +66,13 @@ from .supervisor import (
     Request,
     RequestOutcome,
     TenantBreaker,
+    breaker_admits,
+    classify_fault,
+    pending_fault,
     record_breaker_fault,
+    record_breaker_success,
     shed_rank,
+    watchdog_budget,
 )
 from .transitions import TransitionKind, TransitionModel
 
@@ -320,6 +330,30 @@ class ServingConfig:
     failure_service_fraction: float = 0.5
 
 
+def percentile(values: Sequence[float], pct: float) -> float:
+    """Nearest-rank percentile (no numpy dependency in the hot path).
+
+    The rank is computed in exact (rational) arithmetic: the naive
+    ``ceil(pct / 100.0 * n)`` rounds the wrong way whenever the binary
+    product ``pct / 100 * n`` lands just above the true integer — e.g.
+    ``pct=7, n=100`` gives ``ceil(7.000000000000001) = 8`` and returns
+    the 8th-ranked element instead of the 7th.  Caught by the property
+    suite (``tests/test_percentile_properties.py``) against a
+    Fraction-based oracle.  ``pct`` at or below 0 clamps to the
+    minimum, at or above 100 to the maximum — the nearest-rank rule is
+    only defined on (0, 100].
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    if pct <= 0:
+        return ordered[0]
+    if pct >= 100:
+        return ordered[-1]
+    rank = math.ceil(Fraction(pct) * len(ordered) / 100)
+    return ordered[max(0, min(len(ordered) - 1, rank - 1))]
+
+
 @dataclass
 class ServingMetrics:
     """Results of one serving run (cycle-exact, JSON-ready)."""
@@ -404,6 +438,8 @@ class _InFlight:
     core: int
     injection: Optional[Injection] = None
     started: bool = False
+    #: The fault this invocation acts on, fixed when it starts.
+    pending: Optional[FaultKind] = None
 
 
 class _Core:
@@ -462,7 +498,8 @@ class ServingSimulator:
     # ------------------------------------------------------------------
     def run(self, requests: Sequence[Request],
             injector=None) -> ServingMetrics:
-        """Drive ``requests`` (sorted by arrival) through the node.
+        """Drive ``requests`` through the node in ``arrival_cycle``
+        order (same-cycle arrivals in list order).
 
         Request indices must be unique: they rank shed victims and key
         chaos injections.
@@ -503,12 +540,10 @@ class ServingSimulator:
         breaker = self.breakers.get(request.tenant)
         if breaker is None:
             breaker = self.breakers[request.tenant] = TenantBreaker()
-        if breaker.state == "open":
-            if self.clock < breaker.open_until:
-                self.counters.breaker_shed += 1
-                self._shed(request, injection, "breaker")
-                return
-            breaker.state = "half-open"
+        if not breaker_admits(breaker, self.clock):
+            self.counters.breaker_shed += 1
+            self._shed(request, injection, "breaker")
+            return
         # --- admission control: bounded in-flight ---------------------
         if self._inflight >= self.config.max_inflight:
             if not self._make_room(request, injection):
@@ -602,10 +637,8 @@ class ServingSimulator:
 
     def _account(self, injection: Optional[Injection],
                  classification: str) -> None:
-        if injection is None or injection.classified is not None:
-            return
-        injection.classified = classification
-        if self.telemetry.enabled:
+        if (classify_fault(injection, classification)
+                and self.telemetry.enabled):
             self.telemetry.count(f"serving.fault[{classification}]")
 
     # ------------------------------------------------------------------
@@ -618,6 +651,7 @@ class ServingSimulator:
         record = core.queue.popleft()
         core.running = record
         record.started = True
+        record.pending = pending_fault(record.injection)
         if record.request.priority < self.config.no_shed_priority:
             self._victim_left()
         start = max(self.clock, core.busy_until)
@@ -629,18 +663,14 @@ class ServingSimulator:
     def _invocation_cycles(self, record: _InFlight) -> int:
         """Cycles the core is held for this invocation, fault-adjusted.
 
-        The one-shot pending fault (if any) is consumed here; its
-        classification and slot consequences land at completion so the
-        ledger is stamped exactly once.
+        The one-shot pending fault (``record.pending``) is consumed
+        here; its classification and slot consequences land at
+        completion so the ledger is stamped exactly once.
         """
         scheme, config, request = self.scheme, self.config, record.request
         base = (scheme.dispatch_cycles + scheme.transition_cycles
                 + scheme.setup_cycles)
-        pending = (record.injection.kind
-                   if (record.injection is not None
-                       and record.injection.classified is None
-                       and record.injection.kind
-                       is not FaultKind.BURST_OVERLOAD) else None)
+        pending = record.pending
         if pending is FaultKind.TRANSIENT_KERNEL:
             # failed pre-invoke kernel call: backoff, then a clean retry
             return (self.params.syscall_cycles + config.backoff_cycles
@@ -652,9 +682,9 @@ class ServingSimulator:
                     + config.backoff_cycles + 2 * base
                     + request.service_cycles)
         if pending is FaultKind.GUEST_HANG:
-            budget = max(config.watchdog_min_cycles,
-                         int(config.watchdog_multiplier
-                             * request.service_cycles))
+            budget = watchdog_budget(request.service_cycles,
+                                     config.watchdog_multiplier,
+                                     config.watchdog_min_cycles)
             return base + budget + self.params.signal_delivery_cycles
         if pending is FaultKind.GUEST_FAULT:
             held = int(request.service_cycles
@@ -667,11 +697,7 @@ class ServingSimulator:
         core.running = None
         request, injection = record.request, record.injection
         breaker = self.breakers[request.tenant]     # made at arrival
-        pending = (injection.kind
-                   if (injection is not None
-                       and injection.classified is None
-                       and injection.kind is not FaultKind.BURST_OVERLOAD)
-                   else None)
+        pending = record.pending
         if pending is FaultKind.GUEST_HANG:
             self._release_record(record, quarantine=True)
             self._account(injection, "killed")
@@ -703,8 +729,7 @@ class ServingSimulator:
                 self._breaker_fault(breaker)
             else:
                 self._release_record(record, quarantine=False)
-                breaker.consecutive_faults = 0
-                breaker.state = "closed"
+                record_breaker_success(breaker)
             latency = self.clock - request.arrival_cycle
             self.latencies.append(latency)
             self.counters.succeeded += 1
@@ -744,9 +769,11 @@ class ServingSimulator:
         counters.p999_cycles = int(percentile(self.latencies, 99.9))
         n = len(requests)
         seconds = self.params.cycles_to_seconds(duration) or 1e-12
-        gaps = [b.arrival_cycle - a.arrival_cycle
-                for a, b in zip(requests, requests[1:])]
-        mean_gap = (sum(gaps) / len(gaps)) if gaps else 0.0
+        # the span of the stream, not its list order: the loop accepts
+        # requests in any order
+        mean_gap = ((max(r.arrival_cycle for r in requests)
+                     - min(r.arrival_cycle for r in requests)) / (n - 1)
+                    if n > 1 else 0.0)
         offered_rps = (1.0 / self.params.cycles_to_seconds(mean_gap)
                        if mean_gap else 0.0)
         done = counters.succeeded + counters.failed

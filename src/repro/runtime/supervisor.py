@@ -35,6 +35,12 @@ is drained in order (see ``os/signals.py``).
 Every injected or observed fault is stamped with exactly one
 classification — ``retried`` / ``shed`` / ``quarantined`` / ``killed``
 — which is the ledger the chaos soak gate audits.
+
+Each policy decision is a module-level function (``shed_rank``,
+``pending_fault``, ``classify_fault``, ``watchdog_budget`` and the
+breaker's ``breaker_admits``/``record_breaker_fault``/
+``record_breaker_success``), which the discrete-event serving
+simulator (:mod:`repro.runtime.serving`) calls too.
 """
 
 from __future__ import annotations
@@ -97,6 +103,23 @@ def shed_victims(candidates, overflow: int,
     return [key for key, _ in ranked[:overflow]]
 
 
+def breaker_admits(breaker: "TenantBreaker", clock: int) -> bool:
+    """The circuit breaker's admission check: an open circuit sheds
+    the tenant until ``open_until``, then turns half-open and admits
+    one probe."""
+    if breaker.state == "open":
+        if clock < breaker.open_until:
+            return False
+        breaker.state = "half-open"
+    return True
+
+
+def record_breaker_success(breaker: "TenantBreaker") -> None:
+    """A clean invocation closes the tenant's circuit."""
+    breaker.consecutive_faults = 0
+    breaker.state = "closed"
+
+
 def record_breaker_fault(breaker: "TenantBreaker", clock: int,
                          threshold: int, cooldown_cycles: int) -> bool:
     """Advance a tenant breaker through one observed fault.
@@ -118,6 +141,36 @@ def record_breaker_fault(breaker: "TenantBreaker", clock: int,
         breaker.trips += 1
         return True
     return False
+
+
+def pending_fault(injection: Optional["Injection"]) -> Optional[FaultKind]:
+    """The one-shot fault an invocation must act on, or None.
+
+    An injection applies until the ledger classifies it; a burst
+    overload shapes the arrival stream and never faults an invocation.
+    """
+    if (injection is not None and injection.classified is None
+            and injection.kind is not FaultKind.BURST_OVERLOAD):
+        return injection.kind
+    return None
+
+
+def classify_fault(injection: Optional["Injection"],
+                   classification: str) -> bool:
+    """Stamp ``injection`` in the fault ledger; the first
+    classification wins.  Returns True when this call stamped it."""
+    assert classification in CLASSIFICATIONS, classification
+    if injection is None or injection.classified is not None:
+        return False
+    injection.classified = classification
+    return True
+
+
+def watchdog_budget(service_cycles: int, multiplier: float,
+                    min_cycles: int) -> int:
+    """Cycles a guest may run before the watchdog kills it:
+    ``multiplier``× its declared service, at least ``min_cycles``."""
+    return max(min_cycles, int(multiplier * service_cycles))
 
 
 @dataclass
@@ -240,11 +293,8 @@ class Supervisor:
     # ------------------------------------------------------------------
     def _account(self, injection: Optional[Injection],
                  classification: str) -> None:
-        assert classification in CLASSIFICATIONS, classification
-        if injection is None or injection.classified is not None:
-            return
-        injection.classified = classification
-        if self.telemetry.enabled:
+        if (classify_fault(injection, classification)
+                and self.telemetry.enabled):
             self.telemetry.count(f"supervisor.fault[{classification}]")
 
     # ------------------------------------------------------------------
@@ -305,13 +355,11 @@ class Supervisor:
         injection = request.injection or (
             injector.injection_for(request.index) if injector else None)
         # --- circuit breaker ------------------------------------------
-        if breaker.state == "open":
-            if self.clock < breaker.open_until:
-                self.counters.shed += 1
-                self.counters.breaker_shed += 1
-                self._account(injection, "shed")
-                return RequestOutcome(request, "shed", detail="breaker")
-            breaker.state = "half-open"      # cooldown over: one probe
+        if not breaker_admits(breaker, self.clock):
+            self.counters.shed += 1
+            self.counters.breaker_shed += 1
+            self._account(injection, "shed")
+            return RequestOutcome(request, "shed", detail="breaker")
         # --- slot acquisition -----------------------------------------
         slot = self._acquire_slot()
         if slot is None:
@@ -320,10 +368,7 @@ class Supervisor:
             return RequestOutcome(request, "shed", detail="capacity")
         handle = self._tenant_sandbox(request.tenant)
         # One-shot pending fault: consumed by the attempt it hits.
-        pending = injection.kind if (
-            injection is not None
-            and injection.classified is None
-            and injection.kind is not FaultKind.BURST_OVERLOAD) else None
+        pending = pending_fault(injection)
 
         attempts = 0
         spent = 0
@@ -352,7 +397,10 @@ class Supervisor:
             if pending is FaultKind.GUEST_HANG:
                 # The guest never yields: the watchdog fires at the
                 # budget and the supervisor kills the whole sandbox.
-                budget = self._watchdog_budget(request)
+                budget = watchdog_budget(
+                    request.service_cycles,
+                    self.config.watchdog_multiplier,
+                    self.config.watchdog_min_cycles)
                 result = self.manager.invoke(handle, budget,
                                              self.config.transition)
                 spent += result.cycles
@@ -417,8 +465,7 @@ class Supervisor:
             else:
                 self.manager.space.write(canary_addr, 0, check=False)
                 spent += self.pool.release(slot)
-                breaker.consecutive_faults = 0
-                breaker.state = "closed"
+                record_breaker_success(breaker)
             self.counters.succeeded += 1
             return self._finish(request, "ok", attempts, spent)
         # retries exhausted
@@ -441,11 +488,6 @@ class Supervisor:
     # ------------------------------------------------------------------
     # recovery machinery
     # ------------------------------------------------------------------
-    def _watchdog_budget(self, request: Request) -> int:
-        return max(self.config.watchdog_min_cycles,
-                   int(self.config.watchdog_multiplier
-                       * request.service_cycles))
-
     def _kill_and_replace(self, tenant: str, handle: SandboxHandle,
                           slot: PoolSlot):
         """Reap a misbehaving sandbox and quarantine its slot.

@@ -267,10 +267,10 @@ def _determinism_smoke(stats: VerifyStats, failures: List[str],
                        seeds: Iterable[int] = (0, 7),
                        params: Optional[MachineParams] = None) -> None:
     """Seeded-determinism gate: the same seed must reproduce the
-    serving simulator and FaaS model bit-for-bit, and changing the
-    seed must never change how many requests a run *processes* (the
-    workload is the workload; only its fate may differ)."""
-    from ..runtime import FaasServer, simulate_serving
+    serving simulator bit-for-bit, and changing the seed must never
+    change how many requests a run *processes* (the workload is the
+    workload; only its fate may differ)."""
+    from ..runtime import simulate_serving
 
     baseline_requests: Optional[int] = None
     for seed in seeds:
@@ -290,15 +290,6 @@ def _determinism_smoke(stats: VerifyStats, failures: List[str],
             failures.append(
                 f"seed {seed} changed the request count "
                 f"({first.requests} != {baseline_requests})")
-        faas_a = FaasServer(seed=seed).simulate("hfi", 50_000,
-                                                n_requests=300)
-        faas_b = FaasServer(seed=seed).simulate("hfi", 50_000,
-                                                n_requests=300)
-        stats.determinism_runs += 2
-        if faas_a != faas_b:
-            stats.determinism_mismatches += 1
-            failures.append(
-                f"FaaS model not deterministic for seed {seed}")
 
 
 def run_verify(seeds: Iterable[int] = range(50),

@@ -2,11 +2,12 @@
 
 The differential oracle, the golden fixtures, and CI's seed-matrix
 jobs all rest on one assumption: a seed fully determines a run.  These
-tests pin that down for every stochastic subsystem — the FaaS model,
-the multiplexing scheduler, and the serving simulator — and assert
-the complementary invariant: changing the seed reshuffles *outcomes*
-but never changes how many requests were offered (the workload shape
-is a parameter, not a sample).
+tests pin that down for every stochastic subsystem — the serving
+simulator (also in the constant-service shape Table 1 runs it in) and
+the multiplexing scheduler — and assert the complementary invariant:
+changing the seed reshuffles *outcomes* but never changes how many
+requests were offered (the workload shape is a parameter, not a
+sample).
 
 The same checks run inside ``repro-hfi verify``
 (``repro.verify._determinism_smoke``) so the gate travels with the
@@ -15,10 +16,12 @@ battery; this file is the fast, focused version.
 
 import pytest
 
+from repro.chaos import ChaosConfig, ChaosInjector
 from repro.params import MachineParams
 from repro.runtime import (
-    FaasServer,
+    FaultKind,
     MultiplexModel,
+    SchemeCosts,
     ServingConfig,
     build_requests,
     simulate_serving,
@@ -72,19 +75,32 @@ class TestServingDeterminism:
 
 
 class TestFaasDeterminism:
+    """Table 1's node: two cores, one constant service time, no
+    per-scheme serving cost."""
+
+    def one(self, seed, injector=None):
+        costs = SchemeCosts(name="faas", strategy_name="hfi",
+                            transition_cycles=0, dispatch_cycles=0,
+                            batch_teardown=True)
+        return simulate_serving(costs, n_requests=400, seed=seed,
+                                offered_load=0.7,
+                                service_cycles=(50_000, 50_001),
+                                config=ServingConfig(n_cores=2),
+                                injector=injector)
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_same_seed_identical_metrics(self, seed):
-        a = FaasServer(seed=seed).simulate("hfi", 50_000, n_requests=400)
-        b = FaasServer(seed=seed).simulate("hfi", 50_000, n_requests=400)
-        assert a == b
+        assert self.one(seed) == self.one(seed)
 
     def test_seed_changes_latency_not_request_count(self):
-        runs = [FaasServer(seed=s).simulate("hfi", 50_000,
-                                            n_requests=400,
-                                            failure_rate=0.05)
-                for s in SEEDS]
+        runs = []
+        for seed in SEEDS:
+            injector = ChaosInjector(seed, ChaosConfig(
+                fault_rate=0.05, mix={FaultKind.GUEST_FAULT: 1.0}))
+            injector.plan(400)
+            runs.append(self.one(seed, injector))
         assert len({m.requests for m in runs}) == 1
-        assert len({m.avg_latency_s for m in runs}) == len(SEEDS)
+        assert len({m.mean_latency_cycles for m in runs}) == len(SEEDS)
 
 
 class TestSchedulerDeterminism:

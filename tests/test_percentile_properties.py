@@ -1,7 +1,7 @@
-"""Property-based suite for ``runtime.faas.percentile``.
+"""Property-based suite for ``runtime.serving.percentile``.
 
-The serving simulator's p50/p99/p999 reporting and the paper's Table 1
-tail-latency columns all funnel through this one nearest-rank
+The serving simulator's p50/p99/p999 reporting — the paper's Table 1
+tail-latency columns included — funnels through this one nearest-rank
 implementation, so it gets the full property treatment:
 
 * permutation invariance — order of samples never matters;
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.faas import percentile
+from repro.runtime.serving import percentile
 
 samples = st.lists(
     st.floats(min_value=-1e9, max_value=1e9,

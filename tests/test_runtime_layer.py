@@ -1,22 +1,59 @@
 """Unit tests for the trusted-runtime layer: transitions, the sandbox
-manager, and the FaaS queueing model."""
+manager, and the FaaS queueing model behind Table 1 (the serving
+simulator fed one constant service time, with no per-scheme cost)."""
+
+import dataclasses
 
 import pytest
 
+from repro.chaos import ChaosConfig, ChaosInjector
 from repro.core import FaultCause
 from repro.params import MachineParams
 from repro.runtime import (
-    FaasServer,
+    FaultKind,
+    PoissonArrivals,
     SandboxManager,
+    SchemeCosts,
+    ServingConfig,
     TransitionKind,
     TransitionModel,
+    build_requests,
     percentile,
+    simulate_serving,
 )
 
 
 @pytest.fixture
 def params():
     return MachineParams()
+
+
+#: Table 1's serving cost: the measured service cycles already include
+#: each scheme's protection.
+ZERO_COST = SchemeCosts(name="faas", strategy_name="hfi",
+                        transition_cycles=0, dispatch_cycles=0,
+                        batch_teardown=True)
+#: Table 1's two-core node, with a breaker that never trips, so every
+#: injected failure reaches the metrics as a failure, not a shed.
+FAAS_NODE = ServingConfig(n_cores=2, breaker_threshold=10**9)
+
+
+def faas_run(params, service_cycles, n_requests, *, load=0.7, seed=5,
+             config=FAAS_NODE, injector=None):
+    """Serve ``n_requests`` of constant ``service_cycles`` at ``load``
+    times the node's capacity: an M/D/2 queue."""
+    return simulate_serving(
+        ZERO_COST, n_requests=n_requests, seed=seed, offered_load=load,
+        service_cycles=(service_cycles, service_cycles + 1),
+        config=config, params=params, injector=injector)
+
+
+def guest_faults(rate, n_requests, seed=5):
+    """A chaos plan faulting ``rate`` of the invocations mid-run."""
+    injector = ChaosInjector(seed, ChaosConfig(
+        fault_rate=rate, mix={FaultKind.GUEST_FAULT: 1.0}))
+    injector.plan(n_requests)
+    return injector
 
 
 class TestTransitionModel:
@@ -110,59 +147,51 @@ class TestSandboxManager:
         assert c_slow >= c_fast + 2 * params.serialize_drain_cycles
 
 
-class TestFaasServer:
+class TestFaasQueue:
     def test_latency_at_least_service_time(self, params):
-        server = FaasServer(params=params, n_workers=2)
-        metrics = server.simulate("x", service_cycles=1_000_000,
-                                  n_requests=500)
-        service_s = params.cycles_to_seconds(1_000_000)
-        assert metrics.avg_latency_s >= service_s
-        assert metrics.p99_latency_s >= metrics.avg_latency_s
+        metrics = faas_run(params, 1_000_000, 500)
+        assert metrics.mean_latency_cycles >= 1_000_000
+        assert metrics.p99_cycles >= metrics.mean_latency_cycles
 
     def test_higher_load_longer_tail(self, params):
-        server = FaasServer(params=params, n_workers=2)
-        light = server.simulate("l", 1_000_000, n_requests=800,
-                                offered_utilization=0.3)
-        heavy = server.simulate("h", 1_000_000, n_requests=800,
-                                offered_utilization=0.9)
-        assert heavy.p99_latency_s > light.p99_latency_s
+        light = faas_run(params, 1_000_000, 800, load=0.3)
+        heavy = faas_run(params, 1_000_000, 800, load=0.9)
+        assert heavy.p99_cycles > light.p99_cycles
 
     def test_slower_service_inflates_tail_disproportionately(
             self, params):
         """The Table 1 mechanism: at fixed offered load, a service-time
         increase produces a super-linear tail-latency increase."""
-        server = FaasServer(params=params, n_workers=2)
         base_cycles = 1_000_000
-        service_s = params.cycles_to_seconds(base_cycles)
-        rate = 0.7 * server.n_workers / service_s
-        base = server.simulate("base", base_cycles, n_requests=1500,
-                               arrival_rate_rps=rate)
-        slow = server.simulate("slow", int(base_cycles * 1.2),
-                               n_requests=1500, arrival_rate_rps=rate)
+        base_requests = build_requests(
+            PoissonArrivals(base_cycles / (0.7 * FAAS_NODE.n_cores),
+                            seed=2023),
+            1500, seed=2023, service_cycles=(base_cycles, base_cycles + 1))
+        slow_requests = [
+            dataclasses.replace(r, service_cycles=int(base_cycles * 1.2))
+            for r in base_requests]
+        base, slow = (simulate_serving(ZERO_COST, requests=reqs,
+                                       config=FAAS_NODE, params=params)
+                      for reqs in (base_requests, slow_requests))
         service_increase = 0.2
-        tail_increase = slow.p99_latency_s / base.p99_latency_s - 1
+        tail_increase = slow.p99_cycles / base.p99_cycles - 1
         assert tail_increase > service_increase
 
     def test_deterministic_with_seed(self, params):
-        a = FaasServer(params=params, seed=5).simulate("a", 500_000,
-                                                       n_requests=300)
-        b = FaasServer(params=params, seed=5).simulate("a", 500_000,
-                                                       n_requests=300)
-        assert a.p99_latency_s == b.p99_latency_s
+        a = faas_run(params, 500_000, 300)
+        b = faas_run(params, 500_000, 300)
+        assert a == b
 
     def test_throughput_bounded_by_capacity(self, params):
-        server = FaasServer(params=params, n_workers=2)
-        metrics = server.simulate("x", 1_000_000, n_requests=1000,
-                                  offered_utilization=5.0)  # overload
+        metrics = faas_run(params, 1_000_000, 1000, load=5.0)  # overload
         capacity = 2 / params.cycles_to_seconds(1_000_000)
         assert metrics.throughput_rps <= capacity * 1.01
 
 
 class TestFaasFailureSurfacing:
     def test_failed_requests_are_reported_distinctly(self, params):
-        server = FaasServer(params=params, n_workers=2)
-        metrics = server.simulate("x", 1_000_000, n_requests=1000,
-                                  failure_rate=0.2)
+        metrics = faas_run(params, 1_000_000, 1000,
+                           injector=guest_faults(0.2, 1000))
         assert 100 < metrics.failed < 300          # ~20% of 1000
         assert metrics.succeeded == 1000 - metrics.failed
         assert metrics.goodput_rps < metrics.throughput_rps
@@ -171,36 +200,30 @@ class TestFaasFailureSurfacing:
         """A failed invocation aborts early (shorter occupancy); if it
         leaked into the percentiles it would *improve* them.  The
         success-latency distribution must not shift down."""
-        server = FaasServer(params=params, n_workers=2)
-        rate = 0.5 * 2 / params.cycles_to_seconds(1_000_000)
-        clean = server.simulate("c", 1_000_000, n_requests=1000,
-                                arrival_rate_rps=rate)
-        faulty = server.simulate("f", 1_000_000, n_requests=1000,
-                                 arrival_rate_rps=rate,
-                                 failure_rate=0.3,
-                                 failure_service_fraction=0.01)
-        service_s = params.cycles_to_seconds(1_000_000)
+        clean = faas_run(params, 1_000_000, 1000, load=0.5)
+        faulty = faas_run(
+            params, 1_000_000, 1000, load=0.5,
+            config=dataclasses.replace(FAAS_NODE,
+                                       failure_service_fraction=0.01),
+            injector=guest_faults(0.3, 1000))
         # every surviving sample is a full-service completion
-        assert faulty.avg_latency_s >= service_s
-        assert faulty.p99_latency_s >= clean.p99_latency_s * 0.5
+        assert faulty.mean_latency_cycles >= 1_000_000
+        assert faulty.p99_cycles >= clean.p99_cycles * 0.5
         assert clean.failed == 0 and clean.goodput_rps == pytest.approx(
             clean.throughput_rps)
 
     def test_zero_failure_rate_is_bit_identical(self, params):
-        a = FaasServer(params=params, seed=5).simulate(
-            "a", 500_000, n_requests=300)
-        b = FaasServer(params=params, seed=5).simulate(
-            "a", 500_000, n_requests=300, failure_rate=0.0)
+        a = faas_run(params, 500_000, 300)
+        b = faas_run(params, 500_000, 300, injector=guest_faults(0.0, 300))
         assert a == b
 
     def test_all_failures_yield_no_latency_samples(self, params):
-        server = FaasServer(params=params, n_workers=2)
-        metrics = server.simulate("x", 1_000_000, n_requests=200,
-                                  failure_rate=1.0)
+        metrics = faas_run(params, 1_000_000, 200,
+                           injector=guest_faults(1.0, 200))
         assert metrics.failed == 200
         assert metrics.goodput_rps == 0.0
-        assert metrics.avg_latency_s == 0.0
-        assert metrics.p99_latency_s == 0.0
+        assert metrics.mean_latency_cycles == 0.0
+        assert metrics.p99_cycles == 0
 
 
 class TestPercentile:

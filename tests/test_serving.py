@@ -526,3 +526,15 @@ class TestSimulateServing:
         metrics = simulate_serving("hfi", requests=reqs, seed=6)
         assert metrics.requests == 50
         assert metrics.arrival == "trace"
+
+    def test_list_order_of_requests_does_not_matter(self):
+        """Arrivals are ordered by cycle, not by list position: with
+        distinct arrival cycles a reversed stream is the same run,
+        offered rate included."""
+        reqs = build_requests(PoissonArrivals(20_000.0, seed=6), 200,
+                              seed=6)
+        assert len({r.arrival_cycle for r in reqs}) == len(reqs)
+        forward = simulate_serving("hfi", requests=reqs, seed=6)
+        backward = simulate_serving("hfi", requests=reqs[::-1], seed=6)
+        assert forward.offered_rps > 0
+        assert backward == forward

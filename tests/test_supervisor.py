@@ -22,6 +22,12 @@ from repro.runtime import (
     Supervisor,
     SupervisorConfig,
 )
+from repro.runtime.supervisor import (
+    TenantBreaker,
+    breaker_admits,
+    record_breaker_success,
+    watchdog_budget,
+)
 from repro.verify import check_pool
 from repro.wasm import HfiStrategy
 
@@ -159,7 +165,9 @@ class TestRecoveryPaths:
         assert sup.counters.watchdog_kills == 1
         assert sup.counters.sandboxes_reaped >= 1
         # the killed attempt burned the full watchdog budget
-        budget = sup._watchdog_budget(outcomes[1].request)
+        budget = watchdog_budget(outcomes[1].request.service_cycles,
+                                 sup.config.watchdog_multiplier,
+                                 sup.config.watchdog_min_cycles)
         assert outcomes[1].cycles > budget
         sup.shutdown()
         assert manager.live_sandboxes == 0
@@ -311,14 +319,35 @@ class TestStats:
         assert stats.goodput > 0.0
 
 
+class TestPolicyFunctions:
+    """Policy both serving loops share, on paths the loop tests do not
+    reach: the watchdog's floor and the breaker's half-open probe."""
+
+    def test_watchdog_budget_has_a_floor(self):
+        assert watchdog_budget(1_000, 4.0, 50_000) == 50_000
+        assert watchdog_budget(100_000, 4.0, 50_000) == 400_000
+
+    def test_breaker_admits_one_probe_after_cooldown(self):
+        breaker = TenantBreaker(consecutive_faults=4, state="open",
+                                open_until=100)
+        assert not breaker_admits(breaker, 99)
+        assert breaker.state == "open"
+        assert breaker_admits(breaker, 100)
+        assert breaker.state == "half-open"
+        record_breaker_success(breaker)
+        assert breaker.state == "closed"
+        assert breaker.consecutive_faults == 0
+
+
 class TestSupervisorPolicyInServingLoop:
     """Satellite of the serving simulator: the supervisor's policies —
     shed ordering, the no-shed floor, fault-ledger accounting — must
     hold unchanged when driven by open-loop arrivals through the
     discrete-event loop (``repro.runtime.serving``) instead of the
     batch ``Supervisor.serve`` path.  Both paths share the actual
-    policy code (``shed_rank``/``record_breaker_fault``), so a
-    divergence here means the event loop wired it up wrong.
+    policy code (the module-level functions of
+    ``repro.runtime.supervisor``), so a divergence here means the event
+    loop wired it up wrong.
     """
 
     def drive(self, stream, injector=None, **config_kwargs):
