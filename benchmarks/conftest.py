@@ -1,10 +1,10 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every module in this directory regenerates one of the paper's tables
-or figures.  Benchmarks execute *simulated* experiments; the
-pytest-benchmark timer measures the harness itself (one round), while
-the scientific outputs — paper-style rows/series — are printed and
-persisted under ``benchmarks/results/``.
+or figures.  Benchmarks execute *simulated* experiments; their
+scientific outputs — paper-style rows/series — are printed and
+persisted under ``benchmarks/results/``.  Host speed is measured by
+the repo benchmark (``bench/``), not here.
 """
 
 import pytest
@@ -31,9 +31,3 @@ def run_module(module, strategy, reserve_extra_regs=0,
         f"{result.fault}")
     value = runtime.space.read(instance.layout.globals_base)
     return result.stats.cycles, value, instance.compiled.binary_size, result
-
-
-def once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under pytest-benchmark's timer."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)

@@ -12,8 +12,6 @@
 
 import random
 
-from conftest import once
-
 from repro.analysis import emit, format_table
 from repro.core import (
     ExplicitDataRegion,
@@ -100,16 +98,16 @@ def va_pressure():
     return results
 
 
-def test_ablation_comparator_equivalence(benchmark):
-    trials, mismatches = once(benchmark, sweep_comparator)
+def test_ablation_comparator_equivalence():
+    trials, mismatches = sweep_comparator()
     emit("ablation_comparator",
          f"hmov hardware comparator vs golden semantics: "
          f"{trials} randomized trials, {mismatches} mismatches")
     assert mismatches == 0
 
 
-def test_ablation_switch_on_exit(benchmark, params):
-    serialized, soe = once(benchmark, transition_costs, params)
+def test_ablation_switch_on_exit(params):
+    serialized, soe = transition_costs(params)
     saving = 100 * (1 - soe / serialized)
     emit("ablation_switch_on_exit", format_table(
         ["mode", "cycles for 1000 round trips"],
@@ -122,8 +120,8 @@ def test_ablation_switch_on_exit(benchmark, params):
     assert soe < serialized * 0.5
 
 
-def test_ablation_guard_elision(benchmark):
-    results = once(benchmark, va_pressure)
+def test_ablation_guard_elision():
+    results = va_pressure()
     ratio = results["guard-pages"] / results["hfi"]
     emit("ablation_guard_elision", format_table(
         ["scheme", "reserved VA for one 4 MiB instance"],
@@ -134,7 +132,7 @@ def test_ablation_guard_elision(benchmark):
     assert ratio > 100                          # HFI reserves ~the heap
 
 
-def test_ablation_region_register_renaming(benchmark, params):
+def test_ablation_region_register_renaming(params):
     """§4.3: renaming HFI metadata registers removes the hybrid-mode
     serialization on region updates — the heap-growth hot path."""
     def grow_burst(rename):
@@ -152,7 +150,7 @@ def test_ablation_region_register_renaming(benchmark, params):
     def run():
         return grow_burst(False), grow_burst(True)
 
-    serialized, renamed = once(benchmark, run)
+    serialized, renamed = run()
     emit("ablation_region_rename", format_table(
         ["metadata registers", "cycles for 500 in-sandbox grows"],
         [("architectural (serialize)", serialized),
@@ -161,7 +159,7 @@ def test_ablation_region_register_renaming(benchmark, params):
     assert renamed < serialized / 3
 
 
-def test_ablation_first_match_semantics(benchmark):
+def test_ablation_first_match_semantics():
     """First-match lets a runtime deny a sub-range of an allowed area
     by ordering regions — any-match could not express this."""
     wide = ImplicitDataRegion(0, 0xFFFF, permission_read=True,
@@ -181,7 +179,7 @@ def test_ablation_first_match_semantics(benchmark):
                 check([wide, deny, None, None], 0x8100),
                 check([deny, wide, None, None], 0x100))
 
-    deny_first, allow_first, outside = once(benchmark, run)
+    deny_first, allow_first, outside = run()
     emit("ablation_first_match",
          "first-match: deny-listed sub-range readable? "
          f"deny-first={deny_first}, wide-first={allow_first}, "

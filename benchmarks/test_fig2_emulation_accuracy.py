@@ -7,7 +7,7 @@ counts fall between 98% and 108% of simulation, geomean difference
 same ratio per benchmark.
 """
 
-from conftest import once, run_module
+from conftest import run_module
 
 from repro.analysis import emit, format_table, geomean
 from repro.wasm import HfiEmulationStrategy, HfiStrategy
@@ -34,8 +34,8 @@ def run_suite():
     return rows, ratios
 
 
-def test_fig2_emulation_accuracy(benchmark):
-    rows, ratios = once(benchmark, run_suite)
+def test_fig2_emulation_accuracy():
+    rows, ratios = run_suite()
     gm_diff = abs(geomean(ratios) - 1.0) * 100
     table = format_table(
         ["benchmark", "HFI cycles", "emulated cycles", "emu/HFI"],

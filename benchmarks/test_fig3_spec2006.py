@@ -7,7 +7,7 @@ one benchmark where HFI is *slower*, due to hmov's longer encodings
 pressuring the i-cache.
 """
 
-from conftest import once, run_module
+from conftest import run_module
 
 from repro.analysis import emit, format_table, geomean
 from repro.wasm import BoundsCheckStrategy, GuardPagesStrategy, HfiStrategy
@@ -33,8 +33,8 @@ def run_suite():
     return table_rows, bounds_ratios, hfi_ratios
 
 
-def test_fig3_spec2006(benchmark):
-    rows, bounds_ratios, hfi_ratios = once(benchmark, run_suite)
+def test_fig3_spec2006():
+    rows, bounds_ratios, hfi_ratios = run_suite()
     gm_bounds = geomean(bounds_ratios.values())
     gm_hfi = geomean(hfi_ratios.values())
     table = format_table(

@@ -8,7 +8,7 @@ Paper numbers:
   (per-pixel compute => register pressure).
 """
 
-from conftest import once, run_module
+from conftest import run_module
 
 from repro.analysis import emit, format_table, speedup_pct
 from repro.wasm import (
@@ -42,8 +42,8 @@ def run_images():
     return grid
 
 
-def test_font_rendering(benchmark):
-    guard, bounds, hfi = once(benchmark, run_font)
+def test_font_rendering():
+    guard, bounds, hfi = run_font()
     table = format_table(
         ["scheme", "cycles", "vs guard pages"],
         [("guard-pages", guard, "100.0%"),
@@ -57,8 +57,8 @@ def test_font_rendering(benchmark):
     assert 3.0 <= speedup_pct(hfi, guard) <= 15.0
 
 
-def test_fig4_image_rendering(benchmark):
-    grid = once(benchmark, run_images)
+def test_fig4_image_rendering():
+    grid = run_images()
     rows = []
     speedups = {}
     for (compression, resolution), (guard, bounds, hfi) in grid.items():

@@ -6,8 +6,6 @@ HFI is slightly more expensive than MPK because each transition also
 moves region metadata from memory into HFI registers.
 """
 
-from conftest import once
-
 from repro.analysis import emit, format_series, format_table
 from repro.params import MachineParams
 from repro.workloads import FILE_SIZES, NginxModel
@@ -23,9 +21,9 @@ def run(params):
     return model, sweep, overheads
 
 
-def test_fig5_nginx(benchmark):
+def test_fig5_nginx():
     params = MachineParams()
-    model, sweep, overheads = once(benchmark, run, params)
+    model, sweep, overheads = run(params)
     labels = [f"{s >> 10}kb" for s in FILE_SIZES]
     rows = []
     for i, label in enumerate(labels):

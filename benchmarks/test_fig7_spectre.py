@@ -7,8 +7,6 @@ the attack's hit threshold.  The TransientFail Spectre-BTB attack is
 likewise mitigated.
 """
 
-from conftest import once
-
 from repro.analysis import emit, format_series, format_table
 from repro.attacks import (
     SpectreBtbAttack,
@@ -38,10 +36,10 @@ def run(params):
     return r_unprot, r_prot, b_unprot, b_prot, s_unprot, s_prot
 
 
-def test_fig7_spectre(benchmark):
+def test_fig7_spectre():
     params = MachineParams()
     (r_unprot, r_prot, b_unprot, b_prot,
-     s_unprot, s_prot) = once(benchmark, run, params)
+     s_unprot, s_prot) = run(params)
 
     # Fig. 7's two series: per-byte access latency around the secret.
     window = range(max(0, SECRET - 8), SECRET + 9)

@@ -5,8 +5,6 @@ takes 10.92 s through Wasmtime's mprotect path and 370 ms with HFI's
 hfi_set_region — a ~30x difference.
 """
 
-from conftest import once
-
 from repro.analysis import emit, format_table
 from repro.params import MachineParams
 from repro.wasm import GuardPagesStrategy, HfiStrategy, WASM_PAGE
@@ -30,7 +28,7 @@ def grow_with(strategy_cls, params):
     return total
 
 
-def test_sec61_heap_growth(benchmark):
+def test_sec61_heap_growth():
     params = MachineParams()
 
     def run():
@@ -38,7 +36,7 @@ def test_sec61_heap_growth(benchmark):
         hfi_cycles = grow_with(HfiStrategy, params)
         return mprotect_cycles, hfi_cycles
 
-    mprotect_cycles, hfi_cycles = once(benchmark, run)
+    mprotect_cycles, hfi_cycles = run()
     ratio = mprotect_cycles / hfi_cycles
     table = format_table(
         ["mechanism", "total cycles", "modelled seconds"],

@@ -12,7 +12,7 @@ register-hungry ones pay double digits; the *average* lands near the
 paper's small single-digit figure.)
 """
 
-from conftest import once, run_module
+from conftest import run_module
 
 from repro.analysis import emit, format_table
 from repro.wasm import NativeUnsafeStrategy
@@ -38,8 +38,8 @@ def run():
     return rows, slowdowns
 
 
-def test_sec61_register_pressure(benchmark):
-    rows, slowdowns = once(benchmark, run)
+def test_sec61_register_pressure():
+    rows, slowdowns = run()
     avg1 = sum(slowdowns[1]) / len(slowdowns[1])
     avg2 = sum(slowdowns[2]) / len(slowdowns[2])
     table = format_table(

@@ -10,8 +10,6 @@ adjacent heaps; otherwise the batched call pays for sweeping terabytes
 of reserved guard address space.
 """
 
-from conftest import once
-
 from repro.analysis import emit, format_table
 from repro.params import MachineParams
 from repro.wasm import GuardPagesStrategy, HfiStrategy, WasmRuntime
@@ -47,9 +45,9 @@ def run(params):
     return stock, hfi_batched, non_hfi_batched
 
 
-def test_sec631_teardown(benchmark):
+def test_sec631_teardown():
     params = MachineParams()
-    stock, hfi_batched, non_hfi = once(benchmark, run, params)
+    stock, hfi_batched, non_hfi = run(params)
     per = lambda total: params.cycles_to_us(total / N_SANDBOXES)
     rows = [
         ("stock (madvise per sandbox)", f"{per(stock):.2f}", "100.0%"),

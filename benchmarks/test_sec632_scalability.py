@@ -6,7 +6,6 @@ the 8 GiB guard-page scheme caps out at ~16K-32K instances.
 """
 
 import pytest
-from conftest import once
 
 from repro.analysis import emit, format_table
 from repro.os import AddressSpace, OutOfAddressSpace
@@ -40,8 +39,8 @@ def run():
     return results
 
 
-def test_sec632_scalability(benchmark):
-    results = once(benchmark, run)
+def test_sec632_scalability():
+    results = run()
     rows = [(scheme, f"{bits}-bit", f"{count:,}")
             for (scheme, bits), count in sorted(results.items())]
     table = format_table(

@@ -5,8 +5,6 @@ runs 2.1% slower when the syscalls are interposed with Seccomp-bpf
 (ERIM's mechanism) than with HFI's decode-stage redirect.
 """
 
-from conftest import once
-
 from repro.analysis import emit, format_table
 from repro.os import FileSystem, Kernel, SeccompAction, SeccompFilter, Sys
 from repro.params import MachineParams
@@ -52,9 +50,9 @@ def run(params):
     return hfi_total, seccomp_total, filter_cost
 
 
-def test_sec641_syscall_interposition(benchmark):
+def test_sec641_syscall_interposition():
     params = MachineParams()
-    hfi_total, seccomp_total, filter_cost = once(benchmark, run, params)
+    hfi_total, seccomp_total, filter_cost = run(params)
     overhead = 100.0 * (seccomp_total / hfi_total - 1.0)
     table = format_table(
         ["mechanism", "total cycles (100k iterations)", "modelled s"],

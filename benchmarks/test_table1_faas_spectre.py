@@ -14,7 +14,7 @@ core *i mod n*, the two-core node is an FCFS M/D/2 queue.
 
 import random
 
-from conftest import once, run_module
+from conftest import run_module
 
 from repro.analysis import emit, format_table
 from repro.params import MachineParams
@@ -88,9 +88,9 @@ def run(params):
     return table
 
 
-def test_table1_faas_spectre(benchmark):
+def test_table1_faas_spectre():
     params = MachineParams()
-    table = once(benchmark, run, params)
+    table = run(params)
 
     def ms(cycles):
         return params.cycles_to_seconds(cycles) * 1e3

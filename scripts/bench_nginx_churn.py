@@ -80,7 +80,7 @@ def main():
             CONNECTIONS, seed=SEED, load=load, n_cores=CORES,
             arrival=arrival)
         for scheme in CHURN_SCHEMES:
-            sim = ServingSimulator(costs[scheme], config, seed=SEED)
+            sim = ServingSimulator(costs[scheme], config)
             metrics = sim.run(churn_requests(profiles, scheme))
             metrics.arrival = arrival
             all_accounted = all_accounted and metrics.accounted

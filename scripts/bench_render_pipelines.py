@@ -83,8 +83,7 @@ def main():
                                   n_cores=CORES,
                                   baseline_scheme=BASELINE_SCHEME)
         for scheme in RENDER_SCHEMES:
-            sim = ServingSimulator(render_scheme_costs(scheme), config,
-                                   seed=SEED)
+            sim = ServingSimulator(render_scheme_costs(scheme), config)
             metrics = sim.run(streams[scheme])
             all_accounted = all_accounted and metrics.accounted
             if load == LOAD_POINTS[-1]:

@@ -23,7 +23,7 @@ same seed served with no faults injected.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..params import MachineParams
@@ -136,9 +136,9 @@ def run_seed(seed: int, *, n_requests: int = 200,
                         params=params, batch_teardown=True)
     probe = PoolInvariants(raise_on_violation=False).install(pool)
     supervisor = Supervisor(manager, pool, config, seed=seed)
-    chaos_config = (chaos_config if chaos_config is not None
+    chaos_config = (replace(chaos_config, fault_rate=fault_rate)
+                    if chaos_config is not None
                     else ChaosConfig(fault_rate=fault_rate))
-    chaos_config.fault_rate = fault_rate
     injector = ChaosInjector(seed, chaos_config)
     base = build_workload(seed, n_requests)
     injector.plan(n_requests)

@@ -394,6 +394,12 @@ def cmd_serve(args) -> int:
         raise SystemExit("--requests must be >= 1")
     if args.load <= 0:
         raise SystemExit("--load must be > 0")
+    if args.cores < 1:
+        raise SystemExit("--cores must be >= 1")
+    if args.slots_per_shard < 1:
+        raise SystemExit("--slots-per-shard must be >= 1")
+    if args.max_inflight < 0:
+        raise SystemExit("--max-inflight must be >= 0")
     schemes = ([s.strip() for s in args.schemes.split(",") if s.strip()]
                if args.schemes else list(SERVING_SCHEMES))
     config = ServingConfig(

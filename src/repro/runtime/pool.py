@@ -258,7 +258,7 @@ class InstancePool:
 
 
 class ShardedInstancePool:
-    """Per-core pool shards with work-stealing (ROADMAP item 1).
+    """Per-core pool shards with work-stealing: the serving node's pool.
 
     Production serving runtimes shard the instance pool per worker
     core so the hot acquire/release path touches only core-local state

@@ -26,6 +26,7 @@ from ..os.signals import SigInfo, Signal, SignalTable
 from ..params import DEFAULT_PARAMS, MachineParams
 from ..telemetry.sink import Telemetry, coalesce
 from ..telemetry.stats import SandboxManagerStats, SandboxStats
+from .supervisor import FAULT_PROGRESS
 from .transitions import TransitionKind, TransitionModel
 
 
@@ -256,7 +257,8 @@ class SandboxManager:
 
     def invoke_faulting(self, handle: SandboxHandle, service_cycles: int,
                         cause: FaultCause = FaultCause.DATA_OUT_OF_BOUNDS,
-                        *, fault_addr: int = 0, progress: float = 0.5,
+                        *, fault_addr: int = 0,
+                        progress: float = FAULT_PROGRESS,
                         ) -> InvokeResult:
         """One invocation that faults partway through the guest's work.
 

@@ -28,12 +28,12 @@ architecture and the Faasm cluster setup (SNIPPETS.md):
   the pool's real (batched or immediate) madvise accounting.
 
 Everything inside the loop is integer cycles with a deterministic
-event order (``(cycle, kind, seq)`` heap keys, seeded RNG only), so a
-seed fully determines a run — the property the golden serving fixture
-(tests/golden_serving.json) and the ``repro-hfi verify`` determinism
-gate pin down.  Latency percentiles (p50/p99/p999) are computed over
-integer cycle latencies with the exact nearest-rank rule of
-:func:`percentile`.
+event order (``(cycle, kind, seq)`` heap keys) and no RNG, so the
+request stream, seeded or replayed, fully determines a run — the
+property the golden serving fixture (tests/golden_serving.json) and
+the ``repro-hfi verify`` determinism gate pin down.  Latency
+percentiles (p50/p99/p999) are computed over integer cycle latencies
+with the exact nearest-rank rule of :func:`percentile`.
 
 Table 1 runs here too: fed one constant service time and a zero-cost
 :class:`SchemeCosts`, the node is an FCFS M/D/c queue — request *i*
@@ -60,12 +60,17 @@ from ..wasm import make_strategy
 from .pool import PoolSlot, ShardedInstancePool
 from .startup import StartupModel
 from .supervisor import (
+    BREAKER_COOLDOWN_CYCLES,
+    BREAKER_THRESHOLD,
+    FAULT_PROGRESS,
+    NO_SHED_PRIORITY,
     FaultKind,
     Injection,
     Priority,
     Request,
     RequestOutcome,
     TenantBreaker,
+    backoff_cycles,
     breaker_admits,
     classify_fault,
     pending_fault,
@@ -312,22 +317,16 @@ def connection_lifecycle_costs(strategy_name: str, *,
 # ----------------------------------------------------------------------
 @dataclass
 class ServingConfig:
-    """Knobs for one serving run."""
+    """Knobs for one serving run; the recovery policy's other values
+    live in :mod:`repro.runtime.supervisor`."""
 
     n_cores: int = 4
     slots_per_shard: int = 16
-    heap_bytes: int = 1 << 16
     #: Admission bound on in-flight requests (queued + executing, each
     #: holding a pool slot).  Overflow sheds lowest-priority-newest.
     max_inflight: int = 64
-    no_shed_priority: int = Priority.HIGH
-    watchdog_multiplier: float = 4.0
-    watchdog_min_cycles: int = 50_000
-    breaker_threshold: int = 4
-    breaker_cooldown_cycles: int = 2_000_000
-    backoff_cycles: int = 20_000
-    #: Fraction of service a faulting guest runs before the HFI fault.
-    failure_service_fraction: float = 0.5
+    breaker_threshold: int = BREAKER_THRESHOLD
+    breaker_cooldown_cycles: int = BREAKER_COOLDOWN_CYCLES
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -470,20 +469,18 @@ class ServingSimulator:
     def __init__(self, scheme="hfi",
                  config: Optional[ServingConfig] = None,
                  params: Optional[MachineParams] = None, *,
-                 seed: int = 0,
                  telemetry: Optional[Telemetry] = None):
         self.params = params if params is not None else MachineParams()
         self.config = config if config is not None else ServingConfig()
         self.scheme = (scheme if isinstance(scheme, SchemeCosts)
                        else scheme_costs(scheme, self.params))
         self.telemetry = coalesce(telemetry)
-        self.rng = random.Random((seed << 16) ^ 0x5EE5)
         self.space = AddressSpace(self.params)
         self.pool = ShardedInstancePool(
             self.space, make_strategy(self.scheme.strategy_name),
             shards=self.config.n_cores,
             slots_per_shard=self.config.slots_per_shard,
-            heap_bytes=self.config.heap_bytes, params=self.params,
+            heap_bytes=1 << 16, params=self.params,
             batch_teardown=self.scheme.batch_teardown)
         self.breakers: Dict[str, TenantBreaker] = {}
         self.counters = ServingStats(component="serving")
@@ -551,8 +548,7 @@ class ServingSimulator:
         # --- slot acquisition (work-stealing shard pool) --------------
         core_index = request.index % self.config.n_cores
         slot, owner, cycles = self.pool.acquire(core_index)
-        if (slot is None
-                and request.priority >= self.config.no_shed_priority):
+        if slot is None and request.priority >= NO_SHED_PRIORITY:
             # a no-shed request found every slot held: evict a queued
             # lower-priority record and take its slot
             if self._evict_one_queued():
@@ -570,7 +566,7 @@ class ServingSimulator:
         self.counters.peak_inflight = max(self.counters.peak_inflight,
                                           self._inflight)
         core.queue.append(record)
-        if request.priority < self.config.no_shed_priority:
+        if request.priority < NO_SHED_PRIORITY:
             heapq.heappush(self._victims,
                            (shed_rank(request.index, request), record))
             self._victims_live += 1
@@ -582,11 +578,11 @@ class ServingSimulator:
         newcomer itself was shed.  Victims come from the queued
         (not-yet-started) population plus the newcomer, chosen by the
         supervisor's policy: lowest ``shed_rank`` first, never
-        ``no_shed_priority``.  With no sheddable victim (all HIGH) the
+        ``NO_SHED_PRIORITY``.  With no sheddable victim (all HIGH) the
         newcomer is admitted anyway — HIGH is never dropped.
         """
         top = self._top_victim()
-        if (newcomer.priority < self.config.no_shed_priority
+        if (newcomer.priority < NO_SHED_PRIORITY
                 and (top is None
                      or shed_rank(newcomer.index, newcomer) < top[0])):
             self._shed(newcomer, injection, "admission")
@@ -652,7 +648,7 @@ class ServingSimulator:
         core.running = record
         record.started = True
         record.pending = pending_fault(record.injection)
-        if record.request.priority < self.config.no_shed_priority:
+        if record.request.priority < NO_SHED_PRIORITY:
             self._victim_left()
         start = max(self.clock, core.busy_until)
         duration = self._invocation_cycles(record)
@@ -667,28 +663,26 @@ class ServingSimulator:
         here; its classification and slot consequences land at
         completion so the ledger is stamped exactly once.
         """
-        scheme, config, request = self.scheme, self.config, record.request
+        scheme, request = self.scheme, record.request
         base = (scheme.dispatch_cycles + scheme.transition_cycles
                 + scheme.setup_cycles)
         pending = record.pending
         if pending is FaultKind.TRANSIENT_KERNEL:
-            # failed pre-invoke kernel call: backoff, then a clean retry
-            return (self.params.syscall_cycles + config.backoff_cycles
+            # failed pre-invoke kernel call: backoff, then a clean retry;
+            # a cost model charges the mean backoff
+            return (self.params.syscall_cycles + backoff_cycles(0.0)
                     + 2 * base + request.service_cycles)
         if pending is FaultKind.HEAP_OOM:
             flushed = self.pool.flush_all()
             self.counters.recycle_cycles += flushed
             return (self.params.syscall_cycles + flushed
-                    + config.backoff_cycles + 2 * base
+                    + backoff_cycles(0.0) + 2 * base
                     + request.service_cycles)
         if pending is FaultKind.GUEST_HANG:
-            budget = watchdog_budget(request.service_cycles,
-                                     config.watchdog_multiplier,
-                                     config.watchdog_min_cycles)
+            budget = watchdog_budget(request.service_cycles)
             return base + budget + self.params.signal_delivery_cycles
         if pending is FaultKind.GUEST_FAULT:
-            held = int(request.service_cycles
-                       * config.failure_service_fraction)
+            held = int(request.service_cycles * FAULT_PROGRESS)
             return base + held + self.params.signal_delivery_cycles
         return base + request.service_cycles
 
@@ -846,8 +840,7 @@ def simulate_serving(scheme: str = "hfi", *, n_requests: int = 2000,
     config = config if config is not None else ServingConfig()
     costs = scheme_costs(scheme, params) if isinstance(scheme, str) \
         else scheme
-    sim = ServingSimulator(costs, config, params, seed=seed,
-                           telemetry=telemetry)
+    sim = ServingSimulator(costs, config, params, telemetry=telemetry)
     arrival_name = arrival
     if requests is None:
         mean_interarrival = (mean_service_cycles(costs, service_cycles)

@@ -10,21 +10,23 @@ turns every guest misbehavior into a bounded, accounted recovery
 action:
 
 * **watchdog** — every invocation gets a cycle budget
-  (``watchdog_multiplier``× the declared service time); a guest that
-  spins past it is killed, its sandbox reaped and rebuilt, its pool
-  slot quarantined.
+  (:func:`watchdog_budget`); a guest that spins past it is killed, its
+  sandbox reaped and rebuilt, its pool slot quarantined.
 * **quarantine** — any slot a fault touched leaves circulation until
   :meth:`~repro.runtime.pool.InstancePool.scrub` poison-verifies the
   mapping (§3.3.2 made mechanical).
-* **retry with backoff** — transient kernel-call failures and
-  heap-grow OOM retry up to ``max_retries`` times under exponential
-  backoff with deterministic, seeded jitter.
+* **one recovery, then one clean attempt** — a pending fault is
+  one-shot, so a request is recovered at most once and then runs
+  clean.  A transient kernel-call failure or a heap-grow OOM waits
+  :func:`backoff_cycles` (with deterministic, seeded jitter) before
+  the clean attempt; a hang or an HFI fault reaps the sandbox and
+  makes the clean attempt on a fresh one.
 * **circuit breaker** — per tenant: ``breaker_threshold`` consecutive
   faults open the circuit for ``breaker_cooldown_cycles``; a half-open
   probe closes it again.
 * **admission control / load shedding** — a bounded arrival backlog;
   overflow sheds the *lowest-priority, newest* requests first and
-  never sheds ``Priority.HIGH`` (graceful degradation).
+  never sheds :data:`NO_SHED_PRIORITY` (graceful degradation).
 
 Guest faults reach the supervisor the way the paper says they must:
 as SIGSEGV through :class:`~repro.os.signals.SignalTable`, with the
@@ -36,11 +38,17 @@ Every injected or observed fault is stamped with exactly one
 classification — ``retried`` / ``shed`` / ``quarantined`` / ``killed``
 — which is the ledger the chaos soak gate audits.
 
-Each policy decision is a module-level function (``shed_rank``,
-``pending_fault``, ``classify_fault``, ``watchdog_budget`` and the
-breaker's ``breaker_admits``/``record_breaker_fault``/
-``record_breaker_success``), which the discrete-event serving
-simulator (:mod:`repro.runtime.serving`) calls too.
+This module is the one home of the recovery policy, for this loop and
+for the discrete-event serving simulator (:mod:`repro.runtime.serving`)
+alike.  Each policy value is a module constant below, and each
+decision is a module-level function (``shed_rank``, ``shed_victims``,
+``pending_fault``, ``classify_fault``, ``watchdog_budget``,
+``backoff_cycles`` and the breaker's ``breaker_admits``/
+``record_breaker_fault``/``record_breaker_success``).  The two loops
+still differ in two ways.  After a watchdog kill or a guest fault this
+loop retries on a fresh sandbox, while the simulator fails the
+request.  And this loop draws each backoff's jitter from its seeded
+RNG, while the simulator, a cost model, charges the mean backoff.
 """
 
 from __future__ import annotations
@@ -48,15 +56,19 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..core import FaultCause
 from ..os.signals import SigInfo, Signal, SignalTable
 from ..telemetry.sink import Telemetry, coalesce
 from ..telemetry.stats import RobustnessStats
 from .pool import InstancePool, PoolSlot
-from .sandbox import SandboxError, SandboxHandle, SandboxManager
 from .transitions import TransitionKind
+
+if TYPE_CHECKING:
+    # sandbox.py imports FAULT_PROGRESS from this module, so importing
+    # it back at run time would be circular
+    from .sandbox import SandboxHandle, SandboxManager
 
 
 class FaultKind(str, enum.Enum):
@@ -74,6 +86,31 @@ class FaultKind(str, enum.Enum):
 CLASSIFICATIONS = ("retried", "shed", "quarantined", "killed")
 
 
+class Priority(enum.IntEnum):
+    LOW = 0
+    NORMAL = 1
+    HIGH = 2
+
+
+# The recovery policy's values, read by both serving loops.
+#: Watchdog budget: this multiple of the declared service, and at
+#: least ``WATCHDOG_MIN_CYCLES``.
+WATCHDOG_MULTIPLIER = 4.0
+WATCHDOG_MIN_CYCLES = 50_000
+#: Mean backoff before the retry of a transient kernel failure or a
+#: heap-grow OOM, and its jitter as a fraction either side of the mean.
+BACKOFF_CYCLES = 20_000
+BACKOFF_JITTER = 0.25
+#: Default circuit breaker: this many consecutive faults open a
+#: tenant's circuit for ``BREAKER_COOLDOWN_CYCLES``.
+BREAKER_THRESHOLD = 4
+BREAKER_COOLDOWN_CYCLES = 2_000_000
+#: Admission control never sheds a request at or above this priority.
+NO_SHED_PRIORITY = Priority.HIGH
+#: Share of its declared service a guest runs before its HFI fault.
+FAULT_PROGRESS = 0.5
+
+
 def shed_rank(order_key: int, request: "Request") -> tuple:
     """The admission-control shed order: the smallest rank is shed
     first — lowest priority first, newest (largest ``order_key``)
@@ -81,15 +118,14 @@ def shed_rank(order_key: int, request: "Request") -> tuple:
     return (request.priority, -order_key)
 
 
-def shed_victims(candidates, overflow: int,
-                 no_shed_priority: int) -> List[int]:
+def shed_victims(candidates, overflow: int) -> List[int]:
     """Admission-control victim selection for the batch
     :class:`Supervisor` loop.
 
     ``candidates`` are ``(order_key, request)`` pairs where a larger
     ``order_key`` means *newer*; victims are taken in
     :func:`shed_rank` order, and requests at or above
-    ``no_shed_priority`` are never chosen.  Returns the chosen order
+    :data:`NO_SHED_PRIORITY` are never chosen.  Returns the chosen order
     keys, at most ``overflow`` of them.  The discrete-event serving
     simulator (:mod:`repro.runtime.serving`) keeps its queued requests
     in a heap ordered by the same :func:`shed_rank` instead of
@@ -98,7 +134,7 @@ def shed_victims(candidates, overflow: int,
     if overflow <= 0:
         return []
     sheddable = [(key, request) for key, request in candidates
-                 if request.priority < no_shed_priority]
+                 if request.priority < NO_SHED_PRIORITY]
     ranked = sorted(sheddable, key=lambda kr: shed_rank(*kr))
     return [key for key, _ in ranked[:overflow]]
 
@@ -166,11 +202,19 @@ def classify_fault(injection: Optional["Injection"],
     return True
 
 
-def watchdog_budget(service_cycles: int, multiplier: float,
-                    min_cycles: int) -> int:
+def watchdog_budget(service_cycles: int) -> int:
     """Cycles a guest may run before the watchdog kills it:
-    ``multiplier``× its declared service, at least ``min_cycles``."""
-    return max(min_cycles, int(multiplier * service_cycles))
+    :data:`WATCHDOG_MULTIPLIER`× its declared service, at least
+    :data:`WATCHDOG_MIN_CYCLES`."""
+    return max(WATCHDOG_MIN_CYCLES, int(WATCHDOG_MULTIPLIER * service_cycles))
+
+
+def backoff_cycles(jitter: float) -> int:
+    """Cycles a request waits after a transient kernel failure or a
+    heap-grow OOM, before its clean attempt.  ``jitter`` in [-1, 1]
+    moves the wait across :data:`BACKOFF_JITTER` either side of
+    :data:`BACKOFF_CYCLES`; 0 gives the mean."""
+    return int(BACKOFF_CYCLES * (1.0 + BACKOFF_JITTER * jitter))
 
 
 @dataclass
@@ -182,12 +226,6 @@ class Injection:
     kind: FaultKind
     classified: Optional[str] = None
     detail: Dict[str, object] = field(default_factory=dict)
-
-
-class Priority(enum.IntEnum):
-    LOW = 0
-    NORMAL = 1
-    HIGH = 2
 
 
 @dataclass
@@ -214,23 +252,11 @@ class RequestOutcome:
 
 @dataclass
 class SupervisorConfig:
-    #: Watchdog budget = max(min_cycles, multiplier × declared service).
-    watchdog_multiplier: float = 4.0
-    watchdog_min_cycles: int = 50_000
-    max_retries: int = 3
-    backoff_base_cycles: int = 20_000
-    backoff_multiplier: float = 2.0
-    backoff_jitter: float = 0.25
-    breaker_threshold: int = 4
-    breaker_cooldown_cycles: int = 2_000_000
     #: Admission control: arrived-but-unserved requests beyond this are
     #: shed, lowest priority first.
     queue_limit: int = 32
-    #: Priorities at or above this are never shed by admission control.
-    no_shed_priority: int = Priority.HIGH
-    #: Per-tenant sandbox heap.
-    heap_bytes: int = 1 << 20
-    transition: TransitionKind = TransitionKind.ZERO_COST
+    breaker_threshold: int = BREAKER_THRESHOLD
+    breaker_cooldown_cycles: int = BREAKER_COOLDOWN_CYCLES
 
 
 @dataclass
@@ -323,8 +349,7 @@ class Supervisor:
             overflow = len(backlog) - self.config.queue_limit
             if overflow > 0:
                 victims = shed_victims(
-                    [(j, requests[j]) for j in backlog], overflow,
-                    self.config.no_shed_priority)
+                    [(j, requests[j]) for j in backlog], overflow)
                 for j in victims:
                     shed_indices.add(j)
                     victim = requests[j]
@@ -367,114 +392,93 @@ class Supervisor:
             self._account(injection, "shed")
             return RequestOutcome(request, "shed", detail="capacity")
         handle = self._tenant_sandbox(request.tenant)
-        # One-shot pending fault: consumed by the attempt it hits.
+        # A pending fault is one-shot: it gets at most one recovery,
+        # and the attempt after that recovery runs clean.
         pending = pending_fault(injection)
-
-        attempts = 0
-        spent = 0
-        while attempts <= self.config.max_retries:
-            attempts += 1
-            self.counters.retry_attempts += attempts > 1
-            if pending is FaultKind.TRANSIENT_KERNEL:
-                # The pre-invoke kernel interaction (e.g. the slot's
-                # madvise) failed with a transient error.
-                spent += self.params.syscall_cycles
-                pending = None
-                self._account(injection, "retried")
-                self.counters.retried += 1
-                spent += self._backoff(attempts)
-                continue
-            if pending is FaultKind.HEAP_OOM:
-                # Heap grow denied under memory pressure: remediate by
-                # flushing deferred discards, back off, retry.
-                spent += self.params.syscall_cycles
-                spent += self.pool.flush_discards()
-                pending = None
-                self._account(injection, "retried")
-                self.counters.retried += 1
-                spent += self._backoff(attempts)
-                continue
-            if pending is FaultKind.GUEST_HANG:
-                # The guest never yields: the watchdog fires at the
-                # budget and the supervisor kills the whole sandbox.
-                budget = watchdog_budget(
-                    request.service_cycles,
-                    self.config.watchdog_multiplier,
-                    self.config.watchdog_min_cycles)
-                result = self.manager.invoke(handle, budget,
-                                             self.config.transition)
-                spent += result.cycles
-                spent += self.params.signal_delivery_cycles
-                handle, slot, cost = self._kill_and_replace(
-                    request.tenant, handle, slot)
-                spent += cost
-                pending = None
-                self._account(injection, "killed")
-                self.counters.killed += 1
-                self.counters.watchdog_kills += 1
-                self._breaker_fault(breaker)
-                if slot is None:
-                    self.counters.shed += 1
-                    return self._finish(request, "shed", attempts, spent,
-                                        "capacity-after-kill")
-                continue
-            if pending is FaultKind.GUEST_FAULT:
-                cause = self.rng.choice((
-                    FaultCause.DATA_OUT_OF_BOUNDS,
-                    FaultCause.DATA_PERMISSION,
-                    FaultCause.HMOV_OUT_OF_BOUNDS))
-                result = self.manager.invoke_faulting(
-                    handle, request.service_cycles, cause,
-                    fault_addr=slot.heap_base + slot.heap_bytes)
-                spent += result.cycles
-                info = self._drain_fault()
-                seen = (FaultCause(info.hfi_cause) if info is not None
-                        else result.cause)
-                handle, slot, cost = self._kill_and_replace(
-                    request.tenant, handle, slot)
-                spent += cost
-                pending = None
-                self._account(injection, "quarantined")
-                self.counters.quarantined += 1
-                self._breaker_fault(breaker, cause=seen)
-                if slot is None:
-                    self.counters.shed += 1
-                    return self._finish(request, "shed", attempts, spent,
-                                        "capacity-after-fault")
-                continue
-            # --- clean attempt (possibly with slot corruption) --------
-            canary_addr = slot.heap_base + slot.heap_bytes - CANARY_BYTES
-            canary = 0xC0DE_0000_0000 | (slot.index << 8) | (attempts & 0xFF)
-            self.manager.space.write(canary_addr, canary, check=False)
-            result = self.manager.invoke(handle, request.service_cycles,
-                                         self.config.transition)
-            spent += result.cycles
-            if pending is FaultKind.SLOT_CORRUPTION:
-                # The guest scribbled past its heap during this invoke.
-                self.manager.space.write(
-                    canary_addr, self.rng.getrandbits(63), check=False)
-                pending = None
-            if self.manager.space.read(canary_addr, check=False) != canary:
-                # Integrity breach: never recycle this slot unscrubbed.
-                # The request's answer was produced, but the tenant
-                # counts a fault toward its breaker.
-                self.pool.quarantine(slot)
-                self._account(injection, "quarantined")
-                self.counters.quarantined += 1
-                self._breaker_fault(breaker)
-            else:
-                self.manager.space.write(canary_addr, 0, check=False)
-                spent += self.pool.release(slot)
-                record_breaker_success(breaker)
-            self.counters.succeeded += 1
-            return self._finish(request, "ok", attempts, spent)
-        # retries exhausted
-        if slot is not None:
+        attempts, spent = 1, 0
+        if pending is not None and pending is not FaultKind.SLOT_CORRUPTION:
+            handle, slot, spent = self._recover(
+                request, pending, injection, breaker, handle, slot)
+            if slot is None:
+                self.counters.shed += 1
+                detail = ("capacity-after-kill"
+                          if pending is FaultKind.GUEST_HANG
+                          else "capacity-after-fault")
+                return self._finish(request, "shed", attempts, spent,
+                                    detail)
+            attempts = 2
+            self.counters.retry_attempts += 1
+        # --- clean attempt (possibly with slot corruption) ------------
+        canary_addr = slot.heap_base + slot.heap_bytes - CANARY_BYTES
+        canary = 0xC0DE_0000_0000 | (slot.index << 8) | attempts
+        self.manager.space.write(canary_addr, canary, check=False)
+        result = self.manager.invoke(handle, request.service_cycles,
+                                     TransitionKind.ZERO_COST)
+        spent += result.cycles
+        if pending is FaultKind.SLOT_CORRUPTION:
+            # The guest scribbled past its heap during this invoke.
+            self.manager.space.write(
+                canary_addr, self.rng.getrandbits(63), check=False)
+        if self.manager.space.read(canary_addr, check=False) != canary:
+            # Integrity breach: never recycle this slot unscrubbed.
+            # The request's answer was produced, but the tenant
+            # counts a fault toward its breaker.
+            self.pool.quarantine(slot)
+            self._account(injection, "quarantined")
+            self.counters.quarantined += 1
+            self._breaker_fault(breaker)
+        else:
+            self.manager.space.write(canary_addr, 0, check=False)
             spent += self.pool.release(slot)
-        self.counters.failed += 1
+            record_breaker_success(breaker)
+        self.counters.succeeded += 1
+        return self._finish(request, "ok", attempts, spent)
+
+    def _recover(self, request: Request, pending: FaultKind,
+                 injection: Optional[Injection], breaker: TenantBreaker,
+                 handle: SandboxHandle, slot: PoolSlot):
+        """The one recovery a pending fault gets.  Returns the sandbox
+        and slot for the clean attempt (no slot if a reap left no
+        capacity) and the cycles spent."""
+        if pending in (FaultKind.TRANSIENT_KERNEL, FaultKind.HEAP_OOM):
+            # The pre-invoke kernel interaction (e.g. the slot's
+            # madvise) failed transiently, or a heap grow was denied
+            # under memory pressure: remediate by flushing deferred
+            # discards.  Either way, back off.
+            spent = self.params.syscall_cycles
+            if pending is FaultKind.HEAP_OOM:
+                spent += self.pool.flush_discards()
+            self._account(injection, "retried")
+            self.counters.retried += 1
+            wait = backoff_cycles(2 * self.rng.random() - 1)
+            self.counters.backoff_cycles += wait
+            return handle, slot, spent + wait
+        if pending is FaultKind.GUEST_HANG:
+            # The guest never yields: the watchdog fires at the budget
+            # and the supervisor kills the whole sandbox.
+            result = self.manager.invoke(
+                handle, watchdog_budget(request.service_cycles),
+                TransitionKind.ZERO_COST)
+            spent = result.cycles + self.params.signal_delivery_cycles
+            classification = "killed"
+            self.counters.killed += 1
+            self.counters.watchdog_kills += 1
+        else:
+            cause = self.rng.choice((
+                FaultCause.DATA_OUT_OF_BOUNDS,
+                FaultCause.DATA_PERMISSION,
+                FaultCause.HMOV_OUT_OF_BOUNDS))
+            spent = self.manager.invoke_faulting(
+                handle, request.service_cycles, cause,
+                fault_addr=slot.heap_base + slot.heap_bytes).cycles
+            self._drain_fault()     # the SIGSEGV that carried it
+            classification = "quarantined"
+            self.counters.quarantined += 1
+        handle, slot, cost = self._kill_and_replace(
+            request.tenant, handle, slot)
+        self._account(injection, classification)
         self._breaker_fault(breaker)
-        return self._finish(request, "failed", attempts, spent,
-                            "retries-exhausted")
+        return handle, slot, spent + cost
 
     def _finish(self, request: Request, status: str, attempts: int,
                 spent: int, detail: str = "") -> RequestOutcome:
@@ -508,18 +512,7 @@ class Supervisor:
         replacement = self._acquire_slot()
         return fresh, replacement, cost
 
-    def _backoff(self, attempt: int) -> int:
-        """Exponential backoff with deterministic jitter, in cycles."""
-        config = self.config
-        delay = (config.backoff_base_cycles
-                 * config.backoff_multiplier ** max(0, attempt - 1))
-        delay *= 1.0 + config.backoff_jitter * (2 * self.rng.random() - 1)
-        cycles = int(delay)
-        self.counters.backoff_cycles += cycles
-        return cycles
-
-    def _breaker_fault(self, breaker: TenantBreaker,
-                       cause: FaultCause = FaultCause.NONE) -> None:
+    def _breaker_fault(self, breaker: TenantBreaker) -> None:
         if record_breaker_fault(breaker, self.clock,
                                 self.config.breaker_threshold,
                                 self.config.breaker_cooldown_cycles):
@@ -548,7 +541,7 @@ class Supervisor:
 
     def _make_sandbox(self, tenant: str) -> SandboxHandle:
         return self.manager.create_sandbox(
-            heap_bytes=self.config.heap_bytes, hybrid=True,
+            heap_bytes=1 << 20, hybrid=True,
             serialized=False)
 
     # ------------------------------------------------------------------
@@ -561,10 +554,9 @@ class Supervisor:
         self.counters.scrub_cycles += cost
         cost += self.pool.flush_discards()
         reaped = len(self._tenants)
-        try:
-            cost += self.manager.reap_all()
-        except SandboxError:
-            raise  # double-destroy here is a supervisor bug: surface it
+        # a SandboxError (double destroy) here is a supervisor bug: let
+        # it surface
+        cost += self.manager.reap_all()
         self.counters.sandboxes_reaped += reaped
         self._tenants.clear()
         self.clock += cost

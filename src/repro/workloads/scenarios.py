@@ -1,4 +1,4 @@
-"""Production-traffic scenario matrix (ROADMAP item 2).
+"""Production-traffic scenario matrix: the paper's §6 workloads at load.
 
 Three sustained-traffic scenarios built on the discrete-event serving
 loop (:mod:`repro.runtime.serving`), each exercising a different cost

@@ -1,5 +1,6 @@
-"""Security evaluation (paper §5.3): Spectre-PHT and Spectre-BTB leak
-without HFI and are blocked by HFI's regions."""
+"""Security evaluation (paper §5.3): Spectre-PHT, -BTB and -RSB leak
+without HFI and are blocked by HFI's regions, under every timing
+model."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.attacks import (
     SpectrePhtAttack,
     SpectreRsbAttack,
 )
+from repro.cpu import TIMING_MODELS, default_timing
 from repro.params import MachineParams
 
 
@@ -16,8 +18,15 @@ def params():
     return MachineParams()
 
 
+@pytest.fixture(params=TIMING_MODELS)
+def timing(request):
+    """Run the test's attack under each timing model in turn."""
+    with default_timing(request.param):
+        yield request.param
+
+
 class TestSpectrePht:
-    def test_leaks_secret_without_hfi(self, params):
+    def test_leaks_secret_without_hfi(self, params, timing):
         attack = SpectrePhtAttack(params, protect_with_hfi=False)
         result = attack.attack(secret_value=ord("I"))
         assert result.leaked
@@ -31,7 +40,7 @@ class TestSpectrePht:
         assert hit <= result.threshold
         assert min(others) > result.threshold
 
-    def test_hfi_blocks_the_leak(self, params):
+    def test_hfi_blocks_the_leak(self, params, timing):
         attack = SpectrePhtAttack(params, protect_with_hfi=True)
         result = attack.attack(secret_value=ord("I"))
         assert not result.leaked
@@ -53,20 +62,20 @@ class TestSpectrePht:
 
 
 class TestSpectreBtb:
-    def test_leaks_secret_without_hfi(self, params):
+    def test_leaks_secret_without_hfi(self, params, timing):
         attack = SpectreBtbAttack(params, protect_with_hfi=False)
         result = attack.attack(secret_value=ord("S"))
         assert result.leaked
         assert result.leaked_value == ord("S")
 
-    def test_hfi_data_regions_block_the_leak(self, params):
+    def test_hfi_data_regions_block_the_leak(self, params, timing):
         attack = SpectreBtbAttack(params, protect_with_hfi=True,
                                   gadget_in_code_region=True)
         result = attack.attack(secret_value=ord("S"))
         assert not result.leaked
         assert min(result.latencies) > result.threshold
 
-    def test_hfi_code_regions_block_gadget_fetch(self, params):
+    def test_hfi_code_regions_block_gadget_fetch(self, params, timing):
         """With the gadget outside the code regions, decode refuses to
         execute it even speculatively (§4.1)."""
         attack = SpectreBtbAttack(params, protect_with_hfi=True,
@@ -77,13 +86,13 @@ class TestSpectreBtb:
 
 
 class TestSpectreRsb:
-    def test_leaks_secret_without_hfi(self, params):
+    def test_leaks_secret_without_hfi(self, params, timing):
         attack = SpectreRsbAttack(params, protect_with_hfi=False)
         result = attack.attack(secret_value=ord("R"))
         assert result.leaked
         assert result.leaked_value == ord("R")
 
-    def test_hfi_blocks_the_leak(self, params):
+    def test_hfi_blocks_the_leak(self, params, timing):
         attack = SpectreRsbAttack(params, protect_with_hfi=True)
         result = attack.attack(secret_value=ord("R"))
         assert not result.leaked

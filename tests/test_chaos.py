@@ -134,6 +134,13 @@ class TestSoakGate:
         assert payload["unaccounted"] == 0
         assert len(payload["seeds"]) == 3
 
+    def test_soak_leaves_the_callers_chaos_config_alone(self):
+        config = ChaosConfig(fault_rate=0.5)
+        report = run_soak(range(1), n_requests=40, fault_rate=0.05,
+                          chaos_config=config, baseline=False)
+        assert report.clean
+        assert config.fault_rate == 0.5
+
     def test_guard_pages_strategy_also_survives(self):
         outcome = run_seed(2, n_requests=60, fault_rate=0.10,
                            strategy="guard-pages")

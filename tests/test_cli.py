@@ -26,6 +26,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["serve", "--timing", "ooo"])
 
+    @pytest.mark.parametrize("flag, value", [("--cores", "0"),
+                                             ("--slots-per-shard", "0"),
+                                             ("--max-inflight", "-5")])
+    def test_serve_rejects_bad_capacity(self, flag, value):
+        with pytest.raises(SystemExit, match=flag):
+            main(["serve", "--requests", "50", flag, value])
+
     def test_run_unknown_workload(self):
         with pytest.raises(SystemExit):
             main(["run", "does-not-exist"])

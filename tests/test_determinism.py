@@ -55,8 +55,7 @@ class TestServingDeterminism:
                               seed=seed)
         runs = []
         for _ in range(2):
-            sim = ServingSimulator("hfi", config, MachineParams(),
-                                   seed=seed)
+            sim = ServingSimulator("hfi", config, MachineParams())
             sim.run(list(reqs))
             runs.append([(o.request.index, o.status, o.cycles)
                          for o in sim.outcomes])

@@ -99,8 +99,7 @@ class TestConnectionChurn:
         profiles = build_connection_profiles(120, seed=5, load=0.6)
         config = ServingConfig(n_cores=4)
         for scheme in CHURN_SCHEMES:
-            sim = ServingSimulator(churn_scheme_costs(scheme), config,
-                                   seed=5)
+            sim = ServingSimulator(churn_scheme_costs(scheme), config)
             metrics = sim.run(churn_requests(profiles, scheme))
             assert metrics.accounted
             assert metrics.succeeded + metrics.shed == 120

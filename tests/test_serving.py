@@ -32,6 +32,7 @@ from repro.runtime import (
     simulate_serving,
 )
 from repro.os import AddressSpace
+from repro.runtime.supervisor import NO_SHED_PRIORITY
 from repro.telemetry import ServingStats, Telemetry
 from repro.wasm import HfiStrategy
 
@@ -225,11 +226,11 @@ class TestSchemeCosts:
 # ----------------------------------------------------------------------
 class TestServingLoop:
     def run(self, requests, injector=None, config=None, scheme="hfi",
-            params=None, seed=0):
+            params=None):
         params = params or MachineParams()
         config = config or ServingConfig(n_cores=2, slots_per_shard=4,
                                          max_inflight=8)
-        sim = ServingSimulator(scheme, config, params, seed=seed)
+        sim = ServingSimulator(scheme, config, params)
         return sim, sim.run(requests, injector=injector)
 
     def requests(self, n, gap=50_000, service=30_000,
@@ -308,7 +309,7 @@ class TestServingLoop:
                 Request(5, "t0", 30_000, Priority.LOW, 20),
                 Request(5, "t0", 30_000, Priority.NORMAL, 30),
                 Request(9, "t0", 30_000, Priority.NORMAL, 40)]
-        sim = ServingSimulator("hfi", config, MachineParams(), seed=0)
+        sim = ServingSimulator("hfi", config, MachineParams())
         with pytest.raises(ValueError, match="duplicate request index 5"):
             sim.run(reqs)
         assert sim.outcomes == [] and sim.counters.requests == 0
@@ -413,7 +414,7 @@ class TestServingLoop:
         telemetry = Telemetry()
         config = ServingConfig(n_cores=2, slots_per_shard=4,
                                max_inflight=8)
-        sim = ServingSimulator("hfi", config, MachineParams(), seed=0,
+        sim = ServingSimulator("hfi", config, MachineParams(),
                                telemetry=telemetry)
         sim.run(self.requests(10))
         snapshot = telemetry.snapshot()
@@ -436,7 +437,7 @@ class ScanCheckedSimulator(ServingSimulator):
                       for core in self._cores for record in core.queue]
         if newcomer is not None:
             candidates.append((newcomer.index, newcomer))
-        return shed_victims(candidates, 1, self.config.no_shed_priority)
+        return shed_victims(candidates, 1)
 
     def _assert_shed(self, expected, before):
         assert [o.request.index for o in self.outcomes[before:]] == expected
@@ -445,7 +446,7 @@ class ScanCheckedSimulator(ServingSimulator):
     def _assert_index(self):
         queued = {id(record) for core in self._cores
                   for record in core.queue
-                  if record.request.priority < self.config.no_shed_priority}
+                  if record.request.priority < NO_SHED_PRIORITY}
         live = {id(record) for _, record in self._victims
                 if not record.started}
         assert live == queued and self._victims_live == len(queued)
@@ -492,7 +493,7 @@ def test_admission_index_matches_full_scan(stream, n_cores, slots,
                                            max_inflight, scheme):
     config = ServingConfig(n_cores=n_cores, slots_per_shard=slots,
                            max_inflight=max_inflight)
-    sim = ScanCheckedSimulator(scheme, config, MachineParams(), seed=0)
+    sim = ScanCheckedSimulator(scheme, config, MachineParams())
     assert sim.run(stream).accounted
 
 

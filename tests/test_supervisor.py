@@ -1,9 +1,10 @@
 """Tests for the supervised serving loop (robustness layer).
 
 Covers the recovery state machine — watchdog kills, quarantine,
-retry/backoff, per-tenant circuit breaking, admission shedding — plus
-the sandbox-manager hardening it rides on (typed ``SandboxError``,
-``reap_all``, signal-delivered ``invoke_faulting``).
+one recovery then one clean attempt, per-tenant circuit breaking,
+admission shedding — plus the sandbox-manager hardening it rides on
+(typed ``SandboxError``, ``reap_all``, signal-delivered
+``invoke_faulting``).
 """
 
 import pytest
@@ -24,6 +25,7 @@ from repro.runtime import (
 )
 from repro.runtime.supervisor import (
     TenantBreaker,
+    backoff_cycles,
     breaker_admits,
     record_breaker_success,
     watchdog_budget,
@@ -165,9 +167,7 @@ class TestRecoveryPaths:
         assert sup.counters.watchdog_kills == 1
         assert sup.counters.sandboxes_reaped >= 1
         # the killed attempt burned the full watchdog budget
-        budget = watchdog_budget(outcomes[1].request.service_cycles,
-                                 sup.config.watchdog_multiplier,
-                                 sup.config.watchdog_min_cycles)
+        budget = watchdog_budget(outcomes[1].request.service_cycles)
         assert outcomes[1].cycles > budget
         sup.shutdown()
         assert manager.live_sandboxes == 0
@@ -321,11 +321,17 @@ class TestStats:
 
 class TestPolicyFunctions:
     """Policy both serving loops share, on paths the loop tests do not
-    reach: the watchdog's floor and the breaker's half-open probe."""
+    reach: the watchdog's floor, the backoff's jitter band and the
+    breaker's half-open probe."""
 
     def test_watchdog_budget_has_a_floor(self):
-        assert watchdog_budget(1_000, 4.0, 50_000) == 50_000
-        assert watchdog_budget(100_000, 4.0, 50_000) == 400_000
+        assert watchdog_budget(1_000) == 50_000
+        assert watchdog_budget(100_000) == 400_000
+
+    def test_backoff_jitter_spans_a_quarter_either_side(self):
+        assert backoff_cycles(0.0) == 20_000
+        assert backoff_cycles(-1.0) == 15_000
+        assert backoff_cycles(1.0) == 25_000
 
     def test_breaker_admits_one_probe_after_cooldown(self):
         breaker = TenantBreaker(consecutive_faults=4, state="open",
@@ -357,7 +363,7 @@ class TestSupervisorPolicyInServingLoop:
         config_kwargs.setdefault("slots_per_shard", 8)
         config_kwargs.setdefault("max_inflight", 4)
         sim = ServingSimulator("hfi", ServingConfig(**config_kwargs),
-                               MachineParams(), seed=0)
+                               MachineParams())
         metrics = sim.run(sorted(stream,
                                  key=lambda r: (r.arrival_cycle, r.index)),
                           injector=injector)
