@@ -16,12 +16,13 @@ built by the per-opcode entry in :data:`DECODERS`:
   read from the ``cpu`` argument at run time, so one DecodedOp is
   valid for any core and any :class:`~repro.params.MachineParams`.
 
-Decoded ops are cached at two levels: on the :class:`Instruction`
-itself (``ins._decoded``, valid at its laid-out address) and per
-``Program`` (``decode_program``), so reloading or sharing a program
-costs nothing.  The CPU's ``_code`` map is a :class:`CodeMap` that
-invalidates the decoded entry on any write, keeping tests that patch
-instructions (and self-modifying setups) coherent.
+Decoded ops are cached per ``Program`` only (``decode_program``), so
+reloading or sharing a program costs nothing, and an instruction holds
+no reference back to its op: a program nothing else refers to is freed
+without waiting for the cycle collector.  The CPU's ``_code`` map is a
+:class:`CodeMap` that invalidates the decoded entry on any write,
+keeping tests that patch instructions (and self-modifying setups)
+coherent.
 
 The exec modules (``exec_alu``, ``exec_mem``, ``exec_control``,
 ``exec_system``, ``exec_hfi``) register their builders here via the
@@ -206,20 +207,14 @@ def decode_one(ins: Instruction, addr: int) -> DecodedOp:
 
     ``next_rip`` uses the *mapping* address, not ``ins.addr`` — tests
     map instructions at addresses the assembler never laid out.
-    The per-instruction cache is only valid at the laid-out address.
     """
-    if addr == ins.addr and ins._decoded is not None:
-        return ins._decoded
     next_rip = addr + ins.length
     build = DECODERS.get(ins.opcode)
     if build is None:
         run = _unimplemented(ins.opcode, next_rip)
     else:
         run = build(ins, addr, next_rip)
-    dop = DecodedOp(run, ins, addr, next_rip)
-    if addr == ins.addr:
-        ins._decoded = dop
-    return dop
+    return DecodedOp(run, ins, addr, next_rip)
 
 
 def decode_program(program: Program) -> Dict[int, DecodedOp]:

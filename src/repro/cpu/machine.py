@@ -263,13 +263,29 @@ class Cpu:
 
         The program is predecoded once (cached on the Program object),
         so repeated loads — and multiple cores sharing a program —
-        reuse the same DecodedOps.
+        reuse the same DecodedOps.  :meth:`unload_program` undoes it.
         """
         decoded = decode_program(program)
         for ins in program.instructions:
             self._code[ins.addr] = ins
         self._decoded.update(decoded)
         self._predecoded += len(decoded)
+
+    def unload_program(self, program: Program) -> None:
+        """Unmap a program mapped by :meth:`load_program` (its inverse).
+
+        An address is dropped only while it still maps the program's
+        own instruction, so code patched in over the program stays.
+        Unloading is not a code write: ``invalidations`` does not count
+        it, and ``cached_ops`` afterwards counts live ops only.
+        """
+        code = self._code
+        decoded = self._decoded
+        for ins in program.instructions:
+            if code.get(ins.addr) is ins:
+                # dropping the op first leaves CodeMap nothing to count
+                decoded.pop(ins.addr, None)
+                del code[ins.addr]
 
     def _decode_at(self, pc: int) -> Optional[DecodedOp]:
         """Lazy decode for instructions patched in via ``_code``."""

@@ -33,10 +33,6 @@ class Instruction:
     addr: int = 0                    # byte address after layout
     length: int = 0                  # encoded byte length
     comment: str = ""
-    #: Predecoded handler cache (valid only for the laid-out ``addr``);
-    #: owned by :mod:`repro.cpu.decode`, excluded from equality/repr.
-    _decoded: Optional[object] = field(default=None, init=False,
-                                       repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.length:
@@ -180,8 +176,6 @@ class Program:
     def invalidate_decode_cache(self) -> None:
         """Drop all predecoded handlers (call after relaying-out)."""
         self.__dict__.pop("_decode_cache", None)
-        for ins in self.instructions:
-            ins._decoded = None
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -9,7 +9,10 @@ Mirrors the Wasmtime/Lucet structure the paper modifies (§5.1):
   guard pages, a single region-register update for HFI.
 * ``teardown`` / ``teardown_batch`` reproduce §6.3.1: per-instance
   madvise vs one batched madvise, with or without guard pages in the
-  discarded span.
+  discarded span.  Either way the runtime then unloads the instance's
+  code from its core and forgets the instance, so a long-lived
+  runtime's host memory grows with its live sandboxes, not with every
+  sandbox it ever created.
 
 All instances share one address space — the single-process,
 many-sandboxes deployment model FaaS platforms want (§2).
@@ -47,7 +50,8 @@ class WasmInstance:
     ``module``/``compiled``/``layout`` are None for *memory-only*
     instances created by :meth:`WasmRuntime.reserve_instance`, which
     the lifecycle experiments (§6.3) use to scale to thousands of
-    sandboxes without compiling code for each."""
+    sandboxes without compiling code for each.  Once torn down
+    (``alive`` is False), every lifecycle call on it raises."""
 
     strategy: IsolationStrategy
     heap_base: int
@@ -80,6 +84,7 @@ class WasmRuntime:
         # CLI ``--timing`` flag (threaded through ``default_timing``)
         # reaches runtimes constructed deep inside workloads.
         self.cpu = Cpu(params, memory=self.space, timing=timing)
+        #: The live sandboxes; teardown removes them.
         self.instances: List[WasmInstance] = []
 
     # ------------------------------------------------------------------
@@ -174,8 +179,7 @@ class WasmRuntime:
     def run(self, instance: WasmInstance,
             max_instructions: int = 20_000_000) -> RunResult:
         """Invoke the instance's entry function on the runtime's CPU."""
-        if not instance.alive:
-            raise RuntimeError("instance was torn down")
+        _check_alive(instance)
         return self.cpu.run(instance.compiled.entry, max_instructions)
 
     # ------------------------------------------------------------------
@@ -184,33 +188,45 @@ class WasmRuntime:
 
         Includes the runtime's own bookkeeping plus the strategy's
         mechanism (mprotect vs hfi_set_region) — the §6.1 comparison.
+        A memory-only instance has no layout or staged descriptors to
+        update.
         """
+        _check_alive(instance)
         old = instance.heap_bytes
         new = old + pages * WASM_PAGE
         cost = self.params.memory_grow_bookkeeping_cycles
         cost += instance.strategy.grow_cost(self.space, instance.heap_base,
                                             old, new, self.params)
         instance.heap_bytes = new
-        instance.layout.heap_bytes = new
-        instance.strategy.prepare(self.space, instance.layout, self.params)
+        if instance.layout is not None:
+            instance.layout.heap_bytes = new
+            instance.strategy.prepare(self.space, instance.layout,
+                                      self.params)
         instance.lifecycle_cycles += cost
         return cost
 
     # ------------------------------------------------------------------
     def teardown(self, instance: WasmInstance) -> int:
-        """Discard one instance's memory (stock Wasmtime path)."""
+        """Discard one instance's memory (stock Wasmtime path), then
+        unload its code and forget it; returns cycles."""
+        _check_alive(instance)
         cost = instance.strategy.teardown_cost(
             self.space, instance.heap_base, instance.heap_bytes,
             self.params)
-        instance.alive = False
         instance.lifecycle_cycles += cost
+        self._release([instance])
         return cost
 
     def teardown_batch(self, instances: List[WasmInstance]) -> int:
         """One madvise spanning every instance's memory (§5.1's
         HFI-enabled optimization).  When the strategy reserves guard
         regions the span necessarily includes them, which is what makes
-        batching a loss without HFI (§6.3.1)."""
+        batching a loss without HFI (§6.3.1).  Then each instance is
+        unloaded and forgotten, as in :meth:`teardown`."""
+        for instance in instances:
+            _check_alive(instance)
+        if len({id(instance) for instance in instances}) < len(instances):
+            raise ValueError("teardown_batch names an instance twice")
         if not instances:
             return 0
         begin = min(i.heap_base for i in instances)
@@ -218,6 +234,24 @@ class WasmRuntime:
                   for i in instances)
         cost = (self.params.syscall_cycles
                 + self.space.madvise_dontneed(begin, end - begin))
+        self._release(instances)
+        return cost
+
+    def _release(self, instances: List[WasmInstance]) -> None:
+        """Mark ``instances`` dead, unload their code and drop them
+        from :attr:`instances` (by identity: the dataclass ``__eq__``
+        compares fields)."""
+        live = self.instances
         for instance in instances:
             instance.alive = False
-        return cost
+            if instance.compiled is not None:
+                self.cpu.unload_program(instance.compiled.program)
+            for index, other in enumerate(live):
+                if other is instance:
+                    del live[index]
+                    break
+
+
+def _check_alive(instance: WasmInstance) -> None:
+    if not instance.alive:
+        raise RuntimeError("instance was torn down")
