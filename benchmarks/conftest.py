@@ -1,10 +1,12 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every module in this directory regenerates one of the paper's tables
-or figures.  Benchmarks execute *simulated* experiments; their
-scientific outputs — paper-style rows/series — are printed and
-persisted under ``benchmarks/results/``.  Host speed is measured by
-the repo benchmark (``bench/``), not here.
+or figures, or one gated scenario experiment.  Benchmarks execute
+*simulated* experiments; their scientific outputs — paper-style
+rows/series, or a JSON file of ``config``, ``results`` and ``gates``
+— are persisted under ``benchmarks/results/``, where every committed
+file must regenerate byte-identically.  Host speed is measured by the
+repo benchmark (``bench/``), not here.
 """
 
 import pytest

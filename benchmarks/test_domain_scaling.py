@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """MPK-vs-HFI domain-count scaling (the Fig. 5 scaling argument).
 
 Sweeps the number of live protection domains from 1 to 2048 and
@@ -32,19 +31,10 @@ Gates (the acceptance criteria for the repaired MPK key lifecycle):
    ``MpkError`` and without leaking a single key — the regression the
    old increment-only allocator failed at key 16.
 
-Writes ``BENCH_domain_scaling.json`` (shared bench envelope) at the
-repo root.
-
-Run:  python scripts/bench_domain_scaling.py
+Writes ``benchmarks/results/domain_scaling.json``.
 """
 
-import os
-import sys
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-sys.path.insert(0, os.path.dirname(__file__))
-
-from bench_common import gate, write_envelope
+from repro.analysis import emit_json
 from repro.mpk import USABLE_KEYS
 from repro.mpk.virtualize import measure_switch_costs
 
@@ -57,25 +47,15 @@ HFI_FLATNESS_PCT = 5.0
 CHURN_FLOOR = USABLE_KEYS  # the old allocator died at free/alloc #16
 
 
-def main():
+def test_domain_scaling():
     rows = []
     for n in DOMAIN_COUNTS:
         try:
-            point = measure_switch_costs(
+            rows.append(measure_switch_costs(
                 n, SWITCHES_PER_POINT, seed=SEED,
-                pages_per_domain=PAGES_PER_DOMAIN)
+                pages_per_domain=PAGES_PER_DOMAIN))
         except Exception as exc:           # any MpkError fails the gate
-            print(f"n={n}: {type(exc).__name__}: {exc}")
             rows.append({"domains": n, "error": str(exc)})
-            continue
-        rows.append(point)
-        print(f"n={n:5d}  mpk={point['mpk_mean_cycles']:10.1f}  "
-              f"overhead={point['virtualization_overhead_cycles']:10.1f}  "
-              f"hfi={point['hfi_mean_cycles']:6.1f}  "
-              f"miss={point['miss_rate']:5.3f}  "
-              f"steals={point['key_steals']:5d}  "
-              f"frees={point['key_frees']:5d}  "
-              f"leaked={point['leaked_keys']}")
 
     clean = [r for r in rows if "error" not in r]
     no_errors = len(clean) == len(rows)
@@ -96,38 +76,36 @@ def main():
     total_frees = sum(r["key_frees"] for r in clean)
     leaked = sum(r["leaked_keys"] for r in clean)
 
-    payload = write_envelope(
-        os.path.join(os.path.dirname(__file__), "..",
-                     "BENCH_domain_scaling.json"),
-        "domain_scaling",
-        config={"seed": SEED, "switches_per_point": SWITCHES_PER_POINT,
-                "pages_per_domain": PAGES_PER_DOMAIN,
-                "domain_counts": list(DOMAIN_COUNTS),
-                "usable_keys": USABLE_KEYS},
-        results={"sweep": rows},
-        gates={
-            "mpk_knee_above_15": gate(
-                no_errors and flat_below and positive_above and growing,
-                flat_below_knee=flat_below,
-                positive_above_knee=positive_above,
-                strictly_growing=growing,
-                overhead_at_15=round(below[-1][
-                    "virtualization_overhead_cycles"], 1) if below else None,
-                overhead_at_16=round(overheads[0], 1) if overheads else None,
-                overhead_at_2048=round(overheads[-1], 1)
-                if overheads else None),
-            "hfi_flat": gate(
-                hfi_spread_pct < HFI_FLATNESS_PCT,
-                spread_pct=round(hfi_spread_pct, 3),
-                bound_pct=HFI_FLATNESS_PCT,
-                hfi_cycles=hfi_means[0] if hfi_means else None),
-            "churn_survives": gate(
-                no_errors and total_frees > CHURN_FLOOR and leaked == 0,
-                alloc_free_cycles=total_frees, floor=CHURN_FLOOR,
-                leaked_keys=leaked, mpk_errors=len(rows) - len(clean)),
-        })
-    return 0 if payload["ok"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    gates = {
+        "mpk_knee_above_15": {
+            "passed": (no_errors and flat_below and positive_above
+                       and growing),
+            "flat_below_knee": flat_below,
+            "positive_above_knee": positive_above,
+            "strictly_growing": growing,
+            "overhead_at_15": round(below[-1][
+                "virtualization_overhead_cycles"], 1) if below else None,
+            "overhead_at_16": round(overheads[0], 1) if overheads else None,
+            "overhead_at_2048": (round(overheads[-1], 1)
+                                 if overheads else None)},
+        "hfi_flat": {
+            "passed": hfi_spread_pct < HFI_FLATNESS_PCT,
+            "spread_pct": round(hfi_spread_pct, 3),
+            "bound_pct": HFI_FLATNESS_PCT,
+            "hfi_cycles": hfi_means[0] if hfi_means else None},
+        "churn_survives": {
+            "passed": (no_errors and total_frees > CHURN_FLOOR
+                       and leaked == 0),
+            "alloc_free_cycles": total_frees, "floor": CHURN_FLOOR,
+            "leaked_keys": leaked, "mpk_errors": len(rows) - len(clean)},
+    }
+    emit_json("domain_scaling", {
+        "config": {"seed": SEED, "switches_per_point": SWITCHES_PER_POINT,
+                   "pages_per_domain": PAGES_PER_DOMAIN,
+                   "domain_counts": list(DOMAIN_COUNTS),
+                   "usable_keys": USABLE_KEYS},
+        "results": {"sweep": rows},
+        "gates": gates,
+    })
+    for name, gate in gates.items():
+        assert gate["passed"], f"gate {name} failed: {gate}"

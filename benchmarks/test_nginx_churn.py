@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """NGINX + sandboxed OpenSSL under connection churn (§6.4.2 at
 production intensity).
 
@@ -32,19 +31,10 @@ Gates:
    orders unprotected <= hfi <= mpk (HFI's switch tax is below
    ERIM's double-gate wrpkru pairs).
 
-Writes ``BENCH_nginx_churn.json`` (shared bench envelope) at the repo
-root.
-
-Run:  python scripts/bench_nginx_churn.py
+Writes ``benchmarks/results/nginx_churn.json``.
 """
 
-import os
-import sys
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-sys.path.insert(0, os.path.dirname(__file__))
-
-from bench_common import gate, write_envelope
+from repro.analysis import emit_json
 from repro.runtime import ServingConfig, ServingSimulator
 from repro.workloads import (
     CHURN_SCHEMES,
@@ -59,19 +49,20 @@ CORES = 8
 SLOTS_PER_SHARD = 32
 #: load multiplier relative to the unprotected server's capacity, so
 #: protection overhead surfaces as queueing — identical-offered-load
-#: methodology, like scripts/bench_serving.py.
+#: methodology, like test_serving_tail_latency.py.
 LOAD_POINTS = ((0.5, "poisson"), (0.8, "poisson"), (0.95, "poisson"),
                (1.2, "mmpp"))
 
 
-def main():
+def test_nginx_churn():
     config = ServingConfig(n_cores=CORES, slots_per_shard=SLOTS_PER_SHARD,
                            max_inflight=CORES * SLOTS_PER_SHARD)
     costs = {scheme: churn_scheme_costs(scheme)
              for scheme in CHURN_SCHEMES}
-    results = {"lifecycle": {scheme: {"setup_cycles": c.setup_cycles,
-                                      "teardown_cycles": c.teardown_cycles}
-                             for scheme, c in costs.items()},
+    lc = {scheme: {"setup_cycles": c.setup_cycles,
+                   "teardown_cycles": c.teardown_cycles}
+          for scheme, c in costs.items()}
+    results = {"lifecycle": lc,
                "schemes": {scheme: [] for scheme in CHURN_SCHEMES}}
     all_accounted = True
     mean_latency_at_peak = {}
@@ -82,7 +73,6 @@ def main():
         for scheme in CHURN_SCHEMES:
             sim = ServingSimulator(costs[scheme], config)
             metrics = sim.run(churn_requests(profiles, scheme))
-            metrics.arrival = arrival
             all_accounted = all_accounted and metrics.accounted
             if (load, arrival) == LOAD_POINTS[-1]:
                 mean_latency_at_peak[scheme] = metrics.mean_latency_cycles
@@ -101,14 +91,7 @@ def main():
                 "utilization": round(metrics.utilization, 4),
                 "accounted": metrics.accounted,
             })
-            print(f"{scheme:12s} load={load:4.2f} {arrival:7s}  "
-                  f"goodput={metrics.goodput_rps:10,.0f} conn/s  "
-                  f"p50={metrics.p50_cycles:9,d}cy  "
-                  f"p99={metrics.p99_cycles:10,d}cy  "
-                  f"shed={metrics.shed:4d}  "
-                  f"util={metrics.utilization:4.2f}")
 
-    lc = results["lifecycle"]
     lifecycle_ok = (
         all(v["setup_cycles"] > 0 and v["teardown_cycles"] > 0
             for v in lc.values())
@@ -122,31 +105,26 @@ def main():
                    <= mean_latency_at_peak["hfi"]
                    <= mean_latency_at_peak["mpk"])
 
-    print()
-    payload = write_envelope(
-        os.path.join(os.path.dirname(__file__), "..",
-                     "BENCH_nginx_churn.json"),
-        "nginx_churn",
-        config={"seed": SEED, "connections_per_point": CONNECTIONS,
-                "cores": CORES, "slots_per_shard": SLOTS_PER_SHARD,
-                "load_points": [{"load": load, "arrival": arrival}
-                                for load, arrival in LOAD_POINTS]},
-        results=results,
-        gates={
-            "accounting": gate(all_accounted),
-            "measured_lifecycle": gate(
-                lifecycle_ok,
-                **{f"{scheme}_setup": v["setup_cycles"]
-                   for scheme, v in lc.items()},
-                **{f"{scheme}_teardown": v["teardown_cycles"]
-                   for scheme, v in lc.items()}),
-            "isolation_tax_ordering": gate(
-                ordering_ok,
-                **{f"mean_latency_{scheme}": round(v, 1)
-                   for scheme, v in mean_latency_at_peak.items()}),
-        })
-    return 0 if payload["ok"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    gates = {
+        "accounting": {"passed": all_accounted},
+        "measured_lifecycle": {
+            "passed": lifecycle_ok,
+            **{f"{scheme}_setup": v["setup_cycles"]
+               for scheme, v in lc.items()},
+            **{f"{scheme}_teardown": v["teardown_cycles"]
+               for scheme, v in lc.items()}},
+        "isolation_tax_ordering": {
+            "passed": ordering_ok,
+            **{f"mean_latency_{scheme}": round(v, 1)
+               for scheme, v in mean_latency_at_peak.items()}},
+    }
+    emit_json("nginx_churn", {
+        "config": {"seed": SEED, "connections_per_point": CONNECTIONS,
+                   "cores": CORES, "slots_per_shard": SLOTS_PER_SHARD,
+                   "load_points": [{"load": load, "arrival": arrival}
+                                   for load, arrival in LOAD_POINTS]},
+        "results": results,
+        "gates": gates,
+    })
+    for name, gate in gates.items():
+        assert gate["passed"], f"gate {name} failed: {gate}"

@@ -1,14 +1,14 @@
-"""Benchmark the out-of-order timing backend against the in-order one.
+"""The out-of-order timing backend against the in-order one.
 
-Four experiments over *simulated cycles* (not wall clock), all on the
-staged engine so only the timing model varies:
+Four experiments over *simulated cycles*, all on the one execution
+engine so only the timing model varies:
 
 * **dispatch suite** — dispatch-bound workloads (a synthetic
   straight-line ALU kernel plus loopy Sightglass/SPEC members) under
-  both timing models.  Gated: the OoO
-  backend must never report more cycles than the in-order model on
-  this suite (a wide machine strictly adds overlap on dispatch-bound
-  code), and architectural counters must be bit-identical.
+  both timing models.  Gated: the OoO backend must never report more
+  cycles than the in-order model on this suite (a wide machine
+  strictly adds overlap on dispatch-bound code), and architectural
+  counters must be bit-identical.
 * **width/depth sweep** — the straight-line ALU kernel across machine
   widths {1, 2, 4, 8} x ROB depths {16, 64, 128}.  Gated: cycles are
   monotonically non-increasing as either resource grows (a scoreboard
@@ -27,24 +27,22 @@ staged engine so only the timing model varies:
   window of in-flight work a drain empties — the reason the paper
   treats serialized transitions as the expensive deployment mode.
 
-Usage (from the repo root)::
-
-    PYTHONPATH=src python scripts/bench_ooo.py
-
-Writes ``BENCH_ooo_sweep.json`` (the shared bench envelope).
+Writes ``benchmarks/results/ooo_sweep.json``.
 """
 
-import argparse
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-
-from bench_common import gate, write_envelope
-
-OUT_DEFAULT = pathlib.Path(__file__).resolve().parents[1] / \
-    "BENCH_ooo_sweep.json"
+from repro.analysis import emit_json
+from repro.core import ImplicitCodeRegion, ImplicitDataRegion, SandboxFlags
+from repro.core.encoding import encode_region, encode_sandbox
+from repro.core.regions import ExplicitDataRegion
+from repro.cpu.machine import Cpu
+from repro.isa import Assembler, Imm, Mem, Reg
+from repro.os.address_space import AddressSpace, Prot
+from repro.params import MachineParams
+from repro.wasm import WasmRuntime, make_strategy
+from repro.wasm.ir import (BinOp, BinaryOp, Const, Function, Load, Loop,
+                           Module, Store, StoreGlobal)
+from repro.workloads.sightglass import SIGHTGLASS_BENCHMARKS
+from repro.workloads.spec import SPEC_BENCHMARKS
 
 TIMINGS = ("inorder", "ooo")
 WIDTHS = (1, 2, 4, 8)
@@ -63,8 +61,6 @@ DISPATCH_SUITE = [
 
 def build_alu_kernel(scale):
     """A hot straight-line ALU loop: four independent chains."""
-    from repro.wasm.ir import (BinOp, BinaryOp, Const, Function, Loop,
-                               Module, StoreGlobal)
     ops = [Const("a", 1), Const("b", 2), Const("c", 3), Const("d", 4)]
     chain = []
     for _ in range(4):
@@ -82,8 +78,6 @@ def build_alu_kernel(scale):
 
 def build_mem_kernel(scale):
     """A load/store-dense loop: one bounds check per access."""
-    from repro.wasm.ir import (BinOp, BinaryOp, Const, Function, Load,
-                               Loop, Module, Store, StoreGlobal)
     ops = [Const("addr", 64), Const("acc", 0)]
     chain = []
     for i in range(4):
@@ -99,26 +93,17 @@ def build_mem_kernel(scale):
                   globals=["result"])
 
 
-SYNTHETIC = {"alu": build_alu_kernel, "mem": build_mem_kernel}
+BUILDERS = {
+    "synthetic": {"alu": build_alu_kernel, "mem": build_mem_kernel},
+    "sightglass": SIGHTGLASS_BENCHMARKS,
+    "spec": SPEC_BENCHMARKS,
+}
 
 
-def _builder(suite, name):
-    if suite == "synthetic":
-        return SYNTHETIC[name]
-    if suite == "sightglass":
-        from repro.workloads.sightglass import SIGHTGLASS_BENCHMARKS
-        return SIGHTGLASS_BENCHMARKS[name]
-    from repro.workloads.spec import SPEC_BENCHMARKS
-    return SPEC_BENCHMARKS[name]
-
-
-def _run_workload(suite, name, strategy, scale, timing, params=None):
-    """One workload on the staged engine under ``timing``; returns the
-    CPU stats plus (for ooo) the scoreboard counters."""
-    from repro.params import MachineParams
-    from repro.wasm import WasmRuntime, make_strategy
-
-    module = _builder(suite, name)(scale)
+def run_workload(suite, name, strategy, scale, timing, params=None):
+    """One workload under ``timing``; returns the CPU stats plus (for
+    ooo) the scoreboard counters."""
+    module = BUILDERS[suite][name](scale)
     runtime = WasmRuntime(params or MachineParams(), timing=timing)
     instance = runtime.instantiate(module, make_strategy(strategy))
     result = runtime.run(instance, max_instructions=50_000_000)
@@ -144,25 +129,18 @@ def _run_workload(suite, name, strategy, scale, timing, params=None):
 def run_dispatch_suite():
     rows = []
     for suite, name, strategy, scale in DISPATCH_SUITE:
-        per = {t: _run_workload(suite, name, strategy, scale, t)
+        per = {t: run_workload(suite, name, strategy, scale, t)
                for t in TIMINGS}
         base, ooo = per["inorder"], per["ooo"]
-        arch_identical = all(base[k] == ooo[k] for k in
-                             ("instructions", "loads", "stores",
-                              "branches", "mispredicts"))
-        row = {
+        rows.append({
             "workload": f"{suite}:{name}:{strategy}",
             "scale": scale,
             "timings": per,
             "speedup": round(base["cycles"] / ooo["cycles"], 2),
-            "arch_identical": arch_identical,
-        }
-        rows.append(row)
-        print(f"[dispatch] {row['workload']:38s} "
-              f"{base['cycles']:>10,d} -> {ooo['cycles']:>10,d} cycles "
-              f"({row['speedup']:.2f}x, "
-              f"{'identical' if arch_identical else 'DIVERGED'})",
-              flush=True)
+            "arch_identical": all(base[k] == ooo[k] for k in
+                                  ("instructions", "loads", "stores",
+                                   "branches", "mispredicts")),
+        })
     return rows
 
 
@@ -170,31 +148,24 @@ def run_dispatch_suite():
 # 2. width x ROB-depth sweep on the ALU kernel
 # ----------------------------------------------------------------------
 def run_sweep():
-    from repro.params import MachineParams
-
     grid = {}
     for width in WIDTHS:
         for depth in ROB_DEPTHS:
             params = MachineParams().with_overrides(
                 ooo_width=width, ooo_rob_depth=depth)
-            row = _run_workload("synthetic", "alu", "guard-pages", 2,
-                                "ooo", params=params)
+            row = run_workload("synthetic", "alu", "guard-pages", 2,
+                               "ooo", params=params)
             grid[f"w{width}_rob{depth}"] = {
                 "width": width, "rob_depth": depth,
                 "cycles": row["cycles"],
                 "rob_stalls": row["ooo"]["rob_stalls"],
                 "peak_inflight": row["ooo"]["peak_inflight"],
             }
-            print(f"[sweep   ] width={width} rob={depth:>3d}  "
-                  f"{row['cycles']:>9,d} cycles  "
-                  f"rob_stalls={row['ooo']['rob_stalls']:,d}  "
-                  f"peak_inflight={row['ooo']['peak_inflight']}",
-                  flush=True)
     return grid
 
 
-def _sweep_monotone(grid):
-    """Cycles never increase as width or ROB depth grows."""
+def sweep_violations(grid):
+    """Every step where cycles increase as width or ROB depth grows."""
     violations = []
     for depth in ROB_DEPTHS:
         for lo, hi in zip(WIDTHS, WIDTHS[1:]):
@@ -217,16 +188,14 @@ def _sweep_monotone(grid):
 # 3. hmov bounds-check overlap (§4.2)
 # ----------------------------------------------------------------------
 def run_hmov_overlap(check_cycles=3):
-    from repro.params import MachineParams
-
     results = {}
     for timing in TIMINGS:
         per = {}
         for extra in (0, check_cycles):
             params = MachineParams().with_overrides(
                 hmov_extra_cycles=extra)
-            row = _run_workload("synthetic", "mem", "hfi", 2, timing,
-                                params=params)
+            row = run_workload("synthetic", "mem", "hfi", 2, timing,
+                               params=params)
             per[f"extra{extra}"] = row["cycles"]
             if timing == "ooo":
                 per.setdefault("overlap_rate", round(
@@ -235,27 +204,15 @@ def run_hmov_overlap(check_cycles=3):
                           + row["ooo"]["checks_exposed"]), 4))
         per["delta"] = per[f"extra{check_cycles}"] - per["extra0"]
         results[timing] = per
-        print(f"[hmov    ] {timing:8s} extra=0: {per['extra0']:,d}  "
-              f"extra={check_cycles}: {per[f'extra{check_cycles}']:,d}  "
-              f"delta={per['delta']:,d}", flush=True)
     return results
 
 
 # ----------------------------------------------------------------------
 # 4. serialization drain (§3.4, Figs. 6/7 analogue)
 # ----------------------------------------------------------------------
-def _transition_cycles(timing, serialized, iterations=TRANSITION_ITERS):
+def transition_cycles(timing, serialized, iterations=TRANSITION_ITERS):
     """The golden NGINX transition loop, parameterized on whether the
     sandbox descriptor marks enter/exit as serialized."""
-    from repro.core import (ImplicitCodeRegion, ImplicitDataRegion,
-                            SandboxFlags)
-    from repro.core.encoding import encode_region, encode_sandbox
-    from repro.core.regions import ExplicitDataRegion
-    from repro.cpu.machine import Cpu
-    from repro.isa import Assembler, Imm, Mem, Reg
-    from repro.os.address_space import AddressSpace, Prot
-    from repro.params import MachineParams
-
     params = MachineParams()
     mem = AddressSpace(params)
     cpu = Cpu(params, memory=mem, timing=timing)
@@ -310,8 +267,8 @@ def _transition_cycles(timing, serialized, iterations=TRANSITION_ITERS):
 def run_serialization_drain():
     results = {}
     for timing in TIMINGS:
-        serialized = _transition_cycles(timing, True)
-        unserialized = _transition_cycles(timing, False)
+        serialized = transition_cycles(timing, True)
+        unserialized = transition_cycles(timing, False)
         per_transition = ((serialized - unserialized)
                           / (2 * TRANSITION_ITERS))  # enter + exit
         results[timing] = {
@@ -319,64 +276,50 @@ def run_serialization_drain():
             "unserialized_cycles": unserialized,
             "drain_cost_per_transition": round(per_transition, 2),
         }
-        print(f"[drain   ] {timing:8s} serialized: {serialized:,d}  "
-              f"unserialized: {unserialized:,d}  "
-              f"per-transition: {per_transition:.1f}", flush=True)
     return results
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=pathlib.Path, default=OUT_DEFAULT)
-    args = parser.parse_args()
-
+def test_ooo_sweep():
     dispatch = run_dispatch_suite()
     sweep = run_sweep()
     hmov = run_hmov_overlap()
     drain = run_serialization_drain()
 
-    monotone_violations = _sweep_monotone(sweep)
+    slower = [r["workload"] for r in dispatch
+              if r["timings"]["ooo"]["cycles"]
+              > r["timings"]["inorder"]["cycles"]]
+    diverged = [r["workload"] for r in dispatch if not r["arch_identical"]]
+    violations = sweep_violations(sweep)
+    per_transition = {t: d["drain_cost_per_transition"]
+                      for t, d in drain.items()}
     gates = {
-        "ooo_not_slower": gate(
-            all(r["timings"]["ooo"]["cycles"]
-                <= r["timings"]["inorder"]["cycles"] for r in dispatch),
-            slower=[r["workload"] for r in dispatch
-                    if r["timings"]["ooo"]["cycles"]
-                    > r["timings"]["inorder"]["cycles"]]),
-        "arch_identical": gate(
-            all(r["arch_identical"] for r in dispatch),
-            diverged=[r["workload"] for r in dispatch
-                      if not r["arch_identical"]]),
-        "width_monotone": gate(not monotone_violations,
-                               violations=monotone_violations),
-        "hmov_overlapped": gate(
-            hmov["ooo"]["delta"] == 0 and hmov["inorder"]["delta"] > 0,
-            ooo_delta=hmov["ooo"]["delta"],
-            inorder_delta=hmov["inorder"]["delta"],
-            overlap_rate=hmov["ooo"].get("overlap_rate")),
-        "drain_costs_cycles": gate(
-            all(d["serialized_cycles"] > d["unserialized_cycles"]
-                for d in drain.values()),
-            per_transition={t: d["drain_cost_per_transition"]
-                            for t, d in drain.items()}),
-        "drain_hurts_ooo_more": gate(
-            drain["ooo"]["drain_cost_per_transition"]
-            >= drain["inorder"]["drain_cost_per_transition"],
-            ooo=drain["ooo"]["drain_cost_per_transition"],
-            inorder=drain["inorder"]["drain_cost_per_transition"]),
+        "ooo_not_slower": {"passed": not slower, "slower": slower},
+        "arch_identical": {"passed": not diverged, "diverged": diverged},
+        "width_monotone": {"passed": not violations,
+                           "violations": violations},
+        "hmov_overlapped": {
+            "passed": (hmov["ooo"]["delta"] == 0
+                       and hmov["inorder"]["delta"] > 0),
+            "ooo_delta": hmov["ooo"]["delta"],
+            "inorder_delta": hmov["inorder"]["delta"],
+            "overlap_rate": hmov["ooo"].get("overlap_rate")},
+        "drain_costs_cycles": {
+            "passed": all(d["serialized_cycles"] > d["unserialized_cycles"]
+                          for d in drain.values()),
+            "per_transition": per_transition},
+        "drain_hurts_ooo_more": {
+            "passed": per_transition["ooo"] >= per_transition["inorder"],
+            "ooo": per_transition["ooo"],
+            "inorder": per_transition["inorder"]},
     }
-    payload = write_envelope(
-        args.out, "ooo_sweep",
-        config={"engine": "staged", "timing": None,  # swept
-                "timings": list(TIMINGS), "widths": list(WIDTHS),
-                "rob_depths": list(ROB_DEPTHS),
-                "dispatch_suite": [list(e) for e in DISPATCH_SUITE],
-                "transition_iterations": TRANSITION_ITERS},
-        results={"dispatch": dispatch, "sweep": sweep, "hmov": hmov,
-                 "serialization_drain": drain},
-        gates=gates)
-    return 0 if payload["ok"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    emit_json("ooo_sweep", {
+        "config": {"timings": list(TIMINGS), "widths": list(WIDTHS),
+                   "rob_depths": list(ROB_DEPTHS),
+                   "dispatch_suite": [list(e) for e in DISPATCH_SUITE],
+                   "transition_iterations": TRANSITION_ITERS},
+        "results": {"dispatch": dispatch, "sweep": sweep, "hmov": hmov,
+                    "serialization_drain": drain},
+        "gates": gates,
+    })
+    for name, gate in gates.items():
+        assert gate["passed"], f"gate {name} failed: {gate}"

@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """Batch font/image render pipelines as sustained traffic (§6.2's
 Firefox workloads under a serving loop).
 
@@ -28,19 +27,10 @@ Gates:
    least guard-pages' and its p99 latency is no worse — the measured
    codegen advantage must survive the serving loop.
 
-Writes ``BENCH_render_pipelines.json`` (shared bench envelope) at the
-repo root.
-
-Run:  python scripts/bench_render_pipelines.py
+Writes ``benchmarks/results/render_pipelines.json``.
 """
 
-import os
-import sys
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-sys.path.insert(0, os.path.dirname(__file__))
-
-from bench_common import gate, write_envelope
+from repro.analysis import emit_json
 from repro.runtime import ServingConfig, ServingSimulator
 from repro.workloads import (
     RENDER_SCHEMES,
@@ -57,13 +47,8 @@ LOAD_POINTS = (0.6, 0.9, 1.2)
 BASELINE_SCHEME = "guard-pages"
 
 
-def main():
-    print("measuring render jobs under each scheme's codegen ...")
+def test_render_pipelines():
     table = measure_render_jobs()
-    for job in sorted(table):
-        cells = "  ".join(f"{scheme}={table[job][scheme]:7d}"
-                          for scheme in RENDER_SCHEMES)
-        print(f"  {job:22s} {cells}")
     cells_ok = all(
         cycles > 0 for per in table.values() for cycles in per.values())
     hfi_beats_bounds = all(per["hfi"] < per["bounds-check"]
@@ -77,7 +62,6 @@ def main():
     all_accounted = True
     goodput_at_peak = {}
     p99_at_peak = {}
-    print()
     for load in LOAD_POINTS:
         streams = render_requests(table, JOBS, seed=SEED, load=load,
                                   n_cores=CORES,
@@ -103,43 +87,30 @@ def main():
                 "utilization": round(metrics.utilization, 4),
                 "accounted": metrics.accounted,
             })
-            print(f"{scheme:12s} load={load:4.2f}  "
-                  f"goodput={metrics.goodput_rps:10,.0f} jobs/s  "
-                  f"p50={metrics.p50_cycles:9,d}cy  "
-                  f"p99={metrics.p99_cycles:10,d}cy  "
-                  f"shed={metrics.shed:4d}  "
-                  f"util={metrics.utilization:4.2f}")
 
-    serves_better = (goodput_at_peak["hfi"]
-                     >= goodput_at_peak["guard-pages"]
-                     and p99_at_peak["hfi"] <= p99_at_peak["guard-pages"])
-
-    print()
-    payload = write_envelope(
-        os.path.join(os.path.dirname(__file__), "..",
-                     "BENCH_render_pipelines.json"),
-        "render_pipelines",
-        config={"seed": SEED, "jobs_per_point": JOBS, "cores": CORES,
-                "slots_per_shard": SLOTS_PER_SHARD,
-                "load_points": list(LOAD_POINTS),
-                "baseline_scheme": BASELINE_SCHEME},
-        results=results,
-        gates={
-            "accounting": gate(all_accounted),
-            "measured_cells": gate(
-                cells_ok and hfi_beats_bounds,
-                cells=len(table) * len(RENDER_SCHEMES),
-                hfi_beats_bounds_check=hfi_beats_bounds),
-            "hfi_serves_better": gate(
-                serves_better,
-                goodput_hfi=round(goodput_at_peak["hfi"]),
-                goodput_guard_pages=round(
-                    goodput_at_peak["guard-pages"]),
-                p99_hfi=p99_at_peak["hfi"],
-                p99_guard_pages=p99_at_peak["guard-pages"]),
-        })
-    return 0 if payload["ok"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    gates = {
+        "accounting": {"passed": all_accounted},
+        "measured_cells": {
+            "passed": cells_ok and hfi_beats_bounds,
+            "cells": len(table) * len(RENDER_SCHEMES),
+            "hfi_beats_bounds_check": hfi_beats_bounds},
+        "hfi_serves_better": {
+            "passed": (goodput_at_peak["hfi"]
+                       >= goodput_at_peak["guard-pages"]
+                       and p99_at_peak["hfi"]
+                       <= p99_at_peak["guard-pages"]),
+            "goodput_hfi": round(goodput_at_peak["hfi"]),
+            "goodput_guard_pages": round(goodput_at_peak["guard-pages"]),
+            "p99_hfi": p99_at_peak["hfi"],
+            "p99_guard_pages": p99_at_peak["guard-pages"]},
+    }
+    emit_json("render_pipelines", {
+        "config": {"seed": SEED, "jobs_per_point": JOBS, "cores": CORES,
+                   "slots_per_shard": SLOTS_PER_SHARD,
+                   "load_points": list(LOAD_POINTS),
+                   "baseline_scheme": BASELINE_SCHEME},
+        "results": results,
+        "gates": gates,
+    })
+    for name, gate in gates.items():
+        assert gate["passed"], f"gate {name} failed: {gate}"

@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional
 
 from .analysis import format_table, format_telemetry
-from .cpu.timing import TIMING_MODELS, default_timing
+from .cpu.timing import TIMING_MODELS
 from .params import MachineParams
 from .wasm import STRATEGIES, WasmRuntime, make_strategy
 
@@ -306,16 +306,11 @@ def cmd_verify(args) -> int:
     if args.seeds < 1:
         raise SystemExit("--seeds must be >= 1")
     seeds = range(args.seed_base, args.seed_base + args.seeds)
-    # The requested timing model leads the differential matrix (its
-    # staged cell is the baseline the others are diffed against) and
-    # also becomes the process default, so the smoke batteries
-    # exercise it too.
-    timings = ((args.timing,)
-               + tuple(t for t in TIMING_MODELS if t != args.timing))
-    with default_timing(args.timing):
-        stats, report = run_verify(
-            seeds=seeds, comparator_trials=args.comparator_trials,
-            timings=timings)
+    # The seed base also picks the comparator sweep, so every seed
+    # window fuzzes its own trials.
+    stats, report = run_verify(
+        seeds=seeds, comparator_trials=args.comparator_trials,
+        comparator_seed=args.seed_base)
     comparator = report["comparator"]
     lines = [
         f"engines:           {' vs '.join(report['engines'])}",
@@ -444,22 +439,20 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of tables")
-    # Shared by every subcommand that executes instructions.
-    timing = argparse.ArgumentParser(add_help=False)
-    timing.add_argument("--timing", default="inorder",
-                        choices=sorted(TIMING_MODELS),
-                        help="timing backend (default: inorder)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list-workloads",
                    help="list workloads and strategies").set_defaults(
         func=cmd_list_workloads)
 
-    p = sub.add_parser("run", parents=[output, timing],
+    p = sub.add_parser("run", parents=[output],
                        help="run one workload under one strategy")
     p.add_argument("workload")
     p.add_argument("--strategy", default="hfi",
                    choices=sorted(STRATEGIES))
+    p.add_argument("--timing", default="inorder",
+                   choices=sorted(TIMING_MODELS),
+                   help="timing backend (default: inorder)")
     p.add_argument("--scale", type=int, default=1)
     p.set_defaults(func=cmd_run)
 
@@ -507,12 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_telemetry)
 
     p = sub.add_parser(
-        "verify", parents=[output, timing],
+        "verify", parents=[output],
         help="differential oracle + comparator fuzz + invariant probes")
     p.add_argument("--seeds", type=int, default=50,
                    help="number of ISA fuzz seeds to run (default 50)")
     p.add_argument("--seed-base", type=int, default=0,
-                   help="first seed (CI rotates this nightly)")
+                   help="first ISA seed and the comparator seed "
+                        "(CI rotates this nightly)")
     p.add_argument("--comparator-trials", type=int, default=20_000,
                    help="randomized comparator fuzz trials")
     p.set_defaults(func=cmd_verify)

@@ -36,10 +36,6 @@ class FaultCause(enum.IntEnum):
     BAD_REENTER = 28          # hfi_reenter with no exited sandbox
 
     @property
-    def is_exit(self) -> bool:
-        return 0 < self < 16
-
-    @property
     def is_fault(self) -> bool:
         return self >= 16
 
@@ -67,7 +63,3 @@ class ExitInfo:
     cause: FaultCause
     fault_addr: int = 0
     syscall_nr: int = 0
-
-    @property
-    def was_fault(self) -> bool:
-        return self.cause.is_fault

@@ -91,9 +91,6 @@ class HfiRegisterFile:
         self.data = [None] * NUM_IMPLICIT_DATA_REGIONS
         self.explicit = [None] * NUM_EXPLICIT_REGIONS
 
-    def has_code_region(self) -> bool:
-        return any(r is not None and r.permission_exec for r in self.code)
-
     def snapshot(self) -> "HfiRegisterFile":
         """Copy the full register file (xsave / switch-on-exit bank).
 

@@ -312,12 +312,3 @@ class HfiState:
         region = self.regs.explicit[region_index]
         return hmov_effective_address(region, index, scale, disp,
                                       size, is_write)
-
-    def implicit_regions_cover(self, addr: int, size: int,
-                               is_write: bool) -> bool:
-        """Non-trapping variant of :meth:`check_data_access`."""
-        try:
-            implicit_data_check(self.regs.data, addr, size, is_write)
-            return True
-        except HfiFault:
-            return False

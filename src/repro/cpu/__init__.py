@@ -21,7 +21,6 @@ from .timing import (
     TIMING_MODELS,
     InOrderTiming,
     TimingBackend,
-    TimingModel,
     create_timing,
     default_timing,
     set_default_timing,
@@ -33,7 +32,7 @@ __all__ = [
     "Cpu", "CpuStats", "FaultInfo", "RunResult", "Cache", "CacheHierarchy",
     "CacheStats", "Tlb", "PatternHistoryTable", "BranchTargetBuffer",
     "ReturnStackBuffer", "Tracer", "TraceEntry", "CodeMap", "DecodedOp",
-    "decode_one", "decode_program", "SpeculationJournal", "TimingModel",
+    "decode_one", "decode_program", "SpeculationJournal",
     "InOrderTiming", "TimingBackend", "TIMING_MODELS", "create_timing",
     "default_timing", "set_default_timing",
 ]

@@ -224,8 +224,3 @@ class InOrderTiming:
 
     def audit(self) -> List[str]:
         return []
-
-
-#: Backwards-compatible alias — PR-2 .. PR-8 code and docs refer to the
-#: in-order model by its original name.
-TimingModel = InOrderTiming

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.opcodes import HFI_OPS, HMOV_REGION, Opcode
+from ..isa.opcodes import HFI_OPS, Opcode
 from ..telemetry.stats import TracerStats
 
 
@@ -79,11 +79,6 @@ class Tracer:
         if not self.total:
             return 0.0
         return sum(self.mix[op] for op in opcodes) / self.total
-
-    def memory_fraction(self) -> float:
-        """Loads/stores (mov with memory operands are not
-        distinguishable from the mix alone; hmov always is)."""
-        return self.fraction(Opcode.MOV, *HMOV_REGION)
 
     def hfi_instruction_count(self) -> int:
         return sum(self.mix[op] for op in HFI_OPS)

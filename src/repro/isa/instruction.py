@@ -38,17 +38,6 @@ class Instruction:
         if not self.length:
             self.length = encoded_length(self.opcode, self.operands)
 
-    @property
-    def is_hmov(self) -> bool:
-        return self.opcode in HMOV_REGION
-
-    @property
-    def mem_operand(self) -> Optional[Mem]:
-        for op in self.operands:
-            if isinstance(op, Mem):
-                return op
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         ops = ", ".join(repr(o) for o in self.operands)
         lbl = f"{self.label}: " if self.label else ""

@@ -20,7 +20,7 @@ step 3 is the flat wrpkru cost every switch pays.  Below 16 live
 domains every switch is a hit and MPK is a flat ~65-cycle gate; past
 16 the miss rate — and with it the mean switch cost — grows with the
 domain count, while HFI's per-transition cost never changes.  That
-knee is exactly what ``scripts/bench_domain_scaling.py`` gates.
+knee is exactly what ``benchmarks/test_domain_scaling.py`` gates.
 
 The eviction path deliberately runs through
 :meth:`MpkDomainManager.pkey_free`/:meth:`~MpkDomainManager.pkey_alloc`,

@@ -20,6 +20,7 @@ from .serving import (
     ServingMetrics,
     ServingSimulator,
     TraceArrivals,
+    arrival_process,
     build_requests,
     connection_lifecycle_costs,
     load_trace,
@@ -54,8 +55,8 @@ __all__ = [
     "TenantBreaker", "CLASSIFICATIONS", "shed_victims",
     "record_breaker_fault", "ShardedInstancePool", "ArrivalProcess",
     "PoissonArrivals", "MmppArrivals", "TraceArrivals",
-    "build_requests", "save_trace", "load_trace", "SchemeCosts",
-    "scheme_costs", "SERVING_SCHEMES", "ServingConfig",
+    "arrival_process", "build_requests", "save_trace", "load_trace",
+    "SchemeCosts", "scheme_costs", "SERVING_SCHEMES", "ServingConfig",
     "ServingMetrics", "ServingSimulator", "simulate_serving",
     "connection_lifecycle_costs",
 ]

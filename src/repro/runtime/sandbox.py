@@ -56,8 +56,7 @@ class InvokeResult:
     Field names shared with :class:`repro.cpu.machine.RunResult`
     (``reason``, ``cycles``, ``fault``) so analysis code can consume
     either interchangeably; the extra fields break the total down the
-    way Fig. 5 does.  ``int(result)`` and comparisons keep old
-    cycle-count call sites working.
+    way Fig. 5 does.
     """
 
     reason: str
@@ -73,43 +72,6 @@ class InvokeResult:
     #: Pool bookkeeping, set only by :meth:`SandboxManager.invoke_pooled`.
     slot_index: Optional[int] = None
     recycle_cycles: int = 0
-
-    def __int__(self) -> int:
-        return self.cycles
-
-    def __index__(self) -> int:
-        return self.cycles
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, float)):
-            return self.cycles == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        return self.cycles < int(other)
-
-    def __le__(self, other):
-        return self.cycles <= int(other)
-
-    def __gt__(self, other):
-        return self.cycles > int(other)
-
-    def __ge__(self, other):
-        return self.cycles >= int(other)
-
-    def __add__(self, other):
-        return self.cycles + int(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.cycles - int(other)
-
-    def __rsub__(self, other):
-        return int(other) - self.cycles
-
-    def __hash__(self):
-        return hash((self.sandbox_id, self.invocation, self.cycles))
 
     def as_dict(self) -> dict:
         return {
@@ -213,8 +175,8 @@ class SandboxManager:
                transition: TransitionKind = TransitionKind.ZERO_COST,
                ) -> InvokeResult:
         """Run one invocation: enter, do ``service_cycles`` of sandboxed
-        work, exit.  Returns an :class:`InvokeResult` (which still
-        compares/adds like the raw cycle total it used to be)."""
+        work, exit.  Returns an :class:`InvokeResult`; its ``cycles``
+        is the invocation's total."""
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.count("sandbox.invoke")

@@ -155,6 +155,23 @@ class TraceArrivals(ArrivalProcess):
             yield max(0, int(self.gaps[i % len(self.gaps)]))
 
 
+def arrival_process(arrival: str, mean_interarrival: float,
+                    seed: int) -> ArrivalProcess:
+    """The named arrival process for a target mean interarrival gap.
+
+    ``"mmpp"`` sets the calm-state gap to 2.2x the target.  Bursts
+    take 1/6 of arrivals at 8x the calm rate, so the mean gap is
+    0.854x the calm gap and the stream offers about 0.53x the target
+    load, not the target itself (ROADMAP.md open item 6).
+    """
+    if arrival == "poisson":
+        return PoissonArrivals(mean_interarrival, seed=seed)
+    if arrival == "mmpp":
+        return MmppArrivals(mean_interarrival * 2.2, seed=seed)
+    raise ValueError(f"unknown arrival process {arrival!r}; "
+                     "expected 'poisson' or 'mmpp'")
+
+
 def build_requests(arrivals: ArrivalProcess, n_requests: int, *,
                    seed: int = 0, tenants: int = 8,
                    service_cycles: Tuple[int, int] = (20_000, 120_000),
@@ -845,18 +862,9 @@ def simulate_serving(scheme: str = "hfi", *, n_requests: int = 2000,
     if requests is None:
         mean_interarrival = (mean_service_cycles(costs, service_cycles)
                              / (max(1e-9, offered_load) * config.n_cores))
-        if arrival == "poisson":
-            process: ArrivalProcess = PoissonArrivals(
-                mean_interarrival, seed=seed)
-        elif arrival == "mmpp":
-            # calm-state rate scaled so the long-run offered load
-            # (including burst episodes) stays near the target
-            process = MmppArrivals(mean_interarrival * 2.2, seed=seed)
-        else:
-            raise ValueError(f"unknown arrival process {arrival!r}; "
-                             "pass requests= for trace replay")
-        requests = build_requests(process, n_requests, seed=seed,
-                                  service_cycles=service_cycles)
+        requests = build_requests(
+            arrival_process(arrival, mean_interarrival, seed),
+            n_requests, seed=seed, service_cycles=service_cycles)
     else:
         arrival_name = "trace"
     metrics = sim.run(requests, injector=injector)

@@ -161,8 +161,10 @@ def _chaos_smoke(stats: VerifyStats, failures: List[str],
 
 
 def _speculation_smoke(stats: VerifyStats, failures: List[str]) -> None:
-    """Run a mispredicting loop with the identity probe armed."""
+    """Run a mispredicting loop with the identity probe armed, under
+    every timing model."""
     from ..cpu.machine import Cpu
+    from ..cpu.timing import TIMING_MODELS
     from ..isa.assembler import Assembler
     from ..isa.operands import Imm
     from ..isa.registers import Reg
@@ -177,22 +179,24 @@ def _speculation_smoke(stats: VerifyStats, failures: List[str]) -> None:
     asm.hlt()
     program = asm.assemble()
 
-    cpu = Cpu()
-    probe = SpeculationIdentityProbe(raise_on_violation=False)
-    cpu.install_invariant_probe(probe)
-    cpu.load_program(program)
-    result = cpu.run(program.base)
-    if result.reason != "hlt" or cpu.regs.regs[Reg.RAX] != 192:
-        failures.append(
-            f"speculation smoke run misbehaved: reason={result.reason} "
-            f"rax={cpu.regs.regs[Reg.RAX]}")
-    if probe.checks == 0:
-        failures.append("speculation probe never fired (no rollback "
-                        "observed in a mispredicting loop)")
-    stats.invariant_checks += probe.checks
-    stats.invariant_violations += probe.violations
-    failures.extend(f"speculation invariant: {m}"
-                    for m in probe.violation_log)
+    for timing in TIMING_MODELS:
+        cpu = Cpu(timing=timing)
+        probe = SpeculationIdentityProbe(raise_on_violation=False)
+        cpu.install_invariant_probe(probe)
+        cpu.load_program(program)
+        result = cpu.run(program.base)
+        if result.reason != "hlt" or cpu.regs.regs[Reg.RAX] != 192:
+            failures.append(
+                f"speculation smoke [{timing}] run misbehaved: "
+                f"reason={result.reason} rax={cpu.regs.regs[Reg.RAX]}")
+        if probe.checks == 0:
+            failures.append(f"speculation probe [{timing}] never fired "
+                            "(no rollback observed in a mispredicting "
+                            "loop)")
+        stats.invariant_checks += probe.checks
+        stats.invariant_violations += probe.violations
+        failures.extend(f"speculation invariant [{timing}]: {m}"
+                        for m in probe.violation_log)
 
 
 def _ooo_smoke(stats: VerifyStats, failures: List[str]) -> None:

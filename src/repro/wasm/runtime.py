@@ -80,9 +80,9 @@ class WasmRuntime:
         self.space = space if space is not None else AddressSpace(params)
         self.kernel = kernel
         self.code_budget = code_budget
-        # ``timing=None`` defers to the process-wide default, so the
-        # CLI ``--timing`` flag (threaded through ``default_timing``)
-        # reaches runtimes constructed deep inside workloads.
+        # ``timing=None`` defers to the process-wide default, so
+        # ``default_timing`` reaches runtimes constructed deep inside
+        # workloads.
         self.cpu = Cpu(params, memory=self.space, timing=timing)
         #: The live sandboxes; teardown removes them.
         self.instances: List[WasmInstance] = []

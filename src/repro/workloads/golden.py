@@ -12,12 +12,8 @@ run — and reduces each to a flat dict of counters
 ``tests/golden_cycles.json``; ``tests/test_golden_cycles.py`` replays
 them and requires bit-equality.  Regenerate the fixture *only* for a
 change that is supposed to alter timing, and say so in the commit.
-
-.. warning::
-   Workloads must be evaluated in registry order.  Some builders
-   (sightglass temp naming) keep module-global counters, so building a
-   subset out of order produces different — still deterministic, but
-   different — programs.  :func:`run_all` is the supported entry point.
+Each workload builds its own program and machine, so any subset, in
+any order, reproduces the same counters.
 """
 
 from __future__ import annotations
@@ -218,7 +214,7 @@ GOLDEN_WORKLOADS: Dict[str, Callable[[], Metrics]] = {
 
 
 def run_all(timing: Optional[str] = None) -> Dict[str, Metrics]:
-    """Evaluate every golden workload, in registry order.
+    """Evaluate every golden workload.
 
     ``timing`` scopes the process-wide default timing backend for the
     duration of the run, so every CPU constructed inside the workloads

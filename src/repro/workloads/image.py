@@ -114,11 +114,3 @@ def jpeg_decode(resolution: str = "480p",
     return Module(f"jpeg-{resolution}-{compression}",
                   [Function("main", body)],
                   globals=["result"], data=coeffs)
-
-
-def all_configurations():
-    """Yield (resolution, compression, module) for the full Fig. 4 grid."""
-    for compression in COMPRESSION_ROUNDS:
-        for resolution in RESOLUTIONS:
-            yield resolution, compression, jpeg_decode(resolution,
-                                                       compression)

@@ -41,9 +41,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..params import DEFAULT_PARAMS, MachineParams
 from ..runtime.serving import (
     POOLED_POP_CYCLES,
-    MmppArrivals,
-    PoissonArrivals,
     SchemeCosts,
+    arrival_process,
     connection_lifecycle_costs,
 )
 from ..runtime.supervisor import Priority, Request
@@ -108,7 +107,8 @@ def build_connection_profiles(n_connections: int, *, seed: int = 0,
     ``load`` is relative to the *unprotected* server's capacity (bare
     service time), so each scheme faces the identical stream and its
     protection overhead shows up as queueing/shedding, exactly like
-    ``bench_serving``'s methodology.
+    the tail-latency benchmark
+    (``benchmarks/test_serving_tail_latency.py``).
     """
     model = NginxModel(params)
     rng = random.Random((seed << 8) ^ 0xC4A2)
@@ -120,10 +120,7 @@ def build_connection_profiles(n_connections: int, *, seed: int = 0,
         for w, size in zip(_FILE_SIZE_WEIGHTS, FILE_SIZES)) / weights_total
     mean_connection = mean_keepalive * mean_request
     mean_gap = mean_connection / (max(1e-9, load) * n_cores)
-    if arrival == "mmpp":
-        process = MmppArrivals(mean_gap * 2.2, seed=seed)
-    else:
-        process = PoissonArrivals(mean_gap, seed=seed)
+    process = arrival_process(arrival, mean_gap, seed)
     profiles: List[ConnectionProfile] = []
     clock = 0
     for index, gap in enumerate(process.interarrivals(n_connections)):
@@ -304,10 +301,7 @@ def render_requests(job_table: Dict[str, Dict[str, int]],
                     for _, job, _, _, _ in profiles)
                 / max(1, len(profiles)))
     mean_gap = mean_job / (max(1e-9, load) * n_cores)
-    if arrival == "mmpp":
-        process = MmppArrivals(mean_gap * 2.2, seed=seed)
-    else:
-        process = PoissonArrivals(mean_gap, seed=seed)
+    process = arrival_process(arrival, mean_gap, seed)
     gaps = list(process.interarrivals(len(profiles)))
     arrivals = []
     clock = 0

@@ -35,12 +35,6 @@ from ..wasm.ir import (
 )
 
 MASK32 = 0xFFFF_FFFF
-_temp_counter = [0]
-
-
-def _t(prefix: str = "t") -> str:
-    _temp_counter[0] += 1
-    return f"{prefix}{_temp_counter[0]}"
 
 
 def rotl(var: str, amount: int, bits: int = 32) -> List:

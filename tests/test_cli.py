@@ -1,8 +1,12 @@
 """Tests for the repro-hfi command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.runtime import SERVING_SCHEMES
+from repro.verify import sweep
 
 
 class TestCli:
@@ -25,6 +29,26 @@ class TestCli:
         # serving runs no CPU simulation, so it takes no backend flags
         with pytest.raises(SystemExit):
             main(["serve", "--timing", "ooo"])
+
+    def test_serve_bursty_overload_balances(self, capsys):
+        # exits 0 only if every scheme's request ledger balances
+        assert main(["serve", "--requests", "500", "--arrival", "mmpp",
+                     "--load", "1.2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload["schemes"]) == set(SERVING_SCHEMES)
+        assert all(run["accounted"] for run in payload["schemes"].values())
+
+    def test_verify_has_no_timing_flag(self):
+        # verify diffs every timing model itself, so no flag picks one
+        with pytest.raises(SystemExit):
+            main(["verify", "--timing", "ooo"])
+
+    def test_verify_seed_base_picks_comparator_seed(self, capsys):
+        assert main(["verify", "--seeds", "1", "--seed-base", "7",
+                     "--comparator-trials", "200", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["comparator"]["classified"] == dict(
+            sweep(trials=200, seed=7).counts)
 
     @pytest.mark.parametrize("flag, value", [("--cores", "0"),
                                              ("--slots-per-shard", "0"),
@@ -95,7 +119,6 @@ class TestCli:
         assert "goodput retained:" in out
 
     def test_chaos_json_payload(self, capsys):
-        import json
         assert main(["chaos", "--seeds", "2", "--requests", "40",
                      "--json", "--no-baseline"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -15,6 +15,7 @@ import pathlib
 
 import pytest
 
+from repro.cpu import default_timing
 from repro.workloads.golden import GOLDEN_WORKLOADS, run_all
 
 GOLDEN_FILES = {
@@ -25,12 +26,10 @@ GOLDEN_FILES = {
 @pytest.fixture(scope="module", params=sorted(GOLDEN_FILES),
                 ids=lambda timing: f"staged-{timing}")
 def locked(request):
-    # One pass over the whole registry, in order: some workload
-    # builders share module-global counters, so ordering is part of
-    # the contract (see repro.workloads.golden).  Parametrized over
-    # the timing models (the ids name the one execution engine too):
-    # no refactor may move a single counter relative to that model's
-    # frozen fixture.
+    # One pass over the whole registry, parametrized over the timing
+    # models (the ids name the one execution engine too): no refactor
+    # may move a single counter relative to that model's frozen
+    # fixture.
     timing = request.param
     fresh = run_all(timing=timing)
     golden = json.loads(GOLDEN_FILES[timing].read_text())
@@ -80,3 +79,12 @@ def test_timing_models_agree_architecturally():
             if key == "cycles":
                 continue
             assert actual[key] == expected[key], (name, key)
+
+
+def test_any_order_reproduces_fixture():
+    """Each workload builds its own program and machine, so evaluating
+    the registry backwards in one process reproduces the fixture."""
+    golden = json.loads(GOLDEN_FILES["inorder"].read_text())
+    with default_timing("inorder"):
+        for name in reversed(list(GOLDEN_WORKLOADS)):
+            assert GOLDEN_WORKLOADS[name]() == golden[name], name

@@ -64,6 +64,15 @@ class TestLifecycleCosts:
             render_scheme_costs("mpk")
 
 
+def test_unknown_arrival_rejected():
+    # both stream builders share simulate_serving's arrival names
+    with pytest.raises(ValueError, match="bursty"):
+        build_connection_profiles(10, arrival="bursty")
+    with pytest.raises(ValueError, match="bursty"):
+        render_requests({"job": {"guard-pages": 1000}}, 10,
+                        arrival="bursty")
+
+
 class TestConnectionChurn:
     def test_profiles_deterministic_and_scheme_independent(self):
         a = build_connection_profiles(50, seed=9, load=0.7)
