@@ -31,16 +31,12 @@ Writes ``benchmarks/results/ooo_sweep.json``.
 """
 
 from repro.analysis import emit_json
-from repro.core import ImplicitCodeRegion, ImplicitDataRegion, SandboxFlags
-from repro.core.encoding import encode_region, encode_sandbox
-from repro.core.regions import ExplicitDataRegion
-from repro.cpu.machine import Cpu
-from repro.isa import Assembler, Imm, Mem, Reg
-from repro.os.address_space import AddressSpace, Prot
+from repro.cpu import default_timing
 from repro.params import MachineParams
 from repro.wasm import WasmRuntime, make_strategy
 from repro.wasm.ir import (BinOp, BinaryOp, Const, Function, Load, Loop,
                            Module, Store, StoreGlobal)
+from repro.workloads.golden import transition_loop
 from repro.workloads.sightglass import SIGHTGLASS_BENCHMARKS
 from repro.workloads.spec import SPEC_BENCHMARKS
 
@@ -211,57 +207,13 @@ def run_hmov_overlap(check_cycles=3):
 # 4. serialization drain (§3.4, Figs. 6/7 analogue)
 # ----------------------------------------------------------------------
 def transition_cycles(timing, serialized, iterations=TRANSITION_ITERS):
-    """The golden NGINX transition loop, parameterized on whether the
-    sandbox descriptor marks enter/exit as serialized."""
-    params = MachineParams()
-    mem = AddressSpace(params)
-    cpu = Cpu(params, memory=mem, timing=timing)
-    heap = mem.mmap(1 << 20, Prot.rw(), addr=0x10_0000)
-    stack = mem.mmap(1 << 16, Prot.rw(), addr=0x7F_0000)
-    cpu.regs.write(Reg.RSP, stack + (1 << 16) - 64)
-    desc = mem.mmap(4096, Prot.rw(), addr=0x20_0000)
-
-    code = ImplicitCodeRegion.covering(0x40_0000, 1 << 16)
-    data = ImplicitDataRegion(heap, 0xFFFF, True, True)
-    stack_region = ImplicitDataRegion(0x7F_0000, 0xFFFF, True, True)
-    explicit = ExplicitDataRegion(heap, 1 << 16, permission_read=True,
-                                  permission_write=True)
-    mem.write_bytes(desc, encode_region(code))
-    mem.write_bytes(desc + 24, encode_region(data))
-    mem.write_bytes(desc + 48, encode_region(stack_region))
-    mem.write_bytes(desc + 72, encode_region(explicit))
-    mem.write_bytes(desc + 96, encode_sandbox(
-        SandboxFlags(is_hybrid=False, is_serialized=serialized)))
-
-    asm = Assembler()
-    asm.mov(Reg.RDI, Imm(desc))
-    asm.hfi_set_region(0, Reg.RDI)
-    asm.mov(Reg.RDI, Imm(desc + 24))
-    asm.hfi_set_region(2, Reg.RDI)
-    asm.mov(Reg.RDI, Imm(desc + 48))
-    asm.hfi_set_region(3, Reg.RDI)
-    asm.mov(Reg.RDI, Imm(desc + 72))
-    asm.hfi_set_region(6, Reg.RDI)
-    asm.mov(Reg.R8, Imm(iterations))
-    asm.mov(Reg.RDI, Imm(desc + 96))
-    asm.label("request")
-    asm.hfi_enter(Reg.RDI)
-    asm.mov(Reg.RBX, Imm(heap))
-    asm.mov(Reg.RAX, Mem(base=Reg.RBX, disp=16))
-    asm.add(Reg.RAX, Imm(0x1234))
-    asm.mov(Mem(base=Reg.RBX, disp=16), Reg.RAX)
-    asm.mov(Reg.RCX, Imm(64))
-    asm.hmov(0, Reg.RDX, Mem(index=Reg.RCX, scale=1, disp=0))
-    asm.hmov(0, Mem(index=Reg.RCX, scale=1, disp=8), Reg.RDX)
-    asm.hfi_exit()
-    asm.dec(Reg.R8)
-    asm.jne("request")
-    asm.hlt()
-    program = asm.assemble()
-    cpu.load_program(program)
-    result = cpu.run(program.base, max_instructions=1_000_000)
-    assert result.reason == "hlt", (timing, serialized, result.reason)
-    return cpu.stats.cycles
+    """The golden NGINX transition loop under ``timing``, with enter and
+    exit serialized or not."""
+    with default_timing(timing):
+        metrics = transition_loop(iterations, serialized=serialized)
+    assert metrics["reason"] == "hlt", (timing, serialized,
+                                        metrics["reason"])
+    return metrics["cycles"]
 
 
 def run_serialization_drain():

@@ -7,25 +7,16 @@ hfi_set_region — a ~30x difference.
 
 from repro.analysis import emit, format_table
 from repro.params import MachineParams
-from repro.wasm import GuardPagesStrategy, HfiStrategy, WASM_PAGE
-from repro.os import AddressSpace, Prot
+from repro.wasm import GuardPagesStrategy, HfiStrategy, WASM_PAGE, WasmRuntime
 
 TARGET_BYTES = 4 << 30
-STEPS = TARGET_BYTES // WASM_PAGE  # 65,536 grow calls
+STEPS = TARGET_BYTES // WASM_PAGE  # 65,536 pages
 
 
 def grow_with(strategy_cls, params):
-    space = AddressSpace(params)
-    strategy = strategy_cls()
-    heap_base, _ = strategy.reserve_memory(space, WASM_PAGE)
-    total = 0
-    size = WASM_PAGE
-    while size < TARGET_BYTES:
-        total += params.memory_grow_bookkeeping_cycles
-        total += strategy.grow_cost(space, heap_base, size,
-                                    size + WASM_PAGE, params)
-        size += WASM_PAGE
-    return total
+    runtime = WasmRuntime(params)
+    instance = runtime.reserve_instance(strategy_cls(), WASM_PAGE)
+    return sum(runtime.memory_grow(instance, 1) for _ in range(STEPS - 1))
 
 
 def test_sec61_heap_growth():

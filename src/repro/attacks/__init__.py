@@ -1,20 +1,11 @@
 """Spectre attack suite (SafeSide / TransientFail analogues, §5.3)."""
 
-from .cache_channel import (
-    PROBE_SLOTS,
-    PROBE_STRIDE,
-    ProbeArray,
-    flush_probe,
-    hit_threshold,
-    recover_byte,
-    reload_latencies,
-)
+from .harness import PROBE_SLOTS, PROBE_STRIDE, AttackResult, SpectreAttack
 from .spectre_btb import SpectreBtbAttack
-from .spectre_pht import AttackResult, SpectrePhtAttack
+from .spectre_pht import SpectrePhtAttack
 from .spectre_rsb import SpectreRsbAttack
 
 __all__ = [
-    "ProbeArray", "flush_probe", "reload_latencies", "hit_threshold",
-    "recover_byte", "PROBE_SLOTS", "PROBE_STRIDE", "AttackResult",
+    "PROBE_SLOTS", "PROBE_STRIDE", "AttackResult", "SpectreAttack",
     "SpectrePhtAttack", "SpectreBtbAttack", "SpectreRsbAttack",
 ]

@@ -20,103 +20,48 @@ our BTB does predict indirect targets, so we run the real shape.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
-from ..core import ImplicitCodeRegion, ImplicitDataRegion, SandboxFlags
-from ..core.encoding import encode_region, encode_sandbox
-from ..cpu.machine import Cpu
-from ..isa import Assembler, Imm, Mem, Reg
-from ..os.address_space import AddressSpace, Prot
+from ..core import ImplicitCodeRegion
+from ..isa import Assembler, Imm, Mem, Program, Reg
 from ..params import DEFAULT_PARAMS, MachineParams
-from .cache_channel import (
-    ProbeArray,
-    flush_probe,
-    hit_threshold,
-    recover_byte,
-    reload_latencies,
-)
-from .spectre_pht import AttackResult
+from .harness import (CODE_BASE, DATA_BASE, PROBE_BASE, SECRET_BASE,
+                      AttackResult, SpectreAttack)
 
-_CODE_BASE = 0x40_0000
 _GADGET_BASE = 0x48_0000     # separate 64K block: can be excluded from
                              # the code regions to show the fetch defence
-_DATA_BASE = 0x10_0000
-_PROBE_BASE = 0x20_0000
-_SECRET_BASE = 0x30_0000
-_STACK_BASE = 0x0F_0000
-_DESC_BASE = 0x0E_0000
-
-_FNPTR_ADDR = _DATA_BASE
-_SECRET_PTR_ADDR = _DATA_BASE + 8
-_DUMMY_ADDR = _DATA_BASE + 128   # in-bounds byte the training runs read
+_FNPTR_ADDR = DATA_BASE
+_SECRET_PTR_ADDR = DATA_BASE + 8
+_DUMMY_ADDR = DATA_BASE + 128    # in-bounds byte the training runs read
 
 
-class SpectreBtbAttack:
+class SpectreBtbAttack(SpectreAttack):
     """Builds victim + gadget, trains the BTB, attacks, reloads."""
+
+    # the training reads the dummy byte (0) through the gadget
+    ignored_slots = frozenset({0})
 
     def __init__(self, params: MachineParams = DEFAULT_PARAMS,
                  protect_with_hfi: bool = False,
                  gadget_in_code_region: bool = True):
-        self.params = params
-        self.protect_with_hfi = protect_with_hfi
         self.gadget_in_code_region = gadget_in_code_region
-        self.space = AddressSpace(params)
-        self.cpu = Cpu(params, memory=self.space)
-        self.probe = ProbeArray(base=_PROBE_BASE)
-        self._build_memory()
-        self._build_programs()
+        super().__init__(params, protect_with_hfi)
 
-    def _build_memory(self) -> None:
-        space = self.space
-        space.mmap(1 << 16, Prot.rw(), addr=_DATA_BASE, name="victim-data")
-        space.mmap(self.probe.bytes_needed + 4096, Prot.rw(),
-                   addr=_PROBE_BASE, name="probe")
-        space.mmap(1 << 12, Prot.rw(), addr=_SECRET_BASE, name="secret")
-        space.mmap(1 << 16, Prot.rw(), addr=_STACK_BASE, name="stack")
-        space.mmap(1 << 12, Prot.rw(), addr=_DESC_BASE, name="descriptors")
-        space.write(_DUMMY_ADDR, 0, 1)
-        if self.protect_with_hfi:
-            self._stage_descriptors()
+    def _code_regions(self) -> List[ImplicitCodeRegion]:
+        # without the gadget, the second code slot points elsewhere:
+        # the gadget is not executable
+        second = _GADGET_BASE if self.gadget_in_code_region else CODE_BASE
+        return [ImplicitCodeRegion.covering(base, 1 << 16)
+                for base in (CODE_BASE, second)]
 
-    def _stage_descriptors(self) -> None:
-        space = self.space
-        code0 = ImplicitCodeRegion.covering(_CODE_BASE, 1 << 16)
-        if self.gadget_in_code_region:
-            code1 = ImplicitCodeRegion.covering(_GADGET_BASE, 1 << 16)
-        else:
-            # second code slot points elsewhere: gadget not executable
-            code1 = ImplicitCodeRegion.covering(_CODE_BASE, 1 << 16)
-        data = ImplicitDataRegion.covering(_DATA_BASE, 1 << 16,
-                                           read=True, write=True)
-        probe = ImplicitDataRegion.covering(
-            _PROBE_BASE, self.probe.bytes_needed + 4096,
-            read=True, write=True)
-        stack = ImplicitDataRegion.covering(_STACK_BASE, 1 << 16,
-                                            read=True, write=True)
-        space.write_bytes(_DESC_BASE + 0, encode_region(code0))
-        space.write_bytes(_DESC_BASE + 24, encode_region(code1))
-        space.write_bytes(_DESC_BASE + 48, encode_region(data))
-        space.write_bytes(_DESC_BASE + 72, encode_region(probe))
-        space.write_bytes(_DESC_BASE + 96, encode_region(stack))
-        space.write_bytes(_DESC_BASE + 120, encode_sandbox(
-            SandboxFlags(is_hybrid=True, is_serialized=True)))
-
-    def _build_programs(self) -> None:
-        asm = Assembler(base=_CODE_BASE)
-        if self.protect_with_hfi:
-            for slot, (number, off) in enumerate(
-                    [(0, 0), (1, 24), (2, 48), (3, 72), (4, 96)]):
-                asm.mov(Reg.RDI, Imm(_DESC_BASE + off))
-                asm.hfi_set_region(number, Reg.RDI)
-            asm.mov(Reg.RDI, Imm(_DESC_BASE + 120))
-            asm.hfi_enter(Reg.RDI)
+    def _build_victim(self) -> List[Program]:
+        self.space.write(_DUMMY_ADDR, 0, 1)
+        asm = Assembler(base=CODE_BASE)
+        self._enter(asm)
         asm.mov(Reg.R8, Mem(disp=_FNPTR_ADDR))
         asm.jmp(Reg.R8)                      # the BTB-predicted dispatch
         asm.label("legit")
-        if self.protect_with_hfi:
-            asm.hfi_exit()
-        asm.hlt()
+        self._exit(asm)
         self.victim = asm.assemble()
         self.legit_addr = self.victim.labels["legit"]
 
@@ -124,15 +69,10 @@ class SpectreBtbAttack:
         gadget.mov(Reg.R9, Mem(disp=_SECRET_PTR_ADDR))
         gadget.mov(Reg.RAX, Mem(base=Reg.R9, size=1))
         gadget.shl(Reg.RAX, Imm(9))
-        gadget.mov(Reg.RSI, Mem(base=Reg.RAX, disp=_PROBE_BASE, size=1))
-        if self.protect_with_hfi:
-            gadget.hfi_exit()
-        gadget.hlt()
+        gadget.mov(Reg.RSI, Mem(base=Reg.RAX, disp=PROBE_BASE, size=1))
+        self._exit(gadget)
         self.gadget = gadget.assemble()
-
-        self.cpu.load_program(self.victim)
-        self.cpu.load_program(self.gadget)
-        self.cpu.regs.write(Reg.RSP, _STACK_BASE + (1 << 16) - 64)
+        return [self.victim, self.gadget]
 
     # ------------------------------------------------------------------
     def _invoke_victim(self, fn_target: int, secret_ptr: int) -> None:
@@ -148,15 +88,8 @@ class SpectreBtbAttack:
 
     def attack(self, secret_value: int = ord("S"),
                train_rounds: int = 6) -> AttackResult:
-        self.space.write(_SECRET_BASE, secret_value, 1)
+        self.plant_secret(secret_value)
         self.train(train_rounds)
-        flush_probe(self.cpu, self.probe)
-        self._invoke_victim(self.legit_addr, _SECRET_BASE)
-        latencies = reload_latencies(self.cpu, self.probe)
-        threshold = hit_threshold(self.cpu)
-        hits = recover_byte(latencies, threshold)
-        candidates = dict(hits)
-        candidates.pop(0, None)   # dummy byte touched during training
-        leaked = min(candidates, key=candidates.get) if candidates else None
-        return AttackResult(latencies=latencies, threshold=threshold,
-                            hits=hits, leaked_value=leaked)
+        self.flush()
+        self._invoke_victim(self.legit_addr, SECRET_BASE)
+        return self.reload()

@@ -18,111 +18,33 @@ plot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
-from ..core import ImplicitCodeRegion, ImplicitDataRegion, SandboxFlags
-from ..core.encoding import encode_region, encode_sandbox
-from ..cpu.machine import Cpu
-from ..isa import Assembler, Imm, Mem, Reg
-from ..os.address_space import AddressSpace, Prot
+from ..isa import Assembler, Imm, Mem, Program, Reg
 from ..params import DEFAULT_PARAMS, MachineParams
-from .cache_channel import (
-    ProbeArray,
-    flush_probe,
-    hit_threshold,
-    recover_byte,
-    reload_latencies,
-)
+from .harness import (CODE_BASE, DATA_BASE, PROBE_BASE, SECRET_BASE,
+                      AttackResult, SpectreAttack)
 
-_CODE_BASE = 0x40_0000
-_DATA_BASE = 0x10_0000      # x, array1_size, array1 (sandbox-visible)
-_PROBE_BASE = 0x20_0000     # array2 (sandbox-visible)
-_SECRET_BASE = 0x30_0000    # host secret (NOT covered by HFI regions)
-_STACK_BASE = 0x0F_0000
-_DESC_BASE = 0x0E_0000
-
-_X_ADDR = _DATA_BASE
-_SIZE_ADDR = _DATA_BASE + 8
-_ARRAY1_ADDR = _DATA_BASE + 64
+_X_ADDR = DATA_BASE             # x, array1_size, array1
+_SIZE_ADDR = DATA_BASE + 8
+_ARRAY1_ADDR = DATA_BASE + 64
 
 
-@dataclass
-class AttackResult:
-    """Outcome of one leak attempt."""
-
-    latencies: List[int]
-    threshold: int
-    hits: Dict[int, int]
-    leaked_value: Optional[int]
-
-    @property
-    def leaked(self) -> bool:
-        return self.leaked_value is not None
-
-
-class SpectrePhtAttack:
+class SpectrePhtAttack(SpectreAttack):
     """Builds the victim, trains the PHT, runs the attack, reloads."""
 
     def __init__(self, params: MachineParams = DEFAULT_PARAMS,
                  protect_with_hfi: bool = False,
                  array1_size: int = 16):
-        self.params = params
-        self.protect_with_hfi = protect_with_hfi
         self.array1_size = array1_size
-        self.space = AddressSpace(params)
-        self.cpu = Cpu(params, memory=self.space)
-        self.probe = ProbeArray(base=_PROBE_BASE)
-        self._build_memory()
-        self._build_victim()
+        super().__init__(params, protect_with_hfi)
 
-    # ------------------------------------------------------------------
-    def _build_memory(self) -> None:
-        space = self.space
-        space.mmap(1 << 16, Prot.rw(), addr=_DATA_BASE, name="victim-data")
-        space.mmap(self.probe.bytes_needed + 4096, Prot.rw(),
-                   addr=_PROBE_BASE, name="probe")
-        space.mmap(1 << 12, Prot.rw(), addr=_SECRET_BASE, name="secret")
-        space.mmap(1 << 16, Prot.rw(), addr=_STACK_BASE, name="stack")
-        space.mmap(1 << 12, Prot.rw(), addr=_DESC_BASE, name="descriptors")
-        space.write(_SIZE_ADDR, self.array1_size, 8)
+    def _build_victim(self) -> List[Program]:
+        self.space.write(_SIZE_ADDR, self.array1_size, 8)
         for i in range(self.array1_size):
-            space.write(_ARRAY1_ADDR + i, i & 0xFF, 1)
-        if self.protect_with_hfi:
-            self._stage_descriptors()
-
-    def _stage_descriptors(self) -> None:
-        """Regions covering everything the victim needs — but not the
-        secret (the host protects it exactly as §5.3 describes)."""
-        space = self.space
-        code = ImplicitCodeRegion.covering(_CODE_BASE, 1 << 16)
-        data = ImplicitDataRegion.covering(_DATA_BASE, 1 << 16,
-                                           read=True, write=True)
-        probe = ImplicitDataRegion.covering(
-            _PROBE_BASE, self.probe.bytes_needed + 4096,
-            read=True, write=True)
-        stack = ImplicitDataRegion.covering(_STACK_BASE, 1 << 16,
-                                            read=True, write=True)
-        space.write_bytes(_DESC_BASE + 0, encode_region(code))
-        space.write_bytes(_DESC_BASE + 24, encode_region(data))
-        space.write_bytes(_DESC_BASE + 48, encode_region(probe))
-        space.write_bytes(_DESC_BASE + 72, encode_region(stack))
-        space.write_bytes(_DESC_BASE + 96, encode_sandbox(
-            SandboxFlags(is_hybrid=True, is_serialized=True)))
-
-    def _build_victim(self) -> None:
-        asm = Assembler(base=_CODE_BASE)
-        if self.protect_with_hfi:
-            asm.mov(Reg.RDI, Imm(_DESC_BASE + 0))
-            asm.hfi_set_region(0, Reg.RDI)
-            asm.mov(Reg.RDI, Imm(_DESC_BASE + 24))
-            asm.hfi_set_region(2, Reg.RDI)
-            asm.mov(Reg.RDI, Imm(_DESC_BASE + 48))
-            asm.hfi_set_region(3, Reg.RDI)
-            asm.mov(Reg.RDI, Imm(_DESC_BASE + 72))
-            asm.hfi_set_region(4, Reg.RDI)
-            asm.mov(Reg.RDI, Imm(_DESC_BASE + 96))
-            asm.hfi_enter(Reg.RDI)
+            self.space.write(_ARRAY1_ADDR + i, i & 0xFF, 1)
+        asm = Assembler(base=CODE_BASE)
+        self._enter(asm)
         # --- the SafeSide gadget ---
         asm.mov(Reg.RBX, Mem(disp=_X_ADDR))          # x
         asm.mov(Reg.RCX, Mem(disp=_SIZE_ADDR))       # array1_size
@@ -130,21 +52,18 @@ class SpectrePhtAttack:
         asm.jae("done")                              # bounds check
         asm.mov(Reg.RAX, Mem(base=Reg.RBX, disp=_ARRAY1_ADDR, size=1))
         asm.shl(Reg.RAX, Imm(9))                     # * 512
-        asm.mov(Reg.RSI, Mem(base=Reg.RAX, disp=_PROBE_BASE, size=1))
+        asm.mov(Reg.RSI, Mem(base=Reg.RAX, disp=PROBE_BASE, size=1))
         asm.label("done")
-        if self.protect_with_hfi:
-            asm.hfi_exit()
-        asm.hlt()
+        self._exit(asm)
         self.program = asm.assemble()
-        self.cpu.load_program(self.program)
-        self.cpu.regs.write(Reg.RSP, _STACK_BASE + (1 << 16) - 64)
+        return [self.program]
 
     # ------------------------------------------------------------------
     def plant_secret(self, value: int) -> int:
         """Write the secret byte into host memory; returns the
         out-of-bounds x that aliases it through array1."""
-        self.space.write(_SECRET_BASE, value, 1)
-        return _SECRET_BASE - _ARRAY1_ADDR
+        super().plant_secret(value)
+        return SECRET_BASE - _ARRAY1_ADDR
 
     def _invoke_victim(self, x: int) -> None:
         self.space.write(_X_ADDR, x, 8)
@@ -160,13 +79,6 @@ class SpectrePhtAttack:
         """Full in-place Spectre-PHT attempt; returns the evidence."""
         oob_x = self.plant_secret(secret_value)
         self.train(train_rounds)
-        flush_probe(self.cpu, self.probe)
+        self.flush()
         self._invoke_victim(oob_x)
-        latencies = reload_latencies(self.cpu, self.probe)
-        threshold = hit_threshold(self.cpu)
-        hits = recover_byte(latencies, threshold)
-        # The probe was flushed *after* training, so the only warm slot
-        # is the one the speculative load filled.
-        leaked = min(hits, key=hits.get) if hits else None
-        return AttackResult(latencies=latencies, threshold=threshold,
-                            hits=hits, leaked_value=leaked)
+        return self.reload()

@@ -15,95 +15,31 @@ PHT/BTB — before any cache fill.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
-from ..core import ImplicitCodeRegion, ImplicitDataRegion, SandboxFlags
-from ..core.encoding import encode_region, encode_sandbox
-from ..cpu.machine import Cpu
-from ..isa import Assembler, Imm, Mem, Reg
-from ..os.address_space import AddressSpace, Prot
-from ..params import DEFAULT_PARAMS, MachineParams
-from .cache_channel import (
-    ProbeArray,
-    flush_probe,
-    hit_threshold,
-    recover_byte,
-    reload_latencies,
-)
-from .spectre_pht import AttackResult
+from ..isa import Assembler, Imm, Mem, Program, Reg
+from .harness import (CODE_BASE, DATA_BASE, PROBE_BASE, SECRET_BASE,
+                      STACK_TOP, AttackResult, SpectreAttack)
 
-_CODE_BASE = 0x40_0000
-_DATA_BASE = 0x10_0000
-_PROBE_BASE = 0x20_0000
-_SECRET_BASE = 0x30_0000
-_STACK_BASE = 0x0F_0000
-_ALT_STACK = 0x0F_8000
-_DESC_BASE = 0x0E_0000
-
-_SECRET_PTR_ADDR = _DATA_BASE
-_DUMMY_ADDR = _DATA_BASE + 64
+_SECRET_PTR_ADDR = DATA_BASE
 
 
-class SpectreRsbAttack:
+class SpectreRsbAttack(SpectreAttack):
     """Builds the stack-switching victim and runs the leak."""
 
-    def __init__(self, params: MachineParams = DEFAULT_PARAMS,
-                 protect_with_hfi: bool = False):
-        self.params = params
-        self.protect_with_hfi = protect_with_hfi
-        self.space = AddressSpace(params)
-        self.cpu = Cpu(params, memory=self.space)
-        self.probe = ProbeArray(base=_PROBE_BASE)
-        self._build_memory()
-        self._build_program()
-
-    def _build_memory(self) -> None:
-        space = self.space
-        space.mmap(1 << 16, Prot.rw(), addr=_DATA_BASE, name="victim")
-        space.mmap(self.probe.bytes_needed + 4096, Prot.rw(),
-                   addr=_PROBE_BASE, name="probe")
-        space.mmap(1 << 12, Prot.rw(), addr=_SECRET_BASE, name="secret")
-        space.mmap(1 << 16, Prot.rw(), addr=_STACK_BASE, name="stack")
-        space.mmap(1 << 12, Prot.rw(), addr=_DESC_BASE, name="desc")
-        space.write(_DUMMY_ADDR, 0, 1)
-        if self.protect_with_hfi:
-            code = ImplicitCodeRegion.covering(_CODE_BASE, 1 << 16)
-            data = ImplicitDataRegion.covering(_DATA_BASE, 1 << 16,
-                                               read=True, write=True)
-            probe = ImplicitDataRegion.covering(
-                _PROBE_BASE, self.probe.bytes_needed + 4096,
-                read=True, write=True)
-            stack = ImplicitDataRegion.covering(_STACK_BASE, 1 << 16,
-                                                read=True, write=True)
-            space.write_bytes(_DESC_BASE + 0, encode_region(code))
-            space.write_bytes(_DESC_BASE + 24, encode_region(data))
-            space.write_bytes(_DESC_BASE + 48, encode_region(probe))
-            space.write_bytes(_DESC_BASE + 72, encode_region(stack))
-            space.write_bytes(_DESC_BASE + 96, encode_sandbox(
-                SandboxFlags(is_hybrid=True, is_serialized=True)))
-
-    def _build_program(self) -> None:
-        asm = Assembler(base=_CODE_BASE)
-        if self.protect_with_hfi:
-            for number, off in ((0, 0), (2, 24), (3, 48), (4, 72)):
-                asm.mov(Reg.RDI, Imm(_DESC_BASE + off))
-                asm.hfi_set_region(number, Reg.RDI)
-            asm.mov(Reg.RDI, Imm(_DESC_BASE + 96))
-            asm.hfi_enter(Reg.RDI)
+    def _build_victim(self) -> List[Program]:
+        asm = Assembler(base=CODE_BASE)
+        self._enter(asm)
         asm.call("victim")
         # --- the disclosure gadget sits at the *predicted* return ---
         asm.mov(Reg.R9, Mem(disp=_SECRET_PTR_ADDR))
         asm.mov(Reg.RAX, Mem(base=Reg.R9, size=1))
         asm.shl(Reg.RAX, Imm(9))
-        asm.mov(Reg.RSI, Mem(base=Reg.RAX, disp=_PROBE_BASE, size=1))
+        asm.mov(Reg.RSI, Mem(base=Reg.RAX, disp=PROBE_BASE, size=1))
         asm.label("after_gadget")
-        if self.protect_with_hfi:
-            asm.hfi_exit()
-        asm.hlt()
+        self._exit(asm)
         asm.label("landing")                 # architectural return
-        if self.protect_with_hfi:
-            asm.hfi_exit()
-        asm.hlt()
+        self._exit(asm)
         asm.label("victim")
         # overwrite the return address: the RSB still predicts the
         # gadget address (call site + 1)
@@ -117,22 +53,16 @@ class SpectreRsbAttack:
                           if ins.label == "victim")
         self.program.instructions[victim_idx].operands = (
             Reg.R8, Imm(landing))
-        self.cpu.load_program(self.program)
-        self.cpu.regs.write(Reg.RSP, _STACK_BASE + (1 << 16) - 64)
+        return [self.program]
 
     # ------------------------------------------------------------------
     def _invoke(self, secret_ptr: int) -> None:
         self.space.write(_SECRET_PTR_ADDR, secret_ptr, 8)
-        self.cpu.regs.write(Reg.RSP, _STACK_BASE + (1 << 16) - 64)
+        self.cpu.regs.write(Reg.RSP, STACK_TOP)
         self.cpu.run(self.program.base, max_instructions=200)
 
     def attack(self, secret_value: int = ord("R")) -> AttackResult:
-        self.space.write(_SECRET_BASE, secret_value, 1)
-        flush_probe(self.cpu, self.probe)
-        self._invoke(_SECRET_BASE)
-        latencies = reload_latencies(self.cpu, self.probe)
-        threshold = hit_threshold(self.cpu)
-        hits = recover_byte(latencies, threshold)
-        leaked = min(hits, key=hits.get) if hits else None
-        return AttackResult(latencies=latencies, threshold=threshold,
-                            hits=hits, leaked_value=leaked)
+        self.plant_secret(secret_value)
+        self.flush()
+        self._invoke(SECRET_BASE)
+        return self.reload()

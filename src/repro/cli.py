@@ -179,22 +179,16 @@ def cmd_nginx(args) -> int:
 
 
 def cmd_heap_growth(args) -> int:
-    from .os import AddressSpace
-    from .wasm import WASM_PAGE, GuardPagesStrategy, HfiStrategy
+    from .wasm import WASM_PAGE, GuardPagesStrategy, HfiStrategy, WasmRuntime
     params = MachineParams()
     rows = []
     for label, strategy in (("mprotect (guard pages)",
                              GuardPagesStrategy()),
                             ("hfi_set_region", HfiStrategy())):
-        space = AddressSpace(params)
-        base, _ = strategy.reserve_memory(space, WASM_PAGE)
-        total, size = 0, WASM_PAGE
-        target = args.gib << 30
-        while size < target:
-            total += params.memory_grow_bookkeeping_cycles
-            total += strategy.grow_cost(space, base, size,
-                                        size + WASM_PAGE, params)
-            size += WASM_PAGE
+        runtime = WasmRuntime(params)
+        instance = runtime.reserve_instance(strategy, WASM_PAGE)
+        total = sum(runtime.memory_grow(instance, 1)
+                    for _ in range((args.gib << 30) // WASM_PAGE - 1))
         rows.append((label, f"{total:,}",
                      f"{params.cycles_to_seconds(total):.3f}"))
     payload = {"experiment": "heap-growth", "gib": args.gib,

@@ -60,9 +60,14 @@ def decoder(*opcodes: Opcode):
 
 
 class DecodedOp:
-    """One predecoded instruction: a bound handler plus metadata."""
+    """One predecoded instruction: a bound handler plus metadata.
 
-    __slots__ = ("run", "ins", "addr", "next_rip")
+    ``deps`` is the out-of-order timing model's (reads, writes) rename
+    summary, filled on the op's first retirement under that model, so
+    it lives and dies with the op.
+    """
+
+    __slots__ = ("run", "ins", "addr", "next_rip", "deps")
 
     def __init__(self, run: Callable, ins: Instruction, addr: int,
                  next_rip: int):
@@ -70,6 +75,7 @@ class DecodedOp:
         self.ins = ins
         self.addr = addr
         self.next_rip = next_rip
+        self.deps = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<DecodedOp {self.ins!r} @ {self.addr:#x}>"

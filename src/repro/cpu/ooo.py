@@ -172,7 +172,7 @@ class OutOfOrderTiming(InOrderTiming):
         "_ports_front", "_ports_issue", "_ports_retire",
         "_fetch_ready", "_last_retire", "_clock",
         "_cur", "_fetch_cost", "_extra", "_mem_lat", "_mem_ops",
-        "_check_lat", "_serialize_cost", "_redirect", "_deps_cache",
+        "_check_lat", "_serialize_cost", "_redirect",
         "_retired", "_drains", "_redirects", "_rob_stalls",
         "_prf_stalls", "_iq_stalls", "_lsq_stalls", "_peak_inflight",
         "_checks_overlapped", "_checks_exposed", "_order_violations",
@@ -220,7 +220,6 @@ class OutOfOrderTiming(InOrderTiming):
         self._check_lat = 0
         self._serialize_cost = -1
         self._redirect = False
-        self._deps_cache: Dict = {}
         self._retired = 0
         self._drains = 0
         self._redirects = 0
@@ -275,10 +274,9 @@ class OutOfOrderTiming(InOrderTiming):
         self._cur = None
         stats = self.stats
         params = self.params
-        deps = self._deps_cache.get(dop)
+        deps = dop.deps
         if deps is None:
-            deps = _derive_deps(dop.ins)
-            self._deps_cache[dop] = deps
+            deps = dop.deps = _derive_deps(dop.ins)
         reads, writes = deps
 
         # ---- front end: fetch slot, then decode/rename ----

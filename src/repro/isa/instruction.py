@@ -162,9 +162,5 @@ class Program:
         """Build the address index after layout."""
         self._by_addr = {ins.addr: ins for ins in self.instructions}
 
-    def invalidate_decode_cache(self) -> None:
-        """Drop all predecoded handlers (call after relaying-out)."""
-        self.__dict__.pop("_decode_cache", None)
-
     def __len__(self) -> int:
         return len(self.instructions)

@@ -23,9 +23,7 @@ from .serving import (
     arrival_process,
     build_requests,
     connection_lifecycle_costs,
-    load_trace,
     percentile,
-    save_trace,
     scheme_costs,
     simulate_serving,
 )
@@ -55,7 +53,7 @@ __all__ = [
     "TenantBreaker", "CLASSIFICATIONS", "shed_victims",
     "record_breaker_fault", "ShardedInstancePool", "ArrivalProcess",
     "PoissonArrivals", "MmppArrivals", "TraceArrivals",
-    "arrival_process", "build_requests", "save_trace", "load_trace",
+    "arrival_process", "build_requests",
     "SchemeCosts", "scheme_costs", "SERVING_SCHEMES", "ServingConfig",
     "ServingMetrics", "ServingSimulator", "simulate_serving",
     "connection_lifecycle_costs",

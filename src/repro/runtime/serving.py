@@ -8,8 +8,8 @@ sustains before the tail blows up.  This module models that node as
 an event-heap simulator in the image of the Firecracker serving
 architecture and the Faasm cluster setup (SNIPPETS.md):
 
-* **open-loop arrivals** — Poisson, bursty (2-state MMPP), or a
-  replayable trace file; the offered load never waits for the server;
+* **open-loop arrivals** — Poisson, bursty (2-state MMPP), or
+  replayed gaps; the offered load never waits for the server;
 * **N worker cores**, each owning a shard of a
   :class:`~repro.runtime.pool.ShardedInstancePool` with work-stealing
   when the local shard runs dry;
@@ -193,31 +193,6 @@ def build_requests(arrivals: ArrivalProcess, n_requests: int, *,
             service_cycles=rng.randrange(lo, hi), priority=priority,
             arrival_cycle=clock))
     return requests
-
-
-def save_trace(requests: Sequence[Request], path: str) -> None:
-    """Persist a request stream as a replayable JSON trace file."""
-    rows = [{"index": r.index, "tenant": r.tenant,
-             "service_cycles": r.service_cycles,
-             "priority": int(r.priority),
-             "arrival_cycle": r.arrival_cycle} for r in requests]
-    with open(path, "w") as fh:
-        json.dump({"format": "repro-hfi-trace-v1", "requests": rows}, fh,
-                  indent=2)
-        fh.write("\n")
-
-
-def load_trace(path: str) -> List[Request]:
-    """Load a trace file written by :func:`save_trace`."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "repro-hfi-trace-v1":
-        raise ValueError(f"{path}: not a repro-hfi trace file")
-    return [Request(index=row["index"], tenant=row["tenant"],
-                    service_cycles=row["service_cycles"],
-                    priority=row["priority"],
-                    arrival_cycle=row["arrival_cycle"])
-            for row in payload["requests"]]
 
 
 # ----------------------------------------------------------------------

@@ -95,11 +95,13 @@ def _wasm_case(suite: str, name: str, strategy: str) -> Callable[[], Metrics]:
 # ----------------------------------------------------------------------
 # NGINX-shaped transition loop (cycle-level enter/exit per "request")
 # ----------------------------------------------------------------------
-def _transition_loop(iterations: int = 200) -> Metrics:
-    """A trusted runtime entering/leaving a serialized sandbox per
-    iteration — the per-request shape of the §6.4.2 NGINX experiment,
-    but run on the cycle simulator so transition costs (descriptor
-    loads, serialization drains, hmov checks) are locked end to end."""
+def transition_loop(iterations: int = 200,
+                    serialized: bool = True) -> Metrics:
+    """A trusted runtime entering/leaving a sandbox per iteration — the
+    per-request shape of the §6.4.2 NGINX experiment, but run on the
+    cycle simulator so transition costs (descriptor loads,
+    serialization drains, hmov checks) are locked end to end.
+    ``serialized`` marks enter/exit as serialized in the descriptor."""
     params = MachineParams()
     mem = AddressSpace(params)
     cpu = Cpu(params, memory=mem)
@@ -118,7 +120,7 @@ def _transition_loop(iterations: int = 200) -> Metrics:
     mem.write_bytes(desc + 48, encode_region(stack_region))
     mem.write_bytes(desc + 72, encode_region(explicit))
     mem.write_bytes(desc + 96, encode_sandbox(
-        SandboxFlags(is_hybrid=False, is_serialized=True)))
+        SandboxFlags(is_hybrid=False, is_serialized=serialized)))
 
     asm = Assembler()
     asm.mov(Reg.RDI, Imm(desc))
@@ -205,7 +207,7 @@ GOLDEN_WORKLOADS: Dict[str, Callable[[], Metrics]] = {
     "spec_mcf_hfi": _wasm_case("spec", "429.mcf", "hfi"),
     "spec_gobmk_hfi": _wasm_case("spec", "445.gobmk", "hfi"),
     # transitions + analytic NGINX grid
-    "nginx_transition_loop": _transition_loop,
+    "nginx_transition_loop": transition_loop,
     "nginx_request_grid": _nginx_request_grid,
     # Spectre-PHT: the channel open, then closed by HFI
     "spectre_pht_unprotected": lambda: _spectre_pht(False),

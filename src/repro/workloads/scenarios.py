@@ -264,8 +264,8 @@ def build_render_profiles(n_jobs: int, *, seed: int = 0,
                           tenants: int = 8,
                           high_fraction: float = 0.08,
                           low_fraction: float = 0.20,
-                          ) -> List[Tuple[int, str, str, int, int]]:
-    """Seeded job mix: ``(index, job, tenant, priority, weight-draw)``.
+                          ) -> List[Tuple[int, str, str, int]]:
+    """Seeded job mix: ``(index, job, tenant, priority)``.
 
     Arrival cycles are attached later (they depend on the measured
     baseline capacity), so this returns the scheme-independent part.
@@ -279,7 +279,7 @@ def build_render_profiles(n_jobs: int, *, seed: int = 0,
                     else Priority.LOW if draw < high_fraction + low_fraction
                     else Priority.NORMAL)
         out.append((index, names[rng.randrange(len(names))],
-                    f"tenant-{rng.randrange(tenants)}", priority, 0))
+                    f"tenant-{rng.randrange(tenants)}", priority))
     return out
 
 
@@ -298,7 +298,7 @@ def render_requests(job_table: Dict[str, Dict[str, int]],
     profiles = build_render_profiles(n_jobs, seed=seed,
                                      jobs=list(job_table))
     mean_job = (sum(job_table[job][baseline_scheme]
-                    for _, job, _, _, _ in profiles)
+                    for _, job, _, _ in profiles)
                 / max(1, len(profiles)))
     mean_gap = mean_job / (max(1e-9, load) * n_cores)
     process = arrival_process(arrival, mean_gap, seed)
@@ -314,7 +314,7 @@ def render_requests(job_table: Dict[str, Dict[str, int]],
             Request(index=index, tenant=tenant,
                     service_cycles=job_table[job][scheme],
                     priority=priority, arrival_cycle=arrivals[index])
-            for index, job, tenant, priority, _ in profiles]
+            for index, job, tenant, priority in profiles]
     return streams
 
 

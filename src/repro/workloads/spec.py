@@ -48,14 +48,6 @@ from ..wasm.ir import (
 MASK32 = 0xFFFF_FFFF
 
 
-def _lcg(ops: List, x: str = "x") -> None:
-    ops += [
-        BinOp(BinaryOp.MUL, x, x, 1103515245),
-        BinOp(BinaryOp.ADD, x, x, 12345),
-        BinOp(BinaryOp.AND, x, x, MASK32),
-    ]
-
-
 def _chain_data(n_nodes: int, stride: int, seed: int) -> bytes:
     """A random pointer-chase permutation: node i stores the byte
     offset of its successor."""

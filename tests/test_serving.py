@@ -25,8 +25,6 @@ from repro.runtime import (
     ShardedInstancePool,
     TraceArrivals,
     build_requests,
-    load_trace,
-    save_trace,
     scheme_costs,
     shed_victims,
     simulate_serving,
@@ -97,20 +95,6 @@ class TestArrivals:
         assert arrivals == sorted(arrivals)
         priorities = {r.priority for r in requests}
         assert priorities == {Priority.LOW, Priority.NORMAL, Priority.HIGH}
-
-    def test_trace_round_trips_through_file(self, tmp_path):
-        requests = build_requests(PoissonArrivals(800.0, seed=5), 50,
-                                  seed=5)
-        path = str(tmp_path / "trace.json")
-        save_trace(requests, path)
-        replayed = load_trace(path)
-        assert replayed == requests
-
-    def test_load_trace_rejects_foreign_json(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text('{"format": "something-else", "requests": []}')
-        with pytest.raises(ValueError):
-            load_trace(str(path))
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import weakref
 
 import pytest
 
-from repro.cpu import Cpu
+from repro.cpu import TIMING_MODELS, Cpu
 from repro.isa import Assembler, Imm, Reg
 from repro.params import MachineParams
 from repro.wasm import WasmRuntime, make_strategy
@@ -42,8 +42,9 @@ def address_state(runtime, instance):
 
 
 class TestTeardownReleases:
-    def test_torn_down_program_is_freed_without_the_collector(self):
-        runtime = WasmRuntime()
+    @pytest.mark.parametrize("timing", TIMING_MODELS)
+    def test_torn_down_program_is_freed_without_the_collector(self, timing):
+        runtime = WasmRuntime(timing=timing)
         instance = runtime.instantiate(module(1), make_strategy("hfi"))
         assert runtime.run(instance).reason == "hlt"
         program = instance.compiled.program
