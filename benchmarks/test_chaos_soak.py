@@ -12,9 +12,9 @@ Gates:
    clean — zero leaked pool slots, zero zombie sandboxes, clean pool
    invariants, and every injected fault classified.
 2. **goodput_retained** (graceful degradation): at the 5% fault rate
-   the supervised runtime retains at least 90% of fault-free goodput
-   (watchdog kills, quarantine scrubs, backoff, and shed bursts
-   together cost < 10%).
+   the serving loop on real sandboxes retains at least 90% of
+   fault-free goodput (watchdog kills, quarantine scrubs, backoff, and
+   shed bursts together cost < 10%).
 
 Writes ``benchmarks/results/chaos_soak.json``.
 """

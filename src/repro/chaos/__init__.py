@@ -1,4 +1,4 @@
-"""Deterministic, seeded chaos/fault-injection for the supervised runtime.
+"""Deterministic, seeded chaos/fault-injection for the serving runtime.
 
 Two halves:
 
@@ -6,8 +6,9 @@ Two halves:
   request, which fault from the catalog fires
   (:class:`~repro.runtime.supervisor.FaultKind`), plus synthetic burst
   traffic for overload injection.  Same seed → same plan, always.
-* :mod:`repro.chaos.soak` — the soak harness and gate: N seeded
-  serving runs through :class:`~repro.runtime.supervisor.Supervisor`,
+* :mod:`repro.chaos.soak` — the soak harness and gate: N seeded runs
+  of the serving loop (:class:`~repro.runtime.serving.ServingSimulator`)
+  on real sandboxes (:class:`~repro.runtime.sandbox.SandboxExecutor`),
   each audited for leaked pool slots, zombie sandboxes, pool-invariant
   violations, and unaccounted injections.
 
@@ -17,9 +18,9 @@ gate.
 """
 
 from .injectors import CHAOS_KINDS, ChaosConfig, ChaosInjector, DEFAULT_MIX
-from .soak import SeedOutcome, SoakReport, build_workload, run_soak
+from .soak import SeedOutcome, SoakReport, run_soak
 
 __all__ = [
     "ChaosConfig", "ChaosInjector", "DEFAULT_MIX", "CHAOS_KINDS",
-    "SeedOutcome", "SoakReport", "build_workload", "run_soak",
+    "SeedOutcome", "SoakReport", "run_soak",
 ]

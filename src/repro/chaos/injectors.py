@@ -10,7 +10,7 @@ the property the soak gate and CI rely on.
 Burst overload is special: it manifests as *extra traffic*, not a
 per-request failure, so the injector also synthesizes tagged
 low-priority requests (:meth:`ChaosInjector.burst_requests`) sized
-past the supervisor's admission limit — guaranteeing the fault is
+past the serving loop's admission limit — guaranteeing the fault is
 observable (and therefore classifiable as ``shed``) rather than
 silently absorbed.
 """
@@ -92,24 +92,24 @@ class ChaosInjector:
         return list(self._planned)
 
     def injection_for(self, request_index: int) -> Optional[Injection]:
-        """The supervisor's per-request lookup (stable across calls)."""
+        """The serving loop's per-request lookup (stable across calls)."""
         return self._by_request.get(request_index)
 
     # ------------------------------------------------------------------
-    def burst_requests(self, trigger: Request, queue_limit: int,
+    def burst_requests(self, trigger: Request, admission_limit: int,
                        next_index: int) -> List[Request]:
         """Synthesize the extra traffic for a burst injection at
         ``trigger``'s arrival instant.
 
-        Returns ``queue_limit + burst_margin`` tagged LOW-priority
+        Returns ``admission_limit + burst_margin`` tagged LOW-priority
         requests — strictly more than admission can hold, so the
-        supervisor must shed some of them and the injection is
+        serving loop must shed some of them and the injection is
         guaranteed to be accounted.
         """
         injection = self._by_request.get(trigger.index)
         if injection is None or injection.kind is not FaultKind.BURST_OVERLOAD:
             return []
-        size = queue_limit + self.config.burst_margin
+        size = admission_limit + self.config.burst_margin
         injection.detail["burst_size"] = size
         return [
             Request(index=next_index + k,
@@ -130,7 +130,7 @@ class ChaosInjector:
         return list(self._planned)
 
     def unaccounted(self) -> List[Injection]:
-        """Injections the supervisor never classified — each one is a
+        """Injections the serving loop never classified — each one is a
         soak-gate failure."""
         return [i for i in self._planned if i.classified is None]
 

@@ -1,13 +1,14 @@
 """The chaos soak harness and gate.
 
-One *soak* = N seeded serving runs.  Each run builds a deterministic
-open-loop workload, plans a fault schedule with
-:class:`~repro.chaos.injectors.ChaosInjector`, serves it through a
-:class:`~repro.runtime.supervisor.Supervisor` with the pool sanitizer
-armed, then audits the wreckage:
+One *soak* = N seeded serving runs.  Each run draws a seeded open-loop
+request stream, plans a fault schedule with
+:class:`~repro.chaos.injectors.ChaosInjector`, and serves it through
+the serving loop (:class:`~repro.runtime.serving.ServingSimulator`) on
+real sandboxes (:class:`~repro.runtime.sandbox.SandboxExecutor`), with
+the pool sanitizer armed.  Then it quiesces the runtime and audits the
+wreckage:
 
-* **zero leaked pool slots** — after shutdown every slot is back on
-  the free list;
+* **zero leaked pool slots** — every slot is back on the free list;
 * **zero zombie sandboxes** — the manager holds no live handles;
 * **pool invariants clean** — the
   :class:`~repro.verify.invariants.PoolInvariants` probe saw no
@@ -22,42 +23,23 @@ same seed served with no faults injected.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..params import MachineParams
-from ..runtime.pool import InstancePool
-from ..runtime.sandbox import SandboxManager
-from ..runtime.supervisor import (
-    Priority,
-    Request,
-    Supervisor,
-    SupervisorConfig,
+from ..runtime.sandbox import SandboxExecutor
+from ..runtime.serving import (
+    PoissonArrivals,
+    ServingConfig,
+    ServingSimulator,
+    build_requests,
 )
+from ..runtime.supervisor import Request
 from .injectors import ChaosConfig, ChaosInjector
 
-
-def build_workload(seed: int, n_requests: int, *, tenants: int = 6,
-                   mean_interarrival_cycles: int = 100_000,
-                   ) -> List[Request]:
-    """Deterministic open-loop tenant traffic for one soak run."""
-    rng = random.Random((seed << 8) ^ 0xB0B)
-    requests: List[Request] = []
-    clock = 0
-    for index in range(n_requests):
-        clock += int(rng.expovariate(1.0 / mean_interarrival_cycles))
-        draw = rng.random()
-        priority = (Priority.HIGH if draw < 0.10
-                    else Priority.LOW if draw < 0.30
-                    else Priority.NORMAL)
-        requests.append(Request(
-            index=index,
-            tenant=f"tenant-{rng.randrange(tenants)}",
-            service_cycles=rng.randrange(20_000, 120_000),
-            priority=priority,
-            arrival_cycle=clock))
-    return requests
+#: One core over an eight-slot pool, admitting as many requests as the
+#: pool has slots.
+SOAK_CONFIG = ServingConfig(n_cores=1, slots_per_shard=8, max_inflight=8)
 
 
 @dataclass
@@ -79,16 +61,12 @@ class SeedOutcome:
     invariant_violations: int = 0
     poison_hits: int = 0
     invariant_checks: int = 0
+    #: Cycles the core was busy: serving, recovering and recycling.
     total_cycles: int = 0
+    #: Base-workload successes per simulated second of ``total_cycles``,
+    #: at the run's own clock rate.
+    goodput_rps: float = 0.0
     failures: List[str] = field(default_factory=list)
-
-    @property
-    def goodput_rps(self) -> float:
-        """Base-workload successes per simulated second."""
-        if self.total_cycles <= 0:
-            return 0.0
-        seconds = MachineParams().cycles_to_seconds(self.total_cycles)
-        return self.succeeded / seconds
 
     @property
     def clean(self) -> bool:
@@ -120,27 +98,24 @@ class SeedOutcome:
 def run_seed(seed: int, *, n_requests: int = 200,
              fault_rate: float = 0.05,
              strategy: str = "hfi",
-             pool_slots: int = 8,
-             config: Optional[SupervisorConfig] = None,
              chaos_config: Optional[ChaosConfig] = None,
              params: Optional[MachineParams] = None) -> SeedOutcome:
-    """One seeded chaos run through a fresh supervised runtime."""
+    """One seeded chaos run through a fresh runtime."""
     from ..verify.invariants import PoolInvariants, check_pool
-    from ..wasm import make_strategy
 
     params = params if params is not None else MachineParams()
     outcome = SeedOutcome(seed=seed, fault_rate=fault_rate)
-    manager = SandboxManager(params)
-    pool = InstancePool(manager.space, make_strategy(strategy),
-                        slots=pool_slots, heap_bytes=1 << 16,
-                        params=params, batch_teardown=True)
+    executor = SandboxExecutor(strategy, params)
+    sim = ServingSimulator(executor, SOAK_CONFIG, params)
+    pool, = sim.pool.shards
     probe = PoolInvariants(raise_on_violation=False).install(pool)
-    supervisor = Supervisor(manager, pool, config, seed=seed)
     chaos_config = (replace(chaos_config, fault_rate=fault_rate)
                     if chaos_config is not None
                     else ChaosConfig(fault_rate=fault_rate))
     injector = ChaosInjector(seed, chaos_config)
-    base = build_workload(seed, n_requests)
+    base = build_requests(PoissonArrivals(100_000, seed=seed), n_requests,
+                          seed=seed, tenants=6, high_fraction=0.10,
+                          low_fraction=0.20)
     injector.plan(n_requests)
 
     # Weave synthetic burst traffic into the stream at its trigger's
@@ -150,16 +125,21 @@ def run_seed(seed: int, *, n_requests: int = 200,
     for request in base:
         stream.append(request)
         extra = injector.burst_requests(
-            request, supervisor.config.queue_limit, next_index)
+            request, SOAK_CONFIG.max_inflight, next_index)
         stream.extend(extra)
         next_index += len(extra)
 
     try:
-        results = supervisor.serve(stream, injector)
-        supervisor.shutdown()
+        metrics = sim.run(stream, injector)
+        # quiesce: scrub the quarantine, flush deferred discards and
+        # reap every sandbox
+        pool.scrub_all()
+        pool.flush_discards()
+        executor.manager.reap_all()
     finally:
         probe.uninstall()
 
+    results = sim.outcomes
     base_results = [r for r in results if r.request.injection is None]
     outcome.requests = len(base_results)
     outcome.synthetic = len(results) - len(base_results)
@@ -169,9 +149,12 @@ def run_seed(seed: int, *, n_requests: int = 200,
     outcome.injected = injector.injected
     outcome.breakdown = injector.breakdown()
     outcome.unaccounted = len(injector.unaccounted())
-    outcome.total_cycles = supervisor.counters.total_cycles
+    outcome.total_cycles = metrics.busy_cycles
+    if outcome.total_cycles:
+        outcome.goodput_rps = (
+            outcome.succeeded / params.cycles_to_seconds(outcome.total_cycles))
     outcome.leaked_slots = len(pool.slots) - pool.available
-    outcome.zombie_sandboxes = manager.live_sandboxes
+    outcome.zombie_sandboxes = executor.manager.live_sandboxes
     outcome.invariant_violations = probe.violations
     outcome.poison_hits = probe.poison_hits
     outcome.invariant_checks = probe.checks
@@ -274,8 +257,7 @@ class SoakReport:
 
 
 def run_soak(seeds, *, n_requests: int = 200, fault_rate: float = 0.05,
-             strategy: str = "hfi", pool_slots: int = 8,
-             config: Optional[SupervisorConfig] = None,
+             strategy: str = "hfi",
              chaos_config: Optional[ChaosConfig] = None,
              baseline: bool = True,
              params: Optional[MachineParams] = None) -> SoakReport:
@@ -285,11 +267,9 @@ def run_soak(seeds, *, n_requests: int = 200, fault_rate: float = 0.05,
     for seed in seeds:
         report.outcomes.append(run_seed(
             seed, n_requests=n_requests, fault_rate=fault_rate,
-            strategy=strategy, pool_slots=pool_slots, config=config,
-            chaos_config=chaos_config, params=params))
+            strategy=strategy, chaos_config=chaos_config, params=params))
         if baseline and fault_rate > 0:
             report.baseline_outcomes.append(run_seed(
                 seed, n_requests=n_requests, fault_rate=0.0,
-                strategy=strategy, pool_slots=pool_slots, config=config,
-                params=params))
+                strategy=strategy, params=params))
     return report

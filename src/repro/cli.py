@@ -330,8 +330,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    """Run the chaos soak: seeded fault-injection through the
-    supervised runtime (repro.chaos).
+    """Run the chaos soak: seeded fault-injection through the serving
+    loop on real sandboxes (repro.chaos).
 
     Exit status 0 iff every seeded run ends clean: zero leaked pool
     slots, zero zombie sandboxes, clean pool invariants, and every
@@ -507,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos", parents=[output],
-        help="seeded fault-injection soak through the supervised "
-             "runtime")
+        help="seeded fault-injection soak: the serving loop on real "
+             "sandboxes, audited for leaks and unaccounted faults")
     p.add_argument("--seeds", type=int, default=50,
                    help="number of seeded soak runs (default 50)")
     p.add_argument("--seed-base", type=int, default=0,

@@ -8,8 +8,9 @@ Two implementations of the explicit-region bounds check are provided:
   32-bit compare plus sign-bit and overflow checks, made sufficient by
   the large/small region alignment constraints.
 
-The ablation benchmark proves the two agree on the entire legal
-descriptor space; the golden model is what the simulator executes.
+The ablation benchmark samples the legal descriptor space and finds
+the two in agreement there; it does not enumerate the space.  The
+golden model is what the simulator executes.
 """
 
 from __future__ import annotations

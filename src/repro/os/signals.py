@@ -5,8 +5,8 @@ records the cause in an MSR, and raises a hardware trap that the OS
 delivers as SIGSEGV; the runtime's signal handler reads the MSR to
 disambiguate the cause.
 
-Delivery semantics (relied on by the supervised runtime in
-:mod:`repro.runtime.supervisor`):
+Delivery semantics (relied on by the serving runtime's
+:class:`~repro.runtime.sandbox.SandboxExecutor`):
 
 * A signal whose number is in the table's *blocked* mask is queued on
   ``pending`` instead of dispatched; :meth:`unblock` drains the queue
@@ -15,7 +15,7 @@ Delivery semantics (relied on by the supervised runtime in
   default ``sigaction`` behavior) — a fault raised *inside* the fault
   handler is deferred until the handler returns rather than recursing.
 * ``delivered`` records every dispatch in dispatch order, so tests and
-  the supervisor's fault ledger can audit exactly what ran when.
+  the runtime can audit exactly what ran when.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
-"""Trusted runtimes: sandbox management, transitions, FaaS serving,
-and the supervised (robustness) serving loop."""
+"""Trusted runtimes: sandbox management, transitions, and the one
+serving loop, which runs its invocations on a cost model
+(``SchemeCosts``) or on real sandboxes (``SandboxExecutor``) under the
+recovery policy of ``runtime/supervisor.py``."""
 
 from .chaining import ChainHop, ChainModel
 from .pool import InstancePool, PoolSlot, ShardedInstancePool
 from .sandbox import (
     InvokeResult,
     SandboxError,
+    SandboxExecutor,
     SandboxHandle,
     SandboxManager,
 )
@@ -35,11 +38,8 @@ from .supervisor import (
     Priority,
     Request,
     RequestOutcome,
-    Supervisor,
-    SupervisorConfig,
     TenantBreaker,
     record_breaker_fault,
-    shed_victims,
 )
 from .transitions import TransitionKind, TransitionModel
 
@@ -48,9 +48,9 @@ __all__ = [
     "SandboxError", "SandboxHandle", "SandboxManager", "TransitionKind",
     "TransitionModel", "ChainHop", "ChainModel", "InstancePool",
     "PoolSlot", "StartupModel", "MultiplexModel", "ScheduleOutcome",
-    "Supervisor", "SupervisorConfig", "Request",
+    "SandboxExecutor", "Request",
     "RequestOutcome", "Priority", "FaultKind", "Injection",
-    "TenantBreaker", "CLASSIFICATIONS", "shed_victims",
+    "TenantBreaker", "CLASSIFICATIONS",
     "record_breaker_fault", "ShardedInstancePool", "ArrivalProcess",
     "PoissonArrivals", "MmppArrivals", "TraceArrivals",
     "arrival_process", "build_requests",

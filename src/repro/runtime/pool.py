@@ -24,6 +24,8 @@ from ..wasm.strategies import IsolationStrategy
 #: Bytes written/read back by the scrub's poison-verify pass.
 SCRUB_PROBE_BYTES = 256
 SCRUB_POISON = 0x5A
+#: Width of the word at the top of a slot's heap that holds a canary.
+CANARY_BYTES = 8
 
 
 @dataclass
@@ -34,6 +36,13 @@ class PoolSlot:
     in_use: bool = False
     dirty: bool = False
     quarantined: bool = False
+
+    @property
+    def canary_address(self) -> int:
+        """The top word of the slot's heap.  Whatever a serving
+        executor leaves there must still be there after the guest
+        ran; anything else means the guest escaped its heap."""
+        return self.heap_base + self.heap_bytes - CANARY_BYTES
 
 
 class InstancePool:
@@ -157,7 +166,7 @@ class InstancePool:
         return cost
 
     # ------------------------------------------------------------------
-    # quarantine: the supervised runtime's fault containment path
+    # quarantine: the serving loop's fault containment path
     # ------------------------------------------------------------------
     @property
     def quarantined(self) -> int:

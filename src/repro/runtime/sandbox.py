@@ -6,11 +6,15 @@ sandboxes (native or hybrid), and accounts the cycle cost of every
 lifecycle operation.  Because HFI keeps no per-sandbox on-chip state,
 the manager can hold an arbitrary number of sandboxes and multiplex
 them over the single register bank — the scalability property (§3).
+
+:class:`SandboxExecutor` puts a manager under the serving loop
+(:class:`~repro.runtime.serving.ServingSimulator`), so served
+requests run on real sandboxes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core import (
@@ -26,7 +30,8 @@ from ..os.signals import SigInfo, Signal, SignalTable
 from ..params import DEFAULT_PARAMS, MachineParams
 from ..telemetry.sink import Telemetry, coalesce
 from ..telemetry.stats import SandboxManagerStats, SandboxStats
-from .supervisor import FAULT_PROGRESS
+from .pool import PoolSlot
+from .supervisor import FAULT_PROGRESS, Request
 from .transitions import TransitionKind, TransitionModel
 
 
@@ -98,7 +103,7 @@ class SandboxManager:
         self.params = params
         self.space = space if space is not None else AddressSpace(params)
         #: Where faulting invocations are delivered as SIGSEGV (§3.3.2);
-        #: the supervisor registers its handler here.
+        #: the runtime registers its handler here.
         self.signals = signals
         self.telemetry = coalesce(telemetry)
         self.hfi = Hfi(params, telemetry=self.telemetry)
@@ -228,7 +233,7 @@ class SandboxManager:
         disabled, the cause lands in the MSR, and the trap is delivered
         as SIGSEGV to the trusted runtime — here, into the manager's
         :class:`~repro.os.signals.SignalTable` if one is wired, which
-        is how the supervisor observes guest faults.
+        is how the runtime observes guest faults.
         """
         if handle.sandbox_id not in self._handles:
             raise SandboxError(
@@ -281,7 +286,7 @@ class SandboxManager:
         resource management).
 
         Destroying an unknown or already-destroyed handle raises a
-        typed :class:`SandboxError` — a double reap is a supervisor
+        typed :class:`SandboxError` — a double reap is a runtime
         accounting bug and must not pass silently (or surface as a
         bare ``KeyError``).
         """
@@ -305,7 +310,7 @@ class SandboxManager:
     def reap_all(self, *, discard_memory: bool = True) -> int:
         """Destroy every live sandbox; returns the total cycle cost.
 
-        The supervisor's shutdown/abandon path: after a chaos run or a
+        The runtime's shutdown/abandon path: after a chaos run or a
         serving-loop teardown, no zombie sandboxes may survive."""
         cost = 0
         for handle in list(self._handles.values()):
@@ -334,3 +339,87 @@ class SandboxManager:
                              is_hybrid=h.is_hybrid)
                 for h in self._handles.values()
             ])
+
+
+#: Staged in the top word of a pool slot's heap before each invocation
+#: (:attr:`~repro.runtime.pool.PoolSlot.canary_address`).
+CANARY = 0xC0DE_CAFE_F00D_C0DE
+#: The causes a guest's HFI fault reports, picked by request index.
+FAULT_CAUSES = (FaultCause.DATA_OUT_OF_BOUNDS, FaultCause.DATA_PERMISSION,
+                FaultCause.HMOV_OUT_OF_BOUNDS)
+
+
+class SandboxExecutor:
+    """Serving invocations on real HFI sandboxes.
+
+    The executor :class:`~repro.runtime.serving.ServingSimulator` runs
+    when its invocations must touch real state, as the chaos soak's
+    do.  Each tenant gets a hybrid sandbox on one
+    :class:`SandboxManager`, entered and exited on its HFI device.  The
+    pool lives in the manager's address space, and a canary staged in
+    the top word of each slot's heap catches a guest that scribbled
+    over it.  A guest's HFI fault reaches the runtime as SIGSEGV, with
+    its cause in the payload (§3.3.2).  Nothing here is random: a
+    fault's cause follows from the request's index.
+
+    The simulator's other executor is the cost model,
+    :class:`~repro.runtime.serving.SchemeCosts`.  Which fault an
+    invocation meets, and what the loop does about it, is the loop's
+    decision, not the executor's.
+    """
+
+    #: Released slots wait for one batched discard (§5.1).
+    batch_teardown = True
+    #: No per-connection teardown beyond the slot's discard.
+    teardown_cycles = 0
+
+    def __init__(self, strategy_name: str = "hfi",
+                 params: MachineParams = DEFAULT_PARAMS):
+        self.name = self.strategy_name = strategy_name
+        self.manager = SandboxManager(params, signals=SignalTable())
+        self.space = self.manager.space
+        #: Every SIGSEGV the runtime received, in delivery order.
+        self.faults: List[SigInfo] = []
+        self.manager.signals.register(Signal.SIGSEGV, self.faults.append)
+        self._sandboxes: Dict[str, SandboxHandle] = {}
+
+    def _sandbox(self, tenant: str) -> SandboxHandle:
+        handle = self._sandboxes.get(tenant)
+        if handle is None:
+            handle = self._sandboxes[tenant] = self.manager.create_sandbox(
+                heap_bytes=1 << 20, hybrid=True, serialized=False)
+        return handle
+
+    def run(self, request: Request, slot: PoolSlot,
+            service_cycles: int) -> int:
+        """Stage the slot's canary, then enter the tenant's sandbox, do
+        ``service_cycles`` of guest work and exit."""
+        self.space.write(slot.canary_address, CANARY, check=False)
+        return self.manager.invoke(self._sandbox(request.tenant),
+                                   service_cycles).cycles
+
+    def fault(self, request: Request, slot: PoolSlot) -> int:
+        """Run the guest until it touches the byte past the slot's heap
+        and HFI faults.  Returns the cycles up to the trap: the loop
+        charges the SIGSEGV's delivery, as it does a watchdog kill's."""
+        cause = FAULT_CAUSES[request.index % len(FAULT_CAUSES)]
+        result = self.manager.invoke_faulting(
+            self._sandbox(request.tenant), request.service_cycles, cause,
+            fault_addr=slot.heap_base + slot.heap_bytes)
+        return result.enter_cycles + result.service_cycles + result.exit_cycles
+
+    def reap(self, request: Request) -> int:
+        """Destroy the tenant's sandbox; its next request gets a fresh
+        one.  SIGSEGV is masked meanwhile, so a fault raised during the
+        teardown queues and is delivered, in order, once it is done."""
+        handle = self._sandboxes.pop(request.tenant)
+        signals = self.manager.signals
+        signals.block(Signal.SIGSEGV)
+        try:
+            return self.manager.destroy_sandbox(handle)
+        finally:
+            signals.unblock(Signal.SIGSEGV)
+
+    def intact(self, space: AddressSpace, slot: PoolSlot) -> bool:
+        """Whether the canary :meth:`run` staged survived the guest."""
+        return space.read(slot.canary_address, check=False) == CANARY

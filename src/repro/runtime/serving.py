@@ -13,19 +13,21 @@ architecture and the Faasm cluster setup (SNIPPETS.md):
 * **N worker cores**, each owning a shard of a
   :class:`~repro.runtime.pool.ShardedInstancePool` with work-stealing
   when the local shard runs dry;
-* the **supervisor policies** of :mod:`repro.runtime.supervisor` —
+* the **recovery policy** of :mod:`repro.runtime.supervisor` —
   admission control shedding lowest-priority-newest-first (never
-  HIGH), per-tenant circuit breakers, watchdog kills — via the same
-  ``shed_rank``/``record_breaker_fault`` code and the same
+  HIGH), per-tenant circuit breakers, watchdog kills — with the
   ``Injection`` fault ledger, so shed/failed requests are accounted
   distinctly from successes.  Queued sheddable requests sit in a heap
   ordered by ``shed_rank``, so an arrival past the admission bound
   picks its victim in O(log n) of the number in flight;
-* **per-scheme cost plumbing** — each isolation scheme's transition
-  round trip comes from :class:`~repro.runtime.transitions.TransitionModel`,
-  its pooled instance staging from
-  :class:`~repro.runtime.startup.StartupModel`, and its teardown from
-  the pool's real (batched or immediate) madvise accounting.
+* **one executor seam** — an invocation runs on the scheme's cost
+  model, :class:`SchemeCosts`, or on real HFI sandboxes,
+  :class:`~repro.runtime.sandbox.SandboxExecutor` (the chaos soak's).
+  Each cost model's transition round trip comes from
+  :class:`~repro.runtime.transitions.TransitionModel`, its pooled
+  instance staging from :class:`~repro.runtime.startup.StartupModel`,
+  and its teardown from the pool's real (batched or immediate)
+  madvise accounting.
 
 Everything inside the loop is integer cycles with a deterministic
 event order (``(cycle, kind, seq)`` heap keys) and no RNG, so the
@@ -60,6 +62,7 @@ from ..wasm import make_strategy
 from .pool import PoolSlot, ShardedInstancePool
 from .startup import StartupModel
 from .supervisor import (
+    BACKOFF_CYCLES,
     BREAKER_COOLDOWN_CYCLES,
     BREAKER_THRESHOLD,
     FAULT_PROGRESS,
@@ -70,7 +73,6 @@ from .supervisor import (
     Request,
     RequestOutcome,
     TenantBreaker,
-    backoff_cycles,
     breaker_admits,
     classify_fault,
     pending_fault,
@@ -215,6 +217,14 @@ class SchemeCosts:
     reuses pooled instances, so only connection-churn scenarios
     populate them (from :func:`connection_lifecycle_costs`, i.e. real
     ``mprotect``/``madvise_dontneed`` walks, not flat constants).
+
+    This is one of the two executors :class:`ServingSimulator` runs
+    invocations on; the other,
+    :class:`~repro.runtime.sandbox.SandboxExecutor`, runs them on real
+    sandboxes.  Both price a clean invocation (:meth:`run`), an
+    invocation whose guest faults (:meth:`fault`) and the reap of a
+    killed guest's sandbox (:meth:`reap`), and say whether a slot is
+    still :meth:`intact` after its guest ran.
     """
 
     name: str
@@ -224,6 +234,32 @@ class SchemeCosts:
     batch_teardown: bool
     setup_cycles: int = 0       # per-connection sandbox establishment
     teardown_cycles: int = 0    # per-connection sandbox teardown
+
+    #: The cost model keeps no guest memory, so the simulator gives the
+    #: pool a scratch address space.
+    space = None
+
+    def run(self, request: Request, slot: PoolSlot,
+            service_cycles: int) -> int:
+        """Cycles of an invocation doing ``service_cycles`` of guest
+        work: dispatch, the boundary round trip and any setup."""
+        return (self.dispatch_cycles + self.transition_cycles
+                + self.setup_cycles + service_cycles)
+
+    def fault(self, request: Request, slot: PoolSlot) -> int:
+        """Cycles of an invocation whose guest traps
+        :data:`FAULT_PROGRESS` of the way through its work."""
+        return self.run(request, slot,
+                        int(request.service_cycles * FAULT_PROGRESS))
+
+    def reap(self, request: Request) -> int:
+        """A cost model keeps no sandbox to reap."""
+        return 0
+
+    def intact(self, space: AddressSpace, slot: PoolSlot) -> bool:
+        """The cost model's guests write no memory, so the slot's top
+        word reads zero unless something scribbled over it."""
+        return space.read(slot.canary_address, check=False) == 0
 
 
 #: The schemes the serving benchmark compares.
@@ -456,7 +492,15 @@ def _reject_duplicate_indices(requests: Sequence[Request]) -> None:
 
 
 class ServingSimulator:
-    """Event-heap serving loop over sharded pools for one scheme."""
+    """Event-heap serving loop over sharded pools for one scheme.
+
+    ``scheme`` is a scheme name, or the executor the invocations run
+    on: a :class:`SchemeCosts` cost model or a
+    :class:`~repro.runtime.sandbox.SandboxExecutor` over real
+    sandboxes.  The pool lives in the executor's address space, if it
+    has one.  Which fault an invocation meets, and what follows, is
+    decided here, once, for both executors.
+    """
 
     def __init__(self, scheme="hfi",
                  config: Optional[ServingConfig] = None,
@@ -464,10 +508,11 @@ class ServingSimulator:
                  telemetry: Optional[Telemetry] = None):
         self.params = params if params is not None else MachineParams()
         self.config = config if config is not None else ServingConfig()
-        self.scheme = (scheme if isinstance(scheme, SchemeCosts)
-                       else scheme_costs(scheme, self.params))
+        self.scheme = (scheme_costs(scheme, self.params)
+                       if isinstance(scheme, str) else scheme)
         self.telemetry = coalesce(telemetry)
-        self.space = AddressSpace(self.params)
+        self.space = (self.scheme.space if self.scheme.space is not None
+                      else AddressSpace(self.params))
         self.pool = ShardedInstancePool(
             self.space, make_strategy(self.scheme.strategy_name),
             shards=self.config.n_cores,
@@ -569,7 +614,7 @@ class ServingSimulator:
         """Shed one victim to admit ``newcomer``; False if the
         newcomer itself was shed.  Victims come from the queued
         (not-yet-started) population plus the newcomer, chosen by the
-        supervisor's policy: lowest ``shed_rank`` first, never
+        recovery policy: lowest ``shed_rank`` first, never
         ``NO_SHED_PRIORITY``.  With no sheddable victim (all HIGH) the
         newcomer is admitted anyway — HIGH is never dropped.
         """
@@ -649,34 +694,46 @@ class ServingSimulator:
         self._push(heap, start + duration, _COMPLETE, record)
 
     def _invocation_cycles(self, record: _InFlight) -> int:
-        """Cycles the core is held for this invocation, fault-adjusted.
+        """Run the invocation on the executor, meeting its pending
+        fault; returns the cycles the core is held.
 
         The one-shot pending fault (``record.pending``) is consumed
         here; its classification and slot consequences land at
         completion so the ledger is stamped exactly once.
         """
-        scheme, request = self.scheme, record.request
-        base = (scheme.dispatch_cycles + scheme.transition_cycles
-                + scheme.setup_cycles)
+        executor, request, slot = self.scheme, record.request, record.slot
         pending = record.pending
-        if pending is FaultKind.TRANSIENT_KERNEL:
-            # failed pre-invoke kernel call: backoff, then a clean retry;
-            # a cost model charges the mean backoff
-            return (self.params.syscall_cycles + backoff_cycles(0.0)
-                    + 2 * base + request.service_cycles)
-        if pending is FaultKind.HEAP_OOM:
-            flushed = self.pool.flush_all()
-            self.counters.recycle_cycles += flushed
-            return (self.params.syscall_cycles + flushed
-                    + backoff_cycles(0.0) + 2 * base
-                    + request.service_cycles)
+        if pending is None:
+            return executor.run(request, slot, request.service_cycles)
         if pending is FaultKind.GUEST_HANG:
+            # the guest never yields: the watchdog's signal kills it at
+            # the budget, and its sandbox is reaped
             budget = watchdog_budget(request.service_cycles)
-            return base + budget + self.params.signal_delivery_cycles
+            return (executor.run(request, slot, budget)
+                    + self.params.signal_delivery_cycles
+                    + executor.reap(request))
         if pending is FaultKind.GUEST_FAULT:
-            held = int(request.service_cycles * FAULT_PROGRESS)
-            return base + held + self.params.signal_delivery_cycles
-        return base + request.service_cycles
+            # the HFI fault reaches the runtime as SIGSEGV, and the
+            # guest's sandbox is reaped
+            return (executor.fault(request, slot)
+                    + self.params.signal_delivery_cycles
+                    + executor.reap(request))
+        cycles = 0
+        if pending in (FaultKind.TRANSIENT_KERNEL, FaultKind.HEAP_OOM):
+            # a pre-invoke kernel call failed, or a heap grow was denied
+            # and the deferred discards are flushed: back off, run once
+            cycles = self.params.syscall_cycles + BACKOFF_CYCLES
+            if pending is FaultKind.HEAP_OOM:
+                flushed = self.pool.flush_all()
+                self.counters.recycle_cycles += flushed
+                cycles += flushed
+        cycles += executor.run(request, slot, request.service_cycles)
+        if pending is FaultKind.SLOT_CORRUPTION:
+            # the guest scribbles past its heap, over the slot's top word
+            word = slot.canary_address
+            self.space.write(word, ~self.space.read(word, check=False),
+                             check=False)
+        return cycles
 
     def _on_complete(self, heap, record: _InFlight) -> None:
         core = self._cores[record.core]
@@ -706,16 +763,16 @@ class ServingSimulator:
                 self._account(injection, "retried")
                 self.counters.retried += 1
                 attempts = 2
-            if pending is FaultKind.SLOT_CORRUPTION:
+            if self.scheme.intact(self.space, record.slot):
+                self._release_record(record, quarantine=False)
+                record_breaker_success(breaker)
+            else:
                 # the answer stands, but the slot never recycles
                 # unscrubbed and the tenant counts a breaker fault
                 self._release_record(record, quarantine=True)
                 self._account(injection, "quarantined")
                 self.counters.quarantined += 1
                 self._breaker_fault(breaker)
-            else:
-                self._release_record(record, quarantine=False)
-                record_breaker_success(breaker)
             latency = self.clock - request.arrival_cycle
             self.latencies.append(latency)
             self.counters.succeeded += 1

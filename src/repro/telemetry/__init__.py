@@ -26,7 +26,6 @@ from .stats import (
     OooStats,
     PoolStats,
     PredictorStats,
-    RobustnessStats,
     SandboxManagerStats,
     SandboxStats,
     ServingStats,
@@ -44,7 +43,7 @@ __all__ = [
     "PredictorStats", "TracerStats", "SandboxStats",
     "SandboxManagerStats", "HfiDeviceStats", "PoolStats", "KernelStats",
     "OooStats", "MpkDomainStats", "MpkVirtStats",
-    "VerifyStats", "RobustnessStats", "ServingStats", "ShardedPoolStats",
+    "VerifyStats", "ServingStats", "ShardedPoolStats",
     "to_json", "metrics_to_csv", "spans_to_csv", "attribution_to_csv",
     "write_json", "write_csv",
 ]

@@ -201,8 +201,7 @@ class ServingStats(ComponentStats):
     Latency percentiles are in integer cycles (the simulator's native
     unit) so snapshots are bit-exact reproducible; presentation layers
     convert to wall time.  Every request ends in exactly one of
-    ``succeeded``/``failed``/``shed``, mirroring the supervisor's
-    partition.
+    ``succeeded``/``failed``/``shed``.
     """
 
     requests: int = 0
@@ -373,44 +372,6 @@ class OooStats(ComponentStats):
     @property
     def overlap_rate(self) -> float:
         return self.checks_overlapped / self.checks if self.checks else 0.0
-
-
-@dataclass
-class RobustnessStats(ComponentStats):
-    """The supervised runtime's fault ledger (``repro.runtime.supervisor``).
-
-    Every request ends in exactly one of ``succeeded``/``failed``/
-    ``shed``; every *injected or observed* fault ends in exactly one of
-    ``retried``/``shed``/``quarantined``/``killed`` — the chaos soak
-    gate asserts both partitions are exact.
-    """
-
-    requests: int = 0
-    succeeded: int = 0
-    failed: int = 0
-    shed: int = 0
-    retried: int = 0
-    quarantined: int = 0
-    killed: int = 0
-    watchdog_kills: int = 0
-    sandboxes_reaped: int = 0
-    breaker_trips: int = 0
-    breaker_shed: int = 0
-    retry_attempts: int = 0
-    backoff_cycles: int = 0
-    scrub_cycles: int = 0
-    total_cycles: int = 0
-    signals_handled: int = 0
-
-    @property
-    def goodput(self) -> float:
-        """Successful requests per simulated cycle (×1e6 for legibility
-        is left to presentation layers)."""
-        return self.succeeded / self.total_cycles if self.total_cycles else 0.0
-
-    @property
-    def success_rate(self) -> float:
-        return self.succeeded / self.requests if self.requests else 0.0
 
 
 @dataclass

@@ -16,7 +16,7 @@ recycling runtime:
   poison-on-discard, free-list consistency, speculation identity),
   armed only on demand.
 * a short :mod:`repro.chaos` soak — seeded fault injection through the
-  supervised runtime, gated on zero leaked slots, zero zombie
+  serving loop on real sandboxes, gated on zero leaked slots, zero zombie
   sandboxes, and a fully accounted fault ledger.
 
 ``run_verify`` bundles all of it into one :class:`VerifyStats`

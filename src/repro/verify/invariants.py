@@ -164,7 +164,7 @@ class PoolInvariants:
         self._audit(pool)
 
     def on_quarantine(self, pool, slot) -> None:
-        # The supervisor owns the slot while it is quarantined — its
+        # The runtime owns the slot while it is quarantined — its
         # scrub legitimately probes the heap, so lift the poison until
         # the scrub re-deadens it.
         self._unpoison(slot)

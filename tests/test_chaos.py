@@ -6,10 +6,10 @@ from repro.chaos import (
     CHAOS_KINDS,
     ChaosConfig,
     ChaosInjector,
-    build_workload,
     run_soak,
 )
 from repro.chaos.soak import run_seed
+from repro.params import skylake
 from repro.runtime import FaultKind, Priority, Request
 
 
@@ -66,7 +66,7 @@ class TestBurstSynthesis:
     def test_burst_exceeds_the_admission_limit(self):
         injector = self.build()
         trigger = Request(index=0, tenant="t", service_cycles=10_000)
-        extra = injector.burst_requests(trigger, queue_limit=16,
+        extra = injector.burst_requests(trigger, admission_limit=16,
                                         next_index=100)
         assert len(extra) == 16 + injector.config.burst_margin
         assert all(r.priority == Priority.LOW for r in extra)
@@ -84,23 +84,6 @@ class TestBurstSynthesis:
         injector.plan(1)
         trigger = Request(index=0, tenant="t", service_cycles=10_000)
         assert injector.burst_requests(trigger, 16, 100) == []
-
-
-class TestWorkload:
-    def test_workload_is_deterministic_and_ordered(self):
-        a = build_workload(11, 100)
-        b = build_workload(11, 100)
-        assert ([(r.tenant, r.service_cycles, r.arrival_cycle,
-                  r.priority) for r in a]
-                == [(r.tenant, r.service_cycles, r.arrival_cycle,
-                     r.priority) for r in b])
-        arrivals = [r.arrival_cycle for r in a]
-        assert arrivals == sorted(arrivals)
-
-    def test_workload_mixes_priorities(self):
-        priorities = {r.priority for r in build_workload(1, 200)}
-        assert priorities == {Priority.LOW, Priority.NORMAL,
-                              Priority.HIGH}
 
 
 class TestSoakGate:
@@ -150,3 +133,13 @@ class TestSoakGate:
         outcome = run_seed(1, n_requests=100, fault_rate=0.30)
         assert outcome.clean, outcome.failures
         assert outcome.injected > 15
+
+    def test_goodput_is_counted_at_the_runs_clock(self):
+        """A 4 GHz run converts its cycles to seconds at 4 GHz, not at
+        the default 3.3 GHz."""
+        params = skylake()
+        outcome = run_seed(3, n_requests=40, fault_rate=0.0,
+                           params=params)
+        assert outcome.succeeded == 40
+        assert outcome.goodput_rps == pytest.approx(
+            40 * params.frequency_ghz * 1e9 / outcome.total_cycles)

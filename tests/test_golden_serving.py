@@ -4,9 +4,9 @@ Replays the exact runs recorded by ``scripts/gen_golden_serving.py``
 and asserts bit-for-bit equality on every pinned integer field —
 request fates, latency percentiles in cycles, steal and peak-in-flight
 counters, and the metrics digest.  Any diff here is a semantic change
-to the serving layer (event ordering, scheme costs, shedding policy,
-work-stealing, percentile math); regenerate the fixture only for an
-intentional change, and review the numbers.
+to the serving layer (event ordering, scheme costs, fault pricing,
+shedding policy, work-stealing, percentile math); regenerate the
+fixture only for an intentional change, and review the numbers.
 """
 
 import json
@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro.chaos import ChaosConfig, ChaosInjector
 from repro.runtime import ServingConfig, simulate_serving
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden_serving.json")
@@ -30,10 +31,16 @@ GOLDEN = load_fixture()
 def replay(scheme: str, label: str):
     arrival, load = next((a, l) for (s_label, a, l)
                          in GOLDEN["scenarios"] if s_label == label)
+    injector = None
+    if label == "chaos":
+        injector = ChaosInjector(
+            GOLDEN["seed"],
+            ChaosConfig(fault_rate=GOLDEN["chaos_fault_rate"]))
+        injector.plan(GOLDEN["requests"])
     return simulate_serving(
         scheme, n_requests=GOLDEN["requests"], seed=GOLDEN["seed"],
         arrival=arrival, offered_load=load,
-        config=ServingConfig(**GOLDEN["config"]))
+        config=ServingConfig(**GOLDEN["config"]), injector=injector)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["runs"]))
@@ -73,3 +80,13 @@ def test_golden_exercises_interesting_paths():
     pinning; guard against regenerating it into triviality."""
     assert any(e["shed"] > 0 for e in GOLDEN["runs"].values())
     assert any(e["steals"] > 0 for e in GOLDEN["runs"].values())
+
+
+def test_golden_prices_every_fault_outcome():
+    """Each scheme's chaos run retries, quarantines and kills, so the
+    fixture pins the cost model's price for every fault path."""
+    for scheme in ("hfi", "guard-pages", "mpk"):
+        entry = GOLDEN["runs"][f"{scheme}/chaos"]
+        assert entry["retried"] > 0, scheme
+        assert entry["quarantined"] > 0, scheme
+        assert entry["killed"] > 0, scheme

@@ -1,6 +1,6 @@
 """Delivery-ordering tests for the POSIX-style signal table.
 
-The supervised runtime leans on three semantics here (paper §3.3.2
+The serving runtime leans on three semantics here (paper §3.3.2
 delivers HFI faults as SIGSEGV): blocked signals queue FIFO and drain
 in arrival order, a handler implicitly masks its own signal
 (sigaction), and ``delivered`` is a faithful dispatch-order audit log.
@@ -133,7 +133,7 @@ class TestHandlerImplicitMask:
 
 class TestSupervisorCriticalSection:
     def test_fault_during_masked_reap_queues_and_drains(self):
-        """The supervisor's reap pattern: mask SIGSEGV, tear down,
+        """The runtime's reap pattern: mask SIGSEGV, tear down,
         unmask — a fault raised mid-teardown arrives afterwards, in
         order, instead of interleaving with recovery."""
         table = SignalTable()

@@ -2,8 +2,8 @@
 
 Two concerns: ``acquire`` stays sound under adversarial interleavings
 of ``release``/``flush_discards`` (the dirty-slot recycling bug's
-family), and the quarantine → scrub lifecycle added for the
-supervised runtime keeps the structural accounting exact.
+family), and the quarantine → scrub lifecycle the serving loop's
+recovery uses keeps the structural accounting exact.
 """
 
 import random

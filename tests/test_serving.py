@@ -2,7 +2,7 @@
 
 Covers the pieces separately — arrival processes, the sharded
 work-stealing pool, scheme cost derivation — then the assembled event
-loop: accounting partitions, supervisor-policy integration (admission
+loop: accounting partitions, recovery-policy integration (admission
 shedding, breakers, watchdog), fault-ledger classification, and the
 telemetry snapshot.
 """
@@ -26,11 +26,10 @@ from repro.runtime import (
     TraceArrivals,
     build_requests,
     scheme_costs,
-    shed_victims,
     simulate_serving,
 )
 from repro.os import AddressSpace
-from repro.runtime.supervisor import NO_SHED_PRIORITY
+from repro.runtime.supervisor import NO_SHED_PRIORITY, shed_rank
 from repro.telemetry import ServingStats, Telemetry
 from repro.wasm import HfiStrategy
 
@@ -408,6 +407,16 @@ class TestServingLoop:
 # ----------------------------------------------------------------------
 # the admission index against its full-scan reference
 # ----------------------------------------------------------------------
+def shed_victims(candidates, overflow):
+    """The reference victim choice: sort every ``(order_key, request)``
+    candidate below ``NO_SHED_PRIORITY`` by ``shed_rank`` and take the
+    first ``overflow`` keys."""
+    sheddable = [(key, request) for key, request in candidates
+                 if request.priority < NO_SHED_PRIORITY]
+    ranked = sorted(sheddable, key=lambda kr: shed_rank(*kr))
+    return [key for key, _ in ranked[:overflow]]
+
+
 class ScanCheckedSimulator(ServingSimulator):
     """Works out, before every victim choice, what a full scan would
     shed — ``shed_victims`` over every queued record plus the

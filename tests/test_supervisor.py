@@ -1,10 +1,14 @@
-"""Tests for the supervised serving loop (robustness layer).
+"""Tests for the serving loop on real sandboxes (robustness layer).
 
-Covers the recovery state machine — watchdog kills, quarantine,
-one recovery then one clean attempt, per-tenant circuit breaking,
-admission shedding — plus the sandbox-manager hardening it rides on
-(typed ``SandboxError``, ``reap_all``, signal-delivered
-``invoke_faulting``).
+Drives ``ServingSimulator`` with a ``SandboxExecutor`` through the
+recovery policy of ``runtime/supervisor.py`` — watchdog kills,
+quarantine, one run after a transient failure, per-tenant circuit
+breaking, admission shedding — and checks what only real state shows:
+SIGSEGV delivery with its cause, the slot canary, the watchdog budget
+burned, and a clean shutdown.  Also covers the sandbox-manager
+hardening the executor rides on (typed ``SandboxError``, ``reap_all``,
+signal-delivered ``invoke_faulting``), and holds the cost model and
+the real executor to the same decisions on one stream.
 """
 
 import pytest
@@ -15,23 +19,23 @@ from repro.params import MachineParams
 from repro.runtime import (
     FaultKind,
     Injection,
-    InstancePool,
     Priority,
     Request,
     SandboxError,
+    SandboxExecutor,
     SandboxManager,
-    Supervisor,
-    SupervisorConfig,
+    ServingConfig,
+    ServingSimulator,
 )
+from repro.runtime.sandbox import FAULT_CAUSES
 from repro.runtime.supervisor import (
+    BACKOFF_CYCLES,
     TenantBreaker,
-    backoff_cycles,
     breaker_admits,
     record_breaker_success,
     watchdog_budget,
 )
 from repro.verify import check_pool
-from repro.wasm import HfiStrategy
 
 
 @pytest.fixture
@@ -39,12 +43,28 @@ def params():
     return MachineParams()
 
 
-def build(params, slots=4, config=None, seed=0):
-    manager = SandboxManager(params)
-    pool = InstancePool(manager.space, HfiStrategy(), slots=slots,
-                        heap_bytes=1 << 14, params=params,
-                        batch_teardown=True)
-    return manager, pool, Supervisor(manager, pool, config, seed=seed)
+def build(params, slots=4, **config):
+    """A one-core node on real sandboxes, admitting as many requests
+    as it has pool slots unless ``config`` says otherwise."""
+    config.setdefault("max_inflight", slots)
+    executor = SandboxExecutor("hfi", params)
+    sim = ServingSimulator(
+        executor, ServingConfig(n_cores=1, slots_per_shard=slots, **config),
+        params)
+    return executor, sim
+
+
+def serve(sim, stream, injector=None):
+    """Run ``stream``; returns the metrics and the outcomes by index."""
+    metrics = sim.run(stream, injector)
+    return metrics, sorted(sim.outcomes, key=lambda o: o.request.index)
+
+
+def shutdown(executor, sim):
+    """Quiesce as the chaos soak does: scrub, flush, reap."""
+    sim.pool.scrub_all()
+    sim.pool.flush_all()
+    executor.manager.reap_all()
 
 
 def requests(n, tenant="t0", service=40_000, spacing=10**7,
@@ -112,98 +132,122 @@ class TestSandboxHardening:
 
 class TestCleanServing:
     def test_all_requests_succeed_without_injection(self, params):
-        _, pool, sup = build(params)
-        outcomes = sup.serve(requests(12))
+        executor, sim = build(params)
+        metrics, outcomes = serve(sim, requests(12))
         assert [o.status for o in outcomes] == ["ok"] * 12
-        assert sup.counters.succeeded == 12
-        assert sup.counters.shed == 0
-        assert check_pool(pool) == []
+        assert metrics.succeeded == 12
+        assert metrics.shed == 0
+        # one tenant, one sandbox, entered once per request
+        assert executor.manager.sandboxes_created == 1
+        assert executor.manager.invocations == 12
+        assert check_pool(sim.pool.shards[0]) == []
 
     def test_shutdown_leaves_no_leaks(self, params):
-        manager, pool, sup = build(params)
-        sup.serve(requests(8))
-        sup.shutdown()
-        assert manager.live_sandboxes == 0
-        assert pool.available == len(pool.slots)
-        assert check_pool(pool) == []
+        executor, sim = build(params)
+        serve(sim, requests(8))
+        shutdown(executor, sim)
+        assert executor.manager.live_sandboxes == 0
+        assert sim.pool.available == sim.pool.total_slots
+        assert check_pool(sim.pool.shards[0]) == []
 
     def test_deterministic_given_seed(self, params):
+        """The executor draws nothing at random, so one stream and one
+        fault plan give one run."""
         results = []
         for _ in range(2):
-            _, _, sup = build(params, seed=7)
+            executor, sim = build(params)
             injector = FakeInjector({2: FaultKind.GUEST_FAULT,
                                      5: FaultKind.TRANSIENT_KERNEL})
-            outs = sup.serve(requests(8), injector)
-            results.append([(o.status, o.attempts, o.cycles)
-                            for o in outs])
+            _, outcomes = serve(sim, requests(8), injector)
+            results.append(([(o.status, o.attempts, o.cycles)
+                             for o in outcomes],
+                            executor.manager.total_cycles,
+                            [info.hfi_cause for info in executor.faults]))
         assert results[0] == results[1]
 
 
 class TestRecoveryPaths:
     def test_transient_kernel_fault_is_retried_with_backoff(
             self, params):
-        _, _, sup = build(params)
+        _, sim = build(params)
         injector = FakeInjector({1: FaultKind.TRANSIENT_KERNEL})
-        outcomes = sup.serve(requests(3), injector)
+        metrics, outcomes = serve(sim, requests(3), injector)
         assert [o.status for o in outcomes] == ["ok"] * 3
         assert outcomes[1].attempts == 2
         assert injector.plan[1].classified == "retried"
-        assert sup.counters.retried == 1
-        assert sup.counters.backoff_cycles > 0
+        assert metrics.retried == 1
+        # the failed kernel call and the backoff, then one run
+        assert (outcomes[1].cycles - outcomes[0].cycles
+                == params.syscall_cycles + BACKOFF_CYCLES)
 
     def test_heap_oom_is_remediated_and_retried(self, params):
-        _, pool, sup = build(params)
+        _, sim = build(params)
         injector = FakeInjector({0: FaultKind.HEAP_OOM})
-        outcomes = sup.serve(requests(2), injector)
+        _, outcomes = serve(sim, requests(2), injector)
         assert [o.status for o in outcomes] == ["ok"] * 2
         assert injector.plan[0].classified == "retried"
 
     def test_hang_is_killed_by_the_watchdog(self, params):
-        manager, pool, sup = build(params)
+        stream = requests(4)
+        _, clean = build(params)
+        clean_metrics, _ = serve(clean, stream)
+        executor, sim = build(params)
         injector = FakeInjector({1: FaultKind.GUEST_HANG})
-        outcomes = sup.serve(requests(4), injector)
-        assert [o.status for o in outcomes] == ["ok"] * 4
+        metrics, outcomes = serve(sim, stream, injector)
+        assert [o.status for o in outcomes] == ["ok", "failed", "ok", "ok"]
+        assert outcomes[1].detail == "watchdog"
         assert injector.plan[1].classified == "killed"
-        assert sup.counters.watchdog_kills == 1
-        assert sup.counters.sandboxes_reaped >= 1
-        # the killed attempt burned the full watchdog budget
-        budget = watchdog_budget(outcomes[1].request.service_cycles)
-        assert outcomes[1].cycles > budget
-        sup.shutdown()
-        assert manager.live_sandboxes == 0
-        assert pool.available == len(pool.slots)
+        assert metrics.killed == 1
+        # the killed guest burned its full watchdog budget
+        service = stream[1].service_cycles
+        assert (metrics.busy_cycles - clean_metrics.busy_cycles
+                >= watchdog_budget(service) - service)
+        # its sandbox was reaped; the next request ran on a fresh one
+        assert executor.manager.sandboxes_created == 2
+        shutdown(executor, sim)
+        assert executor.manager.live_sandboxes == 0
+        assert sim.pool.available == sim.pool.total_slots
 
     def test_guest_fault_quarantines_and_recovers(self, params):
-        manager, pool, sup = build(params)
+        executor, sim = build(params)
         injector = FakeInjector({0: FaultKind.GUEST_FAULT})
-        outcomes = sup.serve(requests(3), injector)
-        assert [o.status for o in outcomes] == ["ok"] * 3
+        metrics, outcomes = serve(sim, requests(3), injector)
+        assert [o.status for o in outcomes] == ["failed", "ok", "ok"]
+        assert outcomes[0].detail == "guest-fault"
         assert injector.plan[0].classified == "quarantined"
-        assert sup.counters.quarantined == 1
-        assert sup.counters.signals_handled == 1   # SIGSEGV arrived
-        assert pool.quarantines >= 1
-        sup.shutdown()
-        assert pool.available == len(pool.slots)
-        assert check_pool(pool) == []
+        assert metrics.quarantined == 1
+        # the HFI fault arrived as SIGSEGV, with its cause
+        (info,) = executor.faults
+        assert info.signal is Signal.SIGSEGV
+        assert FaultCause(info.hfi_cause) is FAULT_CAUSES[0]
+        assert sim.pool.shards[0].quarantines >= 1
+        # the tenant recovered on a fresh sandbox
+        assert executor.manager.sandboxes_created == 2
+        shutdown(executor, sim)
+        assert sim.pool.available == sim.pool.total_slots
+        assert check_pool(sim.pool.shards[0]) == []
 
     def test_slot_corruption_is_caught_by_the_canary(self, params):
-        _, pool, sup = build(params)
+        executor, sim = build(params)
         injector = FakeInjector({2: FaultKind.SLOT_CORRUPTION})
-        outcomes = sup.serve(requests(4), injector)
+        _, outcomes = serve(sim, requests(4), injector)
         # the answer stands, but the slot never recycles unscrubbed
         assert [o.status for o in outcomes] == ["ok"] * 4
         assert injector.plan[2].classified == "quarantined"
+        pool = sim.pool.shards[0]
         assert pool.quarantines == 1
+        (index,) = pool._quarantined
+        assert not executor.intact(sim.space, pool.slots[index])
         assert injector.unaccounted() == []
 
     def test_every_injection_is_classified_exactly_once(self, params):
-        _, _, sup = build(params)
+        _, sim = build(params)
         injector = FakeInjector({0: FaultKind.TRANSIENT_KERNEL,
                                  1: FaultKind.GUEST_HANG,
                                  2: FaultKind.GUEST_FAULT,
                                  3: FaultKind.SLOT_CORRUPTION,
                                  4: FaultKind.HEAP_OOM})
-        sup.serve(requests(6), injector)
+        serve(sim, requests(6), injector)
         assert injector.unaccounted() == []
         kinds = {i.kind: i.classified for i in injector.plan.values()}
         assert kinds[FaultKind.TRANSIENT_KERNEL] == "retried"
@@ -215,54 +259,50 @@ class TestRecoveryPaths:
 
 class TestCircuitBreaker:
     def test_consecutive_faults_trip_the_tenant_breaker(self, params):
-        config = SupervisorConfig(breaker_threshold=3)
-        _, _, sup = build(params, config=config)
+        _, sim = build(params, breaker_threshold=3)
         # slot corruption does not reset the breaker on success
         injector = FakeInjector({i: FaultKind.SLOT_CORRUPTION
                                  for i in range(3)})
-        # tight arrivals: requests 3-4 land inside the cooldown window
-        outcomes = sup.serve(requests(5, spacing=1), injector)
-        assert sup.counters.breaker_trips == 1
-        assert sup.breaker("t0").state == "open"
+        # requests 3-4 land inside the cooldown window
+        metrics, outcomes = serve(sim, requests(5, spacing=100_000),
+                                  injector)
+        assert sim.breakers["t0"].trips == 1
+        assert sim.breakers["t0"].state == "open"
         # requests after the trip are shed while the circuit cools
         assert [o.status for o in outcomes][3:] == ["shed", "shed"]
         assert [o.detail for o in outcomes][3:] == ["breaker",
                                                     "breaker"]
-        assert sup.counters.breaker_shed == 2
+        assert metrics.breaker_shed == 2
 
     def test_half_open_probe_closes_the_circuit(self, params):
-        config = SupervisorConfig(breaker_threshold=2,
-                                  breaker_cooldown_cycles=1_000)
-        _, _, sup = build(params, config=config)
+        _, sim = build(params, breaker_threshold=2,
+                       breaker_cooldown_cycles=1_000)
         injector = FakeInjector({0: FaultKind.SLOT_CORRUPTION,
                                  1: FaultKind.SLOT_CORRUPTION})
-        sup.serve(requests(2), injector)
-        assert sup.breaker("t0").state == "open"
         # a later clean request (past the cooldown) probes and closes
         late = Request(index=10, tenant="t0", service_cycles=40_000,
-                       arrival_cycle=sup.clock + 10_000)
-        outcome = sup.serve([late])[0]
-        assert outcome.status == "ok"
-        assert sup.breaker("t0").state == "closed"
+                       arrival_cycle=10**8)
+        _, outcomes = serve(sim, requests(2) + [late], injector)
+        assert sim.breakers["t0"].trips == 1
+        assert outcomes[-1].status == "ok"
+        assert sim.breakers["t0"].state == "closed"
 
     def test_breakers_are_per_tenant(self, params):
-        config = SupervisorConfig(breaker_threshold=2)
-        _, _, sup = build(params, config=config)
-        bad = [Request(index=i, tenant="bad", service_cycles=40_000,
-                       arrival_cycle=i) for i in range(3)]
+        _, sim = build(params, breaker_threshold=2)
+        bad = requests(3, tenant="bad", spacing=100_000)
         injector = FakeInjector({0: FaultKind.SLOT_CORRUPTION,
                                  1: FaultKind.SLOT_CORRUPTION})
-        sup.serve(bad, injector)
-        assert sup.breaker("bad").state == "open"
         good = Request(index=100, tenant="good", service_cycles=40_000,
-                       arrival_cycle=sup.clock)
-        assert sup.serve([good])[0].status == "ok"
+                       arrival_cycle=250_000)
+        _, outcomes = serve(sim, bad + [good], injector)
+        assert sim.breakers["bad"].state == "open"
+        assert outcomes[2].detail == "breaker"
+        assert outcomes[-1].status == "ok"
 
 
 class TestAdmissionControl:
     def test_overflow_sheds_lowest_priority_newest_first(self, params):
-        config = SupervisorConfig(queue_limit=4)
-        _, _, sup = build(params, config=config)
+        _, sim = build(params, slots=8, max_inflight=4)
         stream = []
         for i in range(8):
             priority = (Priority.HIGH if i in (1, 6)
@@ -270,9 +310,8 @@ class TestAdmissionControl:
             stream.append(Request(index=i, tenant=f"t{i}",
                                   service_cycles=30_000,
                                   priority=priority, arrival_cycle=0))
-        outcomes = sup.serve(stream)
-        by_index = {o.request.index: o for o in outcomes}
-        shed = {i for i, o in by_index.items() if o.status == "shed"}
+        _, outcomes = serve(sim, stream)
+        shed = {o.request.index for o in outcomes if o.status == "shed"}
         assert len(shed) == 4
         # HIGH priority is never shed
         assert 1 not in shed and 6 not in shed
@@ -280,8 +319,7 @@ class TestAdmissionControl:
         assert {7, 5, 4}.issubset(shed)
 
     def test_burst_injection_is_accounted_as_shed(self, params):
-        config = SupervisorConfig(queue_limit=4)
-        _, _, sup = build(params, config=config)
+        _, sim = build(params)
         burst = Injection(injection_id=0, request_index=0,
                           kind=FaultKind.BURST_OVERLOAD)
         stream = requests(1) + [
@@ -289,49 +327,48 @@ class TestAdmissionControl:
                     priority=Priority.LOW, arrival_cycle=0,
                     injection=burst)
             for k in range(8)]
-        sup.serve(stream)
+        metrics, _ = serve(sim, stream)
         assert burst.classified == "shed"
-        assert sup.counters.shed > 0
+        assert metrics.shed > 0
 
     def test_capacity_exhaustion_sheds_instead_of_crashing(self, params):
-        # 1-slot pool, and the slot is quarantined by a guest fault —
-        # the next request finds no capacity and is shed, not crashed.
-        manager, pool, sup = build(params, slots=1)
+        # a 1-slot pool: while the faulting guest holds the slot, a
+        # second arrival finds no capacity and is shed, not crashed;
+        # the scrubbed slot then serves the third
+        executor, sim = build(params, slots=1, max_inflight=4)
         injector = FakeInjector({0: FaultKind.GUEST_FAULT})
-        outcomes = sup.serve(requests(2), injector)
-        assert {o.status for o in outcomes} <= {"ok", "shed"}
-        sup.shutdown()
-        assert pool.available == 1
-        assert manager.live_sandboxes == 0
+        stream = [Request(0, "t0", 40_000, Priority.NORMAL, 0),
+                  Request(1, "t1", 40_000, Priority.NORMAL, 10),
+                  Request(2, "t0", 40_000, Priority.NORMAL, 10**7)]
+        _, outcomes = serve(sim, stream, injector)
+        assert [o.status for o in outcomes] == ["failed", "shed", "ok"]
+        assert outcomes[1].detail == "capacity"
+        shutdown(executor, sim)
+        assert sim.pool.available == 1
+        assert executor.manager.live_sandboxes == 0
 
 
 class TestStats:
     def test_stats_snapshot_matches_counters(self, params):
-        _, _, sup = build(params)
+        _, sim = build(params)
         injector = FakeInjector({0: FaultKind.GUEST_HANG})
-        sup.serve(requests(4), injector)
-        stats = sup.stats()
-        assert stats.component == "supervisor"
+        metrics, _ = serve(sim, requests(4), injector)
+        stats = sim.stats()
+        assert stats.component == "serving"
         assert stats.requests == 4
-        assert stats.succeeded == sup.counters.succeeded
-        assert stats.watchdog_kills == 1
+        assert stats.succeeded == metrics.succeeded == 3
+        assert stats.killed == 1
         assert 0.0 < stats.success_rate <= 1.0
-        assert stats.goodput > 0.0
+        assert stats.accounted
 
 
 class TestPolicyFunctions:
-    """Policy both serving loops share, on paths the loop tests do not
-    reach: the watchdog's floor, the backoff's jitter band and the
-    breaker's half-open probe."""
+    """Policy on paths the loop tests do not reach: the watchdog's
+    floor and the breaker's half-open probe."""
 
     def test_watchdog_budget_has_a_floor(self):
         assert watchdog_budget(1_000) == 50_000
         assert watchdog_budget(100_000) == 400_000
-
-    def test_backoff_jitter_spans_a_quarter_either_side(self):
-        assert backoff_cycles(0.0) == 20_000
-        assert backoff_cycles(-1.0) == 15_000
-        assert backoff_cycles(1.0) == 25_000
 
     def test_breaker_admits_one_probe_after_cooldown(self):
         breaker = TenantBreaker(consecutive_faults=4, state="open",
@@ -345,20 +382,50 @@ class TestPolicyFunctions:
         assert breaker.consecutive_faults == 0
 
 
+class TestExecutorsAgree:
+    """The loop decides every fault's consequence; an executor only
+    runs the invocation.  So one spaced-out stream and one fault plan
+    must give each request the same fate on the cost model and on real
+    sandboxes."""
+
+    PLAN = {1: FaultKind.TRANSIENT_KERNEL, 3: FaultKind.GUEST_FAULT,
+            4: FaultKind.GUEST_HANG, 6: FaultKind.SLOT_CORRUPTION,
+            8: FaultKind.HEAP_OOM, 9: FaultKind.GUEST_FAULT,
+            11: FaultKind.GUEST_FAULT, 13: FaultKind.SLOT_CORRUPTION}
+
+    def fates(self, params, executor):
+        stream = [Request(index=i, tenant=f"t{i % 3}",
+                          service_cycles=20_000 + 7_000 * i,
+                          arrival_cycle=i * 10**7)
+                  for i in range(16)]
+        injector = FakeInjector(self.PLAN)
+        sim = ServingSimulator(
+            executor, ServingConfig(n_cores=1, slots_per_shard=4,
+                                    max_inflight=4), params)
+        sim.run(stream, injector)
+        stamps = {index: injection.classified
+                  for index, injection in injector.plan.items()}
+        return {o.request.index: (o.status, o.attempts, o.detail,
+                                  stamps.get(o.request.index))
+                for o in sim.outcomes}
+
+    def test_same_stream_same_fates(self, params):
+        model = self.fates(params, "hfi")
+        real = self.fates(params, SandboxExecutor("hfi", params))
+        assert model == real
+        assert len(model) == 16
+        statuses = {status for status, _, _, _ in model.values()}
+        assert statuses == {"ok", "failed"}
+        assert {stamp for *_, stamp in model.values()} == {
+            None, "retried", "quarantined", "killed"}
+
+
 class TestSupervisorPolicyInServingLoop:
-    """Satellite of the serving simulator: the supervisor's policies —
-    shed ordering, the no-shed floor, fault-ledger accounting — must
-    hold unchanged when driven by open-loop arrivals through the
-    discrete-event loop (``repro.runtime.serving``) instead of the
-    batch ``Supervisor.serve`` path.  Both paths share the actual
-    policy code (the module-level functions of
-    ``repro.runtime.supervisor``), so a divergence here means the event
-    loop wired it up wrong.
-    """
+    """The recovery policy under open-loop arrivals on the cost model:
+    shed ordering, the no-shed floor and fault-ledger accounting when
+    a burst piles up at one instant."""
 
     def drive(self, stream, injector=None, **config_kwargs):
-        from repro.runtime import ServingConfig, ServingSimulator
-
         config_kwargs.setdefault("n_cores", 1)
         config_kwargs.setdefault("slots_per_shard", 8)
         config_kwargs.setdefault("max_inflight", 4)
@@ -439,24 +506,3 @@ class TestSupervisorPolicyInServingLoop:
                                    "killed"}
         assert metrics.accounted
         assert metrics.killed == 1 and metrics.retried == 2
-
-    def test_batch_and_event_paths_agree_on_shed_policy(self, params):
-        """The same one-instant overflow decided by both paths picks
-        the same victims (both rank by shed_rank: the batch path sorts
-        with it, the event loop keeps a heap ordered by it)."""
-        stream = []
-        for i in range(8):
-            priority = (Priority.HIGH if i in (1, 6)
-                        else Priority.LOW if i >= 4 else Priority.NORMAL)
-            stream.append(Request(index=i, tenant=f"t{i}",
-                                  service_cycles=30_000,
-                                  priority=priority, arrival_cycle=0))
-        config = SupervisorConfig(queue_limit=4)
-        _, _, sup = build(params, config=config)
-        batch_shed = {o.request.index for o in sup.serve(list(stream))
-                      if o.status == "shed"}
-        sim, _ = self.drive(list(stream), max_inflight=4)
-        event_shed = {o.request.index for o in sim.outcomes
-                      if o.status == "shed"}
-        assert 1 not in event_shed and 6 not in event_shed
-        assert event_shed == batch_shed
