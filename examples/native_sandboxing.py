@@ -97,12 +97,13 @@ def invoke_with_telemetry(params):
           f"springboards {result.software_cycles}, "
           f"service {result.service_cycles:,})")
     manager.invoke(zlib, service_cycles=8_000)
-    attribution = telemetry.attribution()
-    total = sum(attribution.values())
-    assert total == manager.total_cycles
-    for sandbox_id, cycles in sorted(attribution.items()):
-        print(f"  sandbox {sandbox_id}: {cycles:,} cycles "
-              f"({100 * cycles / total:.1f}% of the runtime's total)")
+    # The manager is the per-sandbox ledger; the sink samples it.
+    stats = telemetry.collect()["sandbox_manager"]
+    total = stats.total_cycles
+    assert stats.attributed_cycles == total
+    for sandbox in stats.sandboxes:
+        print(f"  sandbox {sandbox.sandbox_id}: {sandbox.cycles:,} cycles "
+              f"({100 * sandbox.cycles / total:.1f}% of the runtime's total)")
 
 
 if __name__ == "__main__":

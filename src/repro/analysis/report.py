@@ -64,50 +64,41 @@ def emit_json(experiment: str, payload: Dict) -> str:
     return path
 
 
-def format_telemetry(telemetry, *, top_counters: int = 20) -> str:
+def format_telemetry(telemetry) -> str:
     """Render a :class:`repro.telemetry.Telemetry` sink as tables.
 
-    Three sections: per-sandbox cycle attribution (with the trusted
-    runtime as its own row), event counters, and cycle accumulators.
+    Per-sandbox cycle attribution first, read from the registered
+    ``sandbox_manager`` component (the one per-sandbox ledger); then
+    one table of scalar counters per registered component; then the
+    span count.
     """
-    snap = telemetry.snapshot()
+    components = telemetry.collect()
     sections = []
 
-    attribution = telemetry.attribution()
-    if attribution:
-        total = sum(attribution.values())
-        rows = []
-        for key in sorted(attribution, key=lambda k: (k is None, k)):
-            label = "runtime" if key is None else f"sandbox {key}"
-            cycles = attribution[key]
-            rows.append((label, f"{cycles:,}",
-                         f"{100 * cycles / total:.1f}%" if total else "-"))
+    manager = components.get("sandbox_manager")
+    if manager is not None and manager.sandboxes:
+        total = manager.total_cycles
+        rows = [(f"sandbox {s.sandbox_id}", f"{s.cycles:,}",
+                 f"{100 * s.cycles / total:.1f}%" if total else "-")
+                for s in manager.sandboxes]
         rows.append(("total", f"{total:,}", "100.0%" if total else "-"))
         sections.append(format_table(
             ["owner", "cycles", "share"], rows,
             title="per-sandbox cycle attribution"))
 
-    counters = snap["counters"]
-    if counters:
-        ordered = sorted(counters.items(),
-                         key=lambda kv: (-kv[1], kv[0]))[:top_counters]
-        sections.append(format_table(
-            ["counter", "count"],
-            [(n, f"{v:,}") for n, v in ordered],
-            title="event counters"))
+    for name, stats in components.items():
+        rows = [(field, f"{value:,}" if isinstance(value, int)
+                 else f"{value:.3f}")
+                for field, value in stats.as_dict().items()
+                if isinstance(value, (int, float))
+                and not isinstance(value, bool)]
+        if rows:
+            sections.append(format_table(["counter", "value"], rows,
+                                         title=name))
 
-    cycles = snap["cycles"]
-    named = {n: a for n, a in cycles.items() if n != "sandbox.cycles"}
-    if named:
-        sections.append(format_table(
-            ["accumulator", "cycles"],
-            [(n, f"{a['total']:,}") for n, a in sorted(named.items())],
-            title="cycle accumulators"))
-
-    spans = snap["spans"]
-    if spans:
+    spans = telemetry.spans
+    if spans.spans:
         sections.append(
-            f"spans recorded: {len(spans)}"
-            + (f" (+{snap['spans_dropped']} dropped)"
-               if snap["spans_dropped"] else ""))
+            f"spans recorded: {len(spans.spans)}"
+            + (f" (+{spans.dropped} dropped)" if spans.dropped else ""))
     return "\n\n".join(sections) if sections else "(no telemetry recorded)"

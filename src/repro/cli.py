@@ -240,7 +240,7 @@ def cmd_startup(args) -> int:
 
 def cmd_telemetry(args) -> int:
     """Run a short multi-sandbox demo with a live telemetry sink and
-    report per-sandbox attribution, counters, and spans."""
+    report per-sandbox attribution, component counters, and spans."""
     from .runtime import InstancePool, SandboxManager, TransitionKind
     from .telemetry import Telemetry, write_json
     from .wasm import HfiStrategy
@@ -269,24 +269,24 @@ def cmd_telemetry(args) -> int:
         service = 2_000 + 1_000 * (handle.sandbox_id % 3)
         manager.invoke_pooled(handle, pool, service, kind)
     manager.grow_heap(handles[0], 1 << 21)
+    # A destroyed sandbox keeps its cycles in the ledger.
+    manager.destroy_sandbox(handles[-1])
 
-    attribution = telemetry.attribution()
-    total_attributed = sum(attribution.values())
+    stats = manager.stats()
     payload = {
         "sandboxes": args.sandboxes,
         "invocations": args.invocations,
-        "total_cycles": manager.total_cycles,
-        "attributed_cycles": total_attributed,
-        "attribution": {str(k) if k is not None else "runtime": v
-                        for k, v in attribution.items()},
-        "manager": manager.stats().as_dict(),
+        "total_cycles": stats.total_cycles,
+        "attributed_cycles": stats.attributed_cycles,
+        "attribution": {str(s.sandbox_id): s.cycles
+                        for s in stats.sandboxes},
         "telemetry": telemetry.snapshot(),
     }
     if args.out:
         write_json(telemetry, args.out)
     _emit(args, payload, format_telemetry(telemetry))
-    # The attribution ledger must account for every manager cycle.
-    return 0 if total_attributed == manager.total_cycles else 1
+    # The per-sandbox ledger must account for every manager cycle.
+    return 0 if stats.attributed_cycles == stats.total_cycles else 1
 
 
 def cmd_verify(args) -> int:

@@ -7,6 +7,11 @@ pairs which the runtime installs with ``hfi_set_region`` before entry
 (§3.3.1).  Region descriptors live in memory, so each ``hfi_set_region``
 additionally pays descriptor-load cycles — the per-transition metadata
 cost visible in Fig. 5.
+
+The facade reports nothing to a telemetry sink: its device counters
+live on :class:`HfiState` (``state.stats()``), and the caller that
+owns the clock — :class:`~repro.runtime.sandbox.SandboxManager` —
+registers them and brackets each enter/exit pair with its own span.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..params import DEFAULT_PARAMS, MachineParams
-from ..telemetry.sink import Telemetry, coalesce
 from .faults import ExitInfo, FaultCause
 from .regions import Region
 from .registers import SandboxFlags
@@ -61,17 +65,10 @@ class Hfi:
     directly instead, so both paths share one semantics.
     """
 
-    def __init__(self, params: MachineParams = DEFAULT_PARAMS,
-                 telemetry: Optional[Telemetry] = None):
+    def __init__(self, params: MachineParams = DEFAULT_PARAMS):
         self.params = params
         self.state = HfiState(params)
         self.cycles = 0
-        #: Telemetry sink; the facade (not HfiState) reports into it
-        #: because facade calls are always architectural, never
-        #: wrong-path (see core/state.py).
-        self.telemetry = coalesce(telemetry)
-        if self.telemetry.enabled:
-            self.telemetry.register_component("hfi", self.state.stats)
 
     # ------------------------------------------------------------------
     def install_regions(self, regions) -> int:
@@ -86,9 +83,6 @@ class Hfi:
             cost += self.state.set_region(number, region)
             cost += _DESCRIPTOR_WORDS * load
         self.cycles += cost
-        if self.telemetry.enabled and regions:
-            self.telemetry.count("hfi.region_install", len(regions))
-            self.telemetry.add_cycles("hfi.region_install", cost)
         return cost
 
     def enter(self, descriptor: SandboxDescriptor) -> int:
@@ -96,23 +90,11 @@ class Hfi:
         cost = self.install_regions(descriptor.regions)
         cost += self._charge(self.state.enter(descriptor.flags,
                                               descriptor.exit_handler))
-        if self.telemetry.enabled:
-            self.telemetry.count("hfi.enter")
-            self.telemetry.add_cycles("hfi.transition", cost)
-            self.telemetry.begin_span(
-                "hfi.sandbox", self.cycles,
-                serialized=descriptor.flags.is_serialized,
-                hybrid=descriptor.flags.is_hybrid)
         return cost
 
     def exit(self) -> ExitOutcome:
         outcome = self.state.exit()
         self.cycles += outcome.cycles
-        if self.telemetry.enabled:
-            self.telemetry.count("hfi.exit")
-            self.telemetry.add_cycles("hfi.transition", outcome.cycles)
-            self.telemetry.end_span(self.cycles, name="hfi.sandbox",
-                                    cause=outcome.cause.name)
         return outcome
 
     def fault(self, cause: FaultCause, addr: int = 0) -> ExitOutcome:
@@ -120,11 +102,6 @@ class Hfi:
         sandbox, record the cause MSR, leave via the OS signal path."""
         outcome = self.state.fault(cause, addr)
         self.cycles += outcome.cycles
-        if self.telemetry.enabled:
-            self.telemetry.count("hfi.fault")
-            self.telemetry.add_cycles("hfi.transition", outcome.cycles)
-            self.telemetry.end_span(self.cycles, name="hfi.sandbox",
-                                    cause=outcome.cause.name)
         return outcome
 
     def reenter(self) -> int:

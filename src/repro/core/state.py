@@ -58,9 +58,10 @@ class HfiState:
         #: the state object itself (not a telemetry sink) deliberately:
         #: the CPU snapshots/restores HfiState around speculation
         #: windows, so counters here are squashed with the wrong path,
-        #: while a shared sink would leak wrong-path events.  Sink
-        #: hooks therefore live one layer up, in the commit-path
-        #: callers (cpu.machine, core.interface).
+        #: while a shared sink would leak wrong-path events.  A sink
+        #: reads them through :meth:`stats`; the only sink calls about
+        #: HFI are the spans the CPU's commit-path handlers emit
+        #: (cpu.exec_hfi, cpu.machine).
         self.enters = 0
         self.exits = 0
         self.region_installs = 0

@@ -46,12 +46,10 @@ def _hfi_enter(ins, addr, next_rip):
                 cpu.timing.serialize_drain(cost)
             else:
                 cpu.timing.charge(cost)
-            stats = cpu.stats
             telemetry = cpu.telemetry
             if telemetry.enabled:
-                telemetry.count("cpu.hfi_enter")
                 telemetry.begin_span(
-                    "hfi.sandbox", stats.cycles,
+                    "hfi.sandbox", cpu.stats.cycles,
                     serialized=flags.is_serialized,
                     hybrid=flags.is_hybrid)
     return run
@@ -74,11 +72,9 @@ def _hfi_exit(ins, addr, next_rip):
                 cpu.timing.serialize_drain(outcome.cycles, count=False)
             else:
                 cpu.timing.charge(outcome.cycles)
-            stats = cpu.stats
             telemetry = cpu.telemetry
             if telemetry.enabled:
-                telemetry.count("cpu.hfi_exit")
-                telemetry.end_span(stats.cycles, name="hfi.sandbox",
+                telemetry.end_span(cpu.stats.cycles, name="hfi.sandbox",
                                    reason="exit")
         if outcome.redirect_to is not None:
             cpu.regs.rip = outcome.redirect_to
@@ -92,11 +88,9 @@ def _hfi_reenter(ins, addr, next_rip):
         cost = cpu.hfi.reenter()
         if not cpu._speculative:
             cpu.timing.charge(cost)
-            stats = cpu.stats
             telemetry = cpu.telemetry
             if telemetry.enabled:
-                telemetry.count("cpu.hfi_reenter")
-                telemetry.begin_span("hfi.sandbox", stats.cycles,
+                telemetry.begin_span("hfi.sandbox", cpu.stats.cycles,
                                      reenter=True)
     return run
 
@@ -114,11 +108,9 @@ def _hfi_set_region(ins, addr, next_rip):
         cost = cpu.hfi.set_region(number, region)
         if not cpu._speculative:
             cpu.timing.charge(cost)
-            stats = cpu.stats
             telemetry = cpu.telemetry
             if telemetry.enabled:
-                telemetry.count("cpu.region_install")
-                telemetry.event("hfi.set_region", stats.cycles,
+                telemetry.event("hfi.set_region", cpu.stats.cycles,
                                 region=number)
     return run
 

@@ -17,7 +17,6 @@ def _serialize(cpu, cost=None):
     if cpu._speculative:
         raise _StopSpeculation()
     cpu.timing.serialize_drain(cost)
-    cpu.telemetry.count("cpu.serialization")
 
 
 @decoder(Opcode.SYSCALL, Opcode.INT80)
@@ -41,7 +40,6 @@ def _syscall(ins, addr, next_rip):
             cpu.timing.serialize_drain(outcome.cycles, count=False)
             telemetry = cpu.telemetry
             if telemetry.enabled:
-                telemetry.count("cpu.syscall.interposed")
                 telemetry.event("syscall.interposed", stats.cycles, nr=nr)
                 telemetry.end_span(stats.cycles, name="hfi.sandbox",
                                    reason="syscall")
@@ -49,8 +47,6 @@ def _syscall(ins, addr, next_rip):
                 regs.rip = outcome.redirect_to
             return
         stats.syscalls += 1
-        if cpu.telemetry.enabled:
-            cpu.telemetry.count("cpu.syscall")
         if cpu.kernel is not None and cpu.process is not None:
             result = cpu.kernel.syscall(
                 cpu.process, nr, regs.regs[Reg.RDI], regs.regs[Reg.RSI],

@@ -30,7 +30,7 @@ seam (:mod:`.timing`); and wrong-path squash is an undo log
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from ..core.checks import implicit_code_check
@@ -44,7 +44,7 @@ from ..os.kernel import Kernel
 from ..os.process import Process
 from ..params import DEFAULT_PARAMS, MachineParams
 from ..telemetry.sink import Telemetry, coalesce
-from ..telemetry.stats import DecodeCacheStats
+from ..telemetry.stats import ComponentStats, DecodeCacheStats
 from .cache import CacheHierarchy
 from .decode import CodeMap, DecodedOp, _StopSpeculation, decode_one, \
     decode_program
@@ -66,9 +66,10 @@ from . import exec_system  # noqa: F401  (registers system handlers)
 
 
 @dataclass
-class CpuStats:
+class CpuStats(ComponentStats):
     """Counters accumulated over a run."""
 
+    component: str = "cpu"
     instructions: int = 0
     cycles: int = 0
     branches: int = 0
@@ -221,7 +222,9 @@ class Cpu:
         """
         self.telemetry = coalesce(telemetry)
         if self.telemetry.enabled:
-            for name, fn in (("l1d", self.caches.l1d.stats),
+            for name, fn in (("cpu", lambda: replace(self.stats)),
+                             ("hfi", self.hfi.stats),
+                             ("l1d", self.caches.l1d.stats),
                              ("l1i", self.caches.l1i.stats),
                              ("l2", self.caches.l2.stats),
                              ("dtlb", self.tlb.stats),
@@ -422,7 +425,6 @@ class Cpu:
         else:
             self.hfi.regs.cause_msr = fault.cause
         if self.telemetry.enabled:
-            self.telemetry.count("cpu.hfi_fault")
             self.telemetry.event("hfi.fault", self.stats.cycles,
                                  cause=fault.cause.name, addr=fault.addr)
             self.telemetry.end_span(self.stats.cycles, name="hfi.sandbox",
@@ -439,8 +441,6 @@ class Cpu:
             if self.telemetry.enabled:
                 self.telemetry.end_span(self.stats.cycles,
                                         name="hfi.sandbox", reason="fault")
-        if self.telemetry.enabled:
-            self.telemetry.count("cpu.page_fault")
         self._deliver_segv(fault.addr, 0, str(fault))
         self._fault = FaultInfo("page", fault.addr, FaultCause.NONE,
                                 fault.reason)

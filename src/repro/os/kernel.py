@@ -67,9 +67,7 @@ class Kernel:
         self.seccomp_diverted = 0
         self.segv_delivered = 0
         self.syscall_cycles = 0
-        self.telemetry = coalesce(telemetry)
-        if self.telemetry.enabled:
-            self.telemetry.register_component("kernel", self.stats)
+        coalesce(telemetry).register_component("kernel", self.stats)
 
     def stats(self) -> KernelStats:
         """Uniform component-stats snapshot (``repro.telemetry``)."""
@@ -94,31 +92,22 @@ class Kernel:
         """Run syscall ``nr`` for ``proc``; returns value + cycle cost."""
         self.syscall_count += 1
         cost = self.params.syscall_cycles
-        if self.telemetry.enabled:
-            self.telemetry.count("kernel.syscall")
         if proc.seccomp is not None:
             action, filter_cost = proc.seccomp.evaluate(nr)
             cost += filter_cost
             if action is SeccompAction.ERRNO:
-                self._charge(cost)
+                self.syscall_cycles += cost
                 return SyscallResult(EPERM, cost, action)
             if action in (SeccompAction.TRAP, SeccompAction.KILL,
                           SeccompAction.NOTIFY):
                 # Control is diverted to the supervisor; the caller
                 # decides what happens next (§6.4.1's interposition).
                 self.seccomp_diverted += 1
-                if self.telemetry.enabled:
-                    self.telemetry.count("kernel.seccomp_diverted")
-                self._charge(cost)
+                self.syscall_cycles += cost
                 return SyscallResult(0, cost, action)
         value, op_cost = self._dispatch(proc, nr, args)
-        self._charge(cost + op_cost)
+        self.syscall_cycles += cost + op_cost
         return SyscallResult(value, cost + op_cost)
-
-    def _charge(self, cycles: int) -> None:
-        self.syscall_cycles += cycles
-        if self.telemetry.enabled:
-            self.telemetry.add_cycles("kernel.syscall", cycles)
 
     def _dispatch(self, proc: Process, nr: int,
                   args: Tuple[int, ...]) -> Tuple[int, int]:
@@ -199,9 +188,4 @@ class Kernel:
                        hfi_cause=hfi_cause, description=description)
         proc.signals.deliver(info)
         self.segv_delivered += 1
-        if self.telemetry.enabled:
-            self.telemetry.count("kernel.segv")
-            self.telemetry.event("kernel.segv", self.syscall_cycles,
-                                 fault_addr=fault_addr,
-                                 hfi_cause=hfi_cause)
         return self.params.signal_delivery_cycles

@@ -58,7 +58,6 @@ class InstancePool:
         self.strategy = strategy
         self.params = params
         self.batch_teardown = batch_teardown
-        self.telemetry = coalesce(telemetry)
         self.slots: List[PoolSlot] = []
         self._free: List[int] = []
         self._pending_discard: List[PoolSlot] = []
@@ -80,9 +79,7 @@ class InstancePool:
             self.setup_cycles += cost + 2 * params.syscall_cycles
             self.slots.append(PoolSlot(i, base, heap_bytes))
             self._free.append(i)
-        if self.telemetry.enabled:
-            self.telemetry.register_component("pool", self.stats)
-            self.telemetry.add_cycles("pool.setup", self.setup_cycles)
+        coalesce(telemetry).register_component("pool", self.stats)
 
     # ------------------------------------------------------------------
     @property
@@ -92,14 +89,10 @@ class InstancePool:
     def acquire(self) -> Optional[PoolSlot]:
         """Pop a clean slot; None if the pool is exhausted."""
         if not self._free:
-            if self.telemetry.enabled:
-                self.telemetry.count("pool.exhausted")
             return None
         slot = self.slots[self._free.pop()]
         slot.in_use = True
         self.acquires += 1
-        if self.telemetry.enabled:
-            self.telemetry.count("pool.acquire")
         if self.invariants is not None:
             self.invariants.on_acquire(self, slot)
         return slot
@@ -114,8 +107,6 @@ class InstancePool:
         slot.in_use = False
         slot.dirty = True
         self.releases += 1
-        if self.telemetry.enabled:
-            self.telemetry.count("pool.release")
         if self.batch_teardown:
             # The slot stays OFF the free list until flush_discards has
             # actually zapped its memory.  Handing it out earlier lets a
@@ -131,8 +122,6 @@ class InstancePool:
         slot.dirty = False
         self._free.append(slot.index)
         self.recycle_cycles += cost
-        if self.telemetry.enabled:
-            self.telemetry.add_cycles("pool.recycle", cost)
         if self.invariants is not None:
             self.invariants.on_release(self, slot, batched=False)
         return cost
@@ -160,9 +149,6 @@ class InstancePool:
             self.invariants.on_flush(self, flushed)
         self.recycle_cycles += cost
         self.batched_flushes += 1
-        if self.telemetry.enabled:
-            self.telemetry.count("pool.batched_flush")
-            self.telemetry.add_cycles("pool.recycle", cost)
         return cost
 
     # ------------------------------------------------------------------
@@ -192,8 +178,6 @@ class InstancePool:
                                  if s is not slot]
         self._quarantined.append(slot.index)
         self.quarantines += 1
-        if self.telemetry.enabled:
-            self.telemetry.count("pool.quarantine")
         if self.invariants is not None:
             self.invariants.on_quarantine(self, slot)
 
@@ -227,8 +211,6 @@ class InstancePool:
         cost += 4 * probe // 64  # the two write+read probe sweeps
         if not verified:
             self.scrub_failures += 1
-            if self.telemetry.enabled:
-                self.telemetry.count("pool.scrub_failure")
             return cost
         self._quarantined.remove(slot.index)
         slot.quarantined = False
@@ -236,9 +218,6 @@ class InstancePool:
         self._free.append(slot.index)
         self.scrubs += 1
         self.recycle_cycles += cost
-        if self.telemetry.enabled:
-            self.telemetry.count("pool.scrub")
-            self.telemetry.add_cycles("pool.recycle", cost)
         if self.invariants is not None:
             self.invariants.on_scrub(self, slot)
         return cost
@@ -293,7 +272,6 @@ class ShardedInstancePool:
             raise ValueError("need at least one shard")
         self.space = space
         self.params = params
-        self.telemetry = coalesce(telemetry)
         self.shards: List[InstancePool] = [
             InstancePool(space, strategy, slots=slots_per_shard,
                          heap_bytes=heap_bytes, params=params,
@@ -304,8 +282,7 @@ class ShardedInstancePool:
         self.exhausted = 0
         self.dry_flushes = 0
         self.scrub_rescues = 0
-        if self.telemetry.enabled:
-            self.telemetry.register_component("sharded-pool", self.stats)
+        coalesce(telemetry).register_component("sharded-pool", self.stats)
 
     # ------------------------------------------------------------------
     @property
@@ -353,8 +330,6 @@ class ShardedInstancePool:
             slot = self.shards[victim].acquire()
             if slot is not None:
                 self.steals += 1
-                if self.telemetry.enabled:
-                    self.telemetry.count("pool.steal")
                 return slot, victim, cycles
         # everything dry: flush every pending discard, then steal again
         for index, other in enumerate(self.shards):
@@ -380,8 +355,6 @@ class ShardedInstancePool:
                 if slot is not None:
                     return slot, index, cycles
         self.exhausted += 1
-        if self.telemetry.enabled:
-            self.telemetry.count("pool.sharded_exhausted")
         return None, shard, cycles
 
     def _richest_other(self, shard: int) -> Optional[int]:

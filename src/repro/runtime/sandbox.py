@@ -37,7 +37,7 @@ from .transitions import TransitionKind, TransitionModel
 
 class SandboxError(RuntimeError):
     """A sandbox lifecycle operation was invalid (unknown handle,
-    double destroy, invoke of a destroyed sandbox)."""
+    double destroy, invoke or heap growth of a destroyed sandbox)."""
 
 
 @dataclass
@@ -94,7 +94,15 @@ class InvokeResult:
 
 
 class SandboxManager:
-    """Creates and invokes in-process sandboxes over one HFI core."""
+    """Creates and invokes in-process sandboxes over one HFI core.
+
+    The manager is the one per-sandbox cycle ledger: every cycle it
+    adds to ``total_cycles`` is booked to exactly one sandbox, and
+    :meth:`stats` lists destroyed sandboxes too, so the per-sandbox
+    cycles always sum to the total.  With a telemetry sink it
+    registers itself and its HFI device, and spans each invocation on
+    the ledger's clock.
+    """
 
     def __init__(self, params: MachineParams = DEFAULT_PARAMS,
                  space: Optional[AddressSpace] = None,
@@ -106,26 +114,31 @@ class SandboxManager:
         #: the runtime registers its handler here.
         self.signals = signals
         self.telemetry = coalesce(telemetry)
-        self.hfi = Hfi(params, telemetry=self.telemetry)
-        self.transitions = TransitionModel(params, telemetry=self.telemetry)
+        self.hfi = Hfi(params)
+        self.transitions = TransitionModel(params)
+        #: Live sandboxes by id.
         self._handles: Dict[int, SandboxHandle] = {}
+        #: Every sandbox ever created, in creation order.
+        self._ledger: List[SandboxHandle] = []
         self._next_id = 1
         self.total_cycles = 0
         self.sandboxes_created = 0
         self.invocations = 0
+        self.faults = 0
         if self.telemetry.enabled:
             self.telemetry.register_component("sandbox_manager", self.stats)
+            self.telemetry.register_component("hfi", self.hfi.state.stats)
 
-    def _attribute(self, handle: Optional[SandboxHandle],
-                   cycles: int) -> None:
-        """Charge cycles to both the manager total and the telemetry
-        attribution ledger, so the two always sum identically."""
+    def _attribute(self, handle: SandboxHandle, cycles: int) -> None:
+        """Charge cycles to the manager total and to one sandbox."""
         self.total_cycles += cycles
-        if handle is not None:
-            handle.cycles += cycles
-        if self.telemetry.enabled:
-            self.telemetry.attribute(
-                handle.sandbox_id if handle is not None else None, cycles)
+        handle.cycles += cycles
+
+    def _check_live(self, handle: SandboxHandle, operation: str) -> None:
+        if self._handles.get(handle.sandbox_id) is not handle:
+            raise SandboxError(
+                f"{operation} of unknown or destroyed sandbox "
+                f"{handle.sandbox_id}")
 
     # ------------------------------------------------------------------
     def create_sandbox(self, *, heap_bytes: int, code_bytes: int = 1 << 20,
@@ -166,10 +179,10 @@ class SandboxManager:
             heap_bytes=heap_bytes, is_hybrid=hybrid)
         self._next_id += 1
         self._handles[handle.sandbox_id] = handle
+        self._ledger.append(handle)
         self.sandboxes_created += 1
         self._attribute(handle, cost)
         if self.telemetry.enabled:
-            self.telemetry.count("sandbox.create")
             self.telemetry.event("sandbox.create", self.total_cycles,
                                  sandbox_id=handle.sandbox_id,
                                  heap_bytes=heap_bytes, hybrid=hybrid)
@@ -182,9 +195,9 @@ class SandboxManager:
         """Run one invocation: enter, do ``service_cycles`` of sandboxed
         work, exit.  Returns an :class:`InvokeResult`; its ``cycles``
         is the invocation's total."""
+        self._check_live(handle, "invoke")
         telemetry = self.telemetry
         if telemetry.enabled:
-            telemetry.count("sandbox.invoke")
             telemetry.begin_span("sandbox.invoke", self.total_cycles,
                                  sandbox_id=handle.sandbox_id,
                                  transition=transition.value)
@@ -211,6 +224,7 @@ class SandboxManager:
         """One invocation scheduled through an
         :class:`~repro.runtime.pool.InstancePool`: acquire a slot,
         run, release (charging the recycle cost to the sandbox)."""
+        self._check_live(handle, "invoke")
         slot = pool.acquire()
         if slot is None:
             raise RuntimeError("instance pool exhausted")
@@ -235,12 +249,7 @@ class SandboxManager:
         :class:`~repro.os.signals.SignalTable` if one is wired, which
         is how the runtime observes guest faults.
         """
-        if handle.sandbox_id not in self._handles:
-            raise SandboxError(
-                f"invoke of unknown/destroyed sandbox {handle.sandbox_id}")
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.count("sandbox.fault")
+        self._check_live(handle, "invoke")
         enter = self.hfi.enter(handle.descriptor)
         outcome = self.hfi.fault(cause, fault_addr)
         done = int(service_cycles * max(0.0, min(1.0, progress)))
@@ -248,16 +257,17 @@ class SandboxManager:
                  + self.params.signal_delivery_cycles)
         handle.invocations += 1
         self.invocations += 1
+        self.faults += 1
         self._attribute(handle, total)
         if self.signals is not None:
             self.signals.deliver(SigInfo(
                 Signal.SIGSEGV, fault_addr=fault_addr,
                 hfi_cause=int(cause),
                 description=f"sandbox {handle.sandbox_id}: {cause.name}"))
-        if telemetry.enabled:
-            telemetry.event("sandbox.fault", self.total_cycles,
-                            sandbox_id=handle.sandbox_id,
-                            cause=cause.name)
+        if self.telemetry.enabled:
+            self.telemetry.event("sandbox.fault", self.total_cycles,
+                                 sandbox_id=handle.sandbox_id,
+                                 cause=cause.name)
         return InvokeResult(
             reason="fault", cycles=total, sandbox_id=handle.sandbox_id,
             invocation=handle.invocations, enter_cycles=enter,
@@ -266,6 +276,7 @@ class SandboxManager:
 
     def grow_heap(self, handle: SandboxHandle, new_bytes: int) -> int:
         """Resize the sandbox's explicit region — a register update."""
+        self._check_live(handle, "heap growth")
         for i, (number, region) in enumerate(handle.descriptor.regions):
             if number == 6:
                 handle.descriptor.regions[i] = (
@@ -275,8 +286,6 @@ class SandboxManager:
                        + self.params.l1d_hit_cycles))
         handle.heap_bytes = new_bytes
         self._attribute(handle, cost)
-        if self.telemetry.enabled:
-            self.telemetry.count("sandbox.grow_heap")
         return cost
 
     def destroy_sandbox(self, handle: SandboxHandle,
@@ -290,10 +299,7 @@ class SandboxManager:
         accounting bug and must not pass silently (or surface as a
         bare ``KeyError``).
         """
-        if self._handles.get(handle.sandbox_id) is not handle:
-            raise SandboxError(
-                f"destroy of unknown or already-destroyed sandbox "
-                f"{handle.sandbox_id}")
+        self._check_live(handle, "destroy")
         cost = 0
         if discard_memory:
             cost = (self.params.syscall_cycles
@@ -302,7 +308,6 @@ class SandboxManager:
         del self._handles[handle.sandbox_id]
         self._attribute(handle, cost)
         if self.telemetry.enabled:
-            self.telemetry.count("sandbox.destroy")
             self.telemetry.event("sandbox.destroy", self.total_cycles,
                                  sandbox_id=handle.sandbox_id)
         return cost
@@ -330,6 +335,7 @@ class SandboxManager:
             sandboxes_created=self.sandboxes_created,
             live_sandboxes=self.live_sandboxes,
             invocations=self.invocations,
+            faults=self.faults,
             total_cycles=self.total_cycles,
             sandboxes=[
                 SandboxStats(component=f"sandbox[{h.sandbox_id}]",
@@ -337,7 +343,7 @@ class SandboxManager:
                              invocations=h.invocations, cycles=h.cycles,
                              heap_bytes=h.heap_bytes,
                              is_hybrid=h.is_hybrid)
-                for h in self._handles.values()
+                for h in self._ledger
             ])
 
 

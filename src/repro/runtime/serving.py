@@ -510,7 +510,6 @@ class ServingSimulator:
         self.config = config if config is not None else ServingConfig()
         self.scheme = (scheme_costs(scheme, self.params)
                        if isinstance(scheme, str) else scheme)
-        self.telemetry = coalesce(telemetry)
         self.space = (self.scheme.space if self.scheme.space is not None
                       else AddressSpace(self.params))
         self.pool = ShardedInstancePool(
@@ -526,8 +525,7 @@ class ServingSimulator:
         self.clock = 0
         self._inflight = 0
         self._seq = 0
-        if self.telemetry.enabled:
-            self.telemetry.register_component("serving", self.stats)
+        coalesce(telemetry).register_component("serving", self.stats)
 
     # ------------------------------------------------------------------
     def run(self, requests: Sequence[Request],
@@ -663,16 +661,8 @@ class ServingSimulator:
     def _shed(self, request: Request, injection: Optional[Injection],
               why: str) -> None:
         self.counters.shed += 1
-        self._account(injection, "shed")
-        if self.telemetry.enabled:
-            self.telemetry.count("serving.shed")
+        classify_fault(injection, "shed")
         self.outcomes.append(RequestOutcome(request, "shed", detail=why))
-
-    def _account(self, injection: Optional[Injection],
-                 classification: str) -> None:
-        if (classify_fault(injection, classification)
-                and self.telemetry.enabled):
-            self.telemetry.count(f"serving.fault[{classification}]")
 
     # ------------------------------------------------------------------
     # dispatch and completion
@@ -743,7 +733,7 @@ class ServingSimulator:
         pending = record.pending
         if pending is FaultKind.GUEST_HANG:
             self._release_record(record, quarantine=True)
-            self._account(injection, "killed")
+            classify_fault(injection, "killed")
             self.counters.killed += 1
             self.counters.failed += 1
             self._breaker_fault(breaker)
@@ -751,7 +741,7 @@ class ServingSimulator:
                 request, "failed", attempts=1, detail="watchdog"))
         elif pending is FaultKind.GUEST_FAULT:
             self._release_record(record, quarantine=True)
-            self._account(injection, "quarantined")
+            classify_fault(injection, "quarantined")
             self.counters.quarantined += 1
             self.counters.failed += 1
             self._breaker_fault(breaker)
@@ -760,7 +750,7 @@ class ServingSimulator:
         else:
             attempts = 1
             if pending in (FaultKind.TRANSIENT_KERNEL, FaultKind.HEAP_OOM):
-                self._account(injection, "retried")
+                classify_fault(injection, "retried")
                 self.counters.retried += 1
                 attempts = 2
             if self.scheme.intact(self.space, record.slot):
@@ -770,14 +760,12 @@ class ServingSimulator:
                 # the answer stands, but the slot never recycles
                 # unscrubbed and the tenant counts a breaker fault
                 self._release_record(record, quarantine=True)
-                self._account(injection, "quarantined")
+                classify_fault(injection, "quarantined")
                 self.counters.quarantined += 1
                 self._breaker_fault(breaker)
             latency = self.clock - request.arrival_cycle
             self.latencies.append(latency)
             self.counters.succeeded += 1
-            if self.telemetry.enabled:
-                self.telemetry.observe("serving.latency_cycles", latency)
             self.outcomes.append(RequestOutcome(
                 request, "ok", attempts=attempts, cycles=latency))
         self._maybe_start(heap, record.core)

@@ -15,10 +15,9 @@ numbers feed the analytic models and the benchmarks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..params import DEFAULT_PARAMS, MachineParams
-from ..telemetry.sink import NULL_TELEMETRY, Telemetry
 
 #: Registers a springboard saves/clears (SysV caller+callee saved).
 _SPRINGBOARD_REG_OPS = 30   # save 15 + restore 15
@@ -43,15 +42,10 @@ class TransitionModel:
     """Cycle costs of crossing a sandbox boundary, one way."""
 
     params: MachineParams = None
-    #: Optional sink; round-trip queries are counted/charged so the
-    #: telemetry report can break transition cost out of totals.
-    telemetry: Telemetry = field(default=NULL_TELEMETRY, repr=False)
 
     def __post_init__(self):
         if self.params is None:
             self.params = DEFAULT_PARAMS
-        if self.telemetry is None:
-            self.telemetry = NULL_TELEMETRY
 
     def software_cost(self, kind: TransitionKind) -> int:
         """The save/restore work, excluding HFI instructions."""
@@ -82,14 +76,10 @@ class TransitionModel:
     def round_trip(self, kind: TransitionKind, *, serialized: bool,
                    regions_installed: int = 3) -> int:
         """Full enter + exit cost for one sandbox invocation."""
-        cost = (2 * self.software_cost(kind)
+        return (2 * self.software_cost(kind)
                 + self.hfi_enter_cost(serialized=serialized,
                                       regions_installed=regions_installed)
                 + self.hfi_exit_cost(serialized=serialized))
-        if self.telemetry.enabled:
-            self.telemetry.count("transitions.round_trip")
-            self.telemetry.add_cycles("transitions.round_trip", cost)
-        return cost
 
     def mpk_switch_cost(self) -> int:
         """One ERIM-style switch gate, one way: wrpkru + the gate's
@@ -108,9 +98,5 @@ class TransitionModel:
     def mpk_round_trip(self) -> int:
         """ERIM-style wrpkru in + out (with speculation barriers)."""
         switch = self.mpk_switch_cost()
-        cost = 2 * (switch + self.software_cost(
+        return 2 * (switch + self.software_cost(
             TransitionKind.SPRINGBOARD) // 2)
-        if self.telemetry.enabled:
-            self.telemetry.count("transitions.mpk_round_trip")
-            self.telemetry.add_cycles("transitions.mpk_round_trip", cost)
-        return cost

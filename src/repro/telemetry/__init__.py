@@ -1,20 +1,14 @@
-"""Unified telemetry: metrics registry, spans, uniform component stats.
+"""Unified telemetry: uniform component stats, spans, one sink.
 
-The observability layer every other layer reports into — see
-docs/api.md ("Telemetry & stats") for the user-facing walkthrough and
-docs/architecture.md for where the sink hooks live.
+Every component counts its own events and reports them through
+``.stats()``; the :class:`Telemetry` sink adds the span timeline and
+samples the registered components at snapshot time.  See docs/api.md
+("Telemetry & stats") for the user-facing walkthrough and
+docs/architecture.md for where the components register.
 """
 
-from .export import (
-    attribution_to_csv,
-    metrics_to_csv,
-    spans_to_csv,
-    to_json,
-    write_csv,
-    write_json,
-)
-from .registry import Counter, CycleAccumulator, Histogram, MetricsRegistry
-from .sink import NULL_TELEMETRY, SANDBOX_CYCLES, NullTelemetry, Telemetry, coalesce
+from .export import to_json, write_json
+from .sink import NULL_TELEMETRY, NullTelemetry, Telemetry, coalesce
 from .spans import Span, SpanLog
 from .stats import (
     CacheStats,
@@ -36,14 +30,12 @@ from .stats import (
 )
 
 __all__ = [
-    "Telemetry", "NullTelemetry", "NULL_TELEMETRY", "SANDBOX_CYCLES",
-    "coalesce", "Counter", "Histogram", "CycleAccumulator",
-    "MetricsRegistry", "Span", "SpanLog",
+    "Telemetry", "NullTelemetry", "NULL_TELEMETRY", "coalesce",
+    "Span", "SpanLog",
     "ComponentStats", "CacheStats", "TlbStats",
     "PredictorStats", "TracerStats", "SandboxStats",
     "SandboxManagerStats", "HfiDeviceStats", "PoolStats", "KernelStats",
     "OooStats", "MpkDomainStats", "MpkVirtStats",
     "VerifyStats", "ServingStats", "ShardedPoolStats",
-    "to_json", "metrics_to_csv", "spans_to_csv", "attribution_to_csv",
-    "write_json", "write_csv",
+    "to_json", "write_json",
 ]

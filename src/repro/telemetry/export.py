@@ -1,16 +1,10 @@
-"""JSON/CSV serialization of telemetry snapshots.
-
-The JSON form is the full :meth:`Telemetry.snapshot` dict; the CSV
-forms are flat per-table files (metrics, spans, attribution) for
-spreadsheet-style analysis of benchmark sweeps.
-"""
+"""JSON serialization of telemetry snapshots: the full
+:meth:`Telemetry.snapshot` dict, spans and component stats."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from typing import Dict, Optional
+from typing import Optional
 
 from .sink import Telemetry
 
@@ -19,58 +13,7 @@ def to_json(telemetry: Telemetry, indent: Optional[int] = 2) -> str:
     return json.dumps(telemetry.snapshot(), indent=indent, sort_keys=True)
 
 
-def metrics_to_csv(telemetry: Telemetry) -> str:
-    """Counters and cycle totals as ``kind,name,value`` rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["kind", "name", "value"])
-    snap = telemetry.registry.as_dict()
-    for name, value in snap["counters"].items():
-        writer.writerow(["counter", name, value])
-    for name, payload in snap["cycles"].items():
-        writer.writerow(["cycles", name, payload["total"]])
-    for name, payload in snap["histograms"].items():
-        writer.writerow(["histogram_count", name, payload["count"]])
-        writer.writerow(["histogram_mean", name, payload["mean"]])
-    return buf.getvalue()
-
-
-def spans_to_csv(telemetry: Telemetry) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["span_id", "name", "begin_cycle", "end_cycle",
-                     "duration", "depth", "parent_id", "sandbox_id"])
-    for span in telemetry.spans.spans:
-        writer.writerow([span.span_id, span.name, span.begin_cycle,
-                         span.end_cycle, span.duration, span.depth,
-                         span.parent_id, span.sandbox_id])
-    return buf.getvalue()
-
-
-def attribution_to_csv(telemetry: Telemetry) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["sandbox_id", "cycles"])
-    for key, cycles in sorted(telemetry.attribution().items(),
-                              key=lambda kv: (kv[0] is None, kv[0])):
-        writer.writerow(["runtime" if key is None else key, cycles])
-    return buf.getvalue()
-
-
 def write_json(telemetry: Telemetry, path: str) -> str:
     with open(path, "w") as fh:
         fh.write(to_json(telemetry) + "\n")
     return path
-
-
-def write_csv(telemetry: Telemetry, path_prefix: str) -> Dict[str, str]:
-    """Write ``<prefix>_metrics.csv``, ``_spans.csv``, ``_sandboxes.csv``."""
-    out = {}
-    for suffix, render in (("metrics", metrics_to_csv),
-                           ("spans", spans_to_csv),
-                           ("sandboxes", attribution_to_csv)):
-        path = f"{path_prefix}_{suffix}.csv"
-        with open(path, "w") as fh:
-            fh.write(render(telemetry))
-        out[suffix] = path
-    return out

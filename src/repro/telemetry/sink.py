@@ -1,4 +1,9 @@
-"""The ``Telemetry`` sink — the one object every layer reports into.
+"""The ``Telemetry`` sink: a span log plus the components' collectors.
+
+Each event is counted once, by the component it happens in, and
+reported through that component's ``.stats()`` snapshot.  The sink
+holds only what no component can: the span timeline and the list of
+``.stats()`` collectors it samples at snapshot time.
 
 Components take an optional ``telemetry`` argument and default to the
 shared :data:`NULL_TELEMETRY` sink, whose every method is a no-op and
@@ -13,31 +18,25 @@ Wiring pattern (see docs/architecture.md)::
     manager = SandboxManager(params, telemetry=tel)
     ... run work ...
     tel.snapshot()            # JSON-ready dict
-    tel.attribution()         # {sandbox_id: cycles}
+    manager.stats().sandboxes # per-sandbox cycles
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from .registry import MetricsRegistry
 from .spans import Span, SpanLog
 from .stats import ComponentStats
 
-#: Accumulator name carrying the per-sandbox cycle attribution.
-SANDBOX_CYCLES = "sandbox.cycles"
-
 
 class Telemetry:
-    """A live metrics registry + span log + component collectors."""
+    """A live span log + component collectors."""
 
     enabled = True
 
     def __init__(self, span_capacity: int = 100_000):
-        self.registry = MetricsRegistry()
         self.spans = SpanLog(capacity=span_capacity)
-        self._collectors: List[Tuple[str, Callable[[], ComponentStats]]] = []
+        self._collectors: Dict[str, Callable[[], ComponentStats]] = {}
 
     # -- identity across copy/deepcopy ---------------------------------
     # The CPU deep-copies HfiState around speculation windows; any
@@ -47,22 +46,6 @@ class Telemetry:
 
     def __deepcopy__(self, memo) -> "Telemetry":
         return self
-
-    # -- metrics -------------------------------------------------------
-    def count(self, name: str, n: int = 1) -> None:
-        self.registry.counter(name).add(n)
-
-    def observe(self, name: str, value: float) -> None:
-        self.registry.histogram(name).observe(value)
-
-    def add_cycles(self, name: str, cycles: int,
-                   sandbox_id: Optional[int] = None) -> None:
-        self.registry.cycle_accumulator(name).add(cycles, sandbox_id)
-
-    def attribute(self, sandbox_id: Optional[int], cycles: int) -> None:
-        """Book cycles against one sandbox (None = trusted runtime)."""
-        self.registry.cycle_accumulator(SANDBOX_CYCLES).add(
-            cycles, sandbox_id)
 
     # -- spans ---------------------------------------------------------
     def begin_span(self, name: str, cycle: int,
@@ -78,47 +61,30 @@ class Telemetry:
               sandbox_id: Optional[int] = None, **attrs) -> None:
         self.spans.event(name, cycle, sandbox_id=sandbox_id, **attrs)
 
-    @contextmanager
-    def span(self, name: str, clock: Callable[[], int],
-             sandbox_id: Optional[int] = None, **attrs):
-        """Context-manager span over a caller-supplied cycle clock."""
-        self.begin_span(name, clock(), sandbox_id=sandbox_id, **attrs)
-        try:
-            yield self
-        finally:
-            self.end_span(clock(), name=name)
-
     # -- component stats -----------------------------------------------
     def register_component(
             self, name: str,
             stats_fn: Callable[[], ComponentStats]) -> None:
-        """Attach a ``.stats()``-style collector, sampled at snapshot."""
-        self._collectors = [(n, f) for n, f in self._collectors
-                            if n != name]
-        self._collectors.append((name, stats_fn))
+        """Attach a ``.stats()``-style collector, sampled at snapshot;
+        a second registration under ``name`` replaces the first."""
+        self._collectors[name] = stats_fn
 
     def collect(self) -> Dict[str, ComponentStats]:
-        return {name: fn() for name, fn in self._collectors}
+        return {name: fn() for name, fn in self._collectors.items()}
 
     # -- export --------------------------------------------------------
-    def attribution(self) -> Dict[Optional[int], int]:
-        """Per-sandbox cycles booked via :meth:`attribute`."""
-        acc = self.registry.cycles.get(SANDBOX_CYCLES)
-        return dict(acc.by_key) if acc is not None else {}
-
     def snapshot(self) -> Dict[str, object]:
         """Everything, JSON-ready (spans capped by the log's capacity)."""
-        snap = self.registry.as_dict()
-        snap["sandbox_cycles"] = {
-            str(k): v for k, v in self.attribution().items()}
-        snap["spans"] = self.spans.as_dicts()
-        snap["spans_dropped"] = self.spans.dropped
-        snap["components"] = {
-            name: stats.as_dict() for name, stats in self.collect().items()}
-        return snap
+        return {
+            "spans": self.spans.as_dicts(),
+            "spans_dropped": self.spans.dropped,
+            "components": {name: stats.as_dict()
+                           for name, stats in self.collect().items()},
+        }
 
     def reset(self) -> None:
-        self.registry.reset()
+        """Drop the recorded spans.  Collectors stay registered: the
+        counters they read belong to the components."""
         self.spans = SpanLog(capacity=self.spans.capacity)
 
 
@@ -134,18 +100,6 @@ class NullTelemetry(Telemetry):
     def __init__(self):
         super().__init__(span_capacity=0)
 
-    def count(self, name, n=1):
-        pass
-
-    def observe(self, name, value):
-        pass
-
-    def add_cycles(self, name, cycles, sandbox_id=None):
-        pass
-
-    def attribute(self, sandbox_id, cycles):
-        pass
-
     def begin_span(self, name, cycle, sandbox_id=None, **attrs):
         return None
 
@@ -154,10 +108,6 @@ class NullTelemetry(Telemetry):
 
     def event(self, name, cycle, sandbox_id=None, **attrs):
         pass
-
-    @contextmanager
-    def span(self, name, clock, sandbox_id=None, **attrs):
-        yield self
 
     def register_component(self, name, stats_fn):
         pass

@@ -1,20 +1,19 @@
 """Uniform component statistics — the ``.stats()`` API.
 
-Every measurable component (caches, TLB, predictors, tracer, sandbox
-manager, HFI state) exposes one method::
+Every measurable component (caches, TLB, predictors, tracer, HFI
+state, sandbox manager, pools, kernel, serving loop) counts its own
+events in plain-int fields and exposes them through one method::
 
     component.stats() -> ComponentStats
 
-returning a frozen-in-time dataclass snapshot.  The dataclasses share
-a small base so exporters can treat them generically: ``as_dict()``
-includes derived properties (hit rates, shares) alongside raw
-counters, which is what the JSON/CSV exporters and ``repro-hfi
-telemetry --json`` emit.
-
-``component.stats()`` is the *only* supported surface: the PR-1
-transition shims (``StatsAccessor`` read-throughs like
-``cache.stats.hits`` and deprecated raw counters like ``tlb.hits``)
-have been removed after a deprecation cycle.
+returning a frozen-in-time dataclass snapshot.  Those fields are the
+only count of each event: the telemetry sink keeps no counters of its
+own and samples the registered components at snapshot time.  The
+dataclasses share a small base so the sink can treat them
+generically: ``as_dict()`` includes derived properties (hit rates,
+shares) alongside raw counters, which is what
+:meth:`~repro.telemetry.Telemetry.snapshot` and ``repro-hfi telemetry
+--json`` emit.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ class TracerStats(ComponentStats):
 
 @dataclass
 class SandboxStats(ComponentStats):
-    """Per-sandbox attribution as tracked by the manager."""
+    """One sandbox's share of the manager's cycle ledger."""
 
     sandbox_id: int = 0
     invocations: int = 0
@@ -122,11 +121,19 @@ class SandboxStats(ComponentStats):
 
 @dataclass
 class SandboxManagerStats(ComponentStats):
-    """Whole-manager rollup; ``sandboxes`` carries the attribution."""
+    """Whole-manager rollup.
+
+    ``sandboxes`` is the per-sandbox cycle ledger: it lists every
+    sandbox the manager created, destroyed ones included, so
+    ``attributed_cycles`` always equals ``total_cycles``.
+    ``invocations`` counts faulting invocations too; ``faults`` counts
+    those alone.
+    """
 
     sandboxes_created: int = 0
     live_sandboxes: int = 0
     invocations: int = 0
+    faults: int = 0
     total_cycles: int = 0
     sandboxes: List[SandboxStats] = field(default_factory=list)
 

@@ -131,3 +131,25 @@ class TestCli:
     def test_chaos_rejects_bad_rate(self):
         with pytest.raises(SystemExit):
             main(["chaos", "--fault-rate", "1.5"])
+    def test_telemetry_demo(self, capsys):
+        # exits 0 only if the per-sandbox ledger sums to the total
+        assert main(["telemetry"]) == 0
+        out = capsys.readouterr().out
+        assert "per-sandbox cycle attribution" in out
+        assert "spans recorded" in out
+
+    def test_telemetry_json_attribution_balances(self, capsys):
+        assert main(["telemetry", "--sandboxes", "3",
+                     "--invocations", "12", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["attributed_cycles"] == payload["total_cycles"]
+        assert sorted(payload["attribution"]) == ["1", "2", "3"]
+
+    def test_telemetry_out_writes_component_snapshot(self, tmp_path,
+                                                     capsys):
+        path = tmp_path / "snap.json"
+        assert main(["telemetry", "--out", str(path)]) == 0
+        snapshot = json.loads(path.read_text())
+        assert {"sandbox_manager", "pool", "hfi"} <= set(
+            snapshot["components"])
+        assert snapshot["spans"]

@@ -1,6 +1,6 @@
 """Tests for the unified telemetry subsystem (``repro.telemetry``):
-the metrics registry, span nesting, per-sandbox attribution, null-sink
-parity, and the uniform ``.stats()`` component API."""
+the sink's component registry, span nesting, the manager's per-sandbox
+ledger, null-sink parity, and the uniform ``.stats()`` component API."""
 
 import copy
 
@@ -16,14 +16,13 @@ from repro.params import MachineParams
 from repro.runtime import (
     InstancePool,
     InvokeResult,
+    SandboxError,
     SandboxManager,
     TransitionKind,
 )
 from repro.telemetry import (
     NULL_TELEMETRY,
-    CycleAccumulator,
-    MetricsRegistry,
-    NullTelemetry,
+    KernelStats,
     SpanLog,
     Telemetry,
     coalesce,
@@ -38,50 +37,51 @@ def params():
     return MachineParams()
 
 
+def run_manager(params):
+    """Create, the three invoke paths and destroy, through one live
+    sink."""
+    tel = Telemetry()
+    manager = SandboxManager(params, telemetry=tel)
+    handle = manager.create_sandbox(heap_bytes=1 << 18)
+    pool = InstancePool(manager.space, HfiStrategy(), slots=2,
+                        heap_bytes=1 << 18, params=params)
+    manager.invoke(handle, service_cycles=1_000)
+    manager.invoke_pooled(handle, pool, 2_000, TransitionKind.SPRINGBOARD)
+    manager.invoke_faulting(handle, 3_000)
+    manager.destroy_sandbox(handle)
+    return tel
+
+
+def run_wasm(params):
+    """``401.bzip2`` under ``hfi`` on a core with a live sink."""
+    tel = Telemetry()
+    runtime = WasmRuntime(params)
+    runtime.cpu.attach_telemetry(tel)
+    module = SPEC_BENCHMARKS["401.bzip2"](1)
+    instance = runtime.instantiate(module, make_strategy("hfi"))
+    assert runtime.run(instance).reason == "hlt"
+    return tel, runtime.cpu
+
+
 class TestRegistry:
-    def test_counter_get_or_create_and_add(self):
-        reg = MetricsRegistry()
-        reg.counter("a.b").add()
-        reg.counter("a.b").add(4)
-        assert reg.counter("a.b").value == 5
-        assert reg.as_dict()["counters"] == {"a.b": 5}
+    """The sink's registry of component collectors."""
 
-    def test_histogram_buckets_and_mean(self):
-        reg = MetricsRegistry()
-        for v in (1, 2, 3, 100):
-            reg.histogram("lat").observe(v)
-        h = reg.histogram("lat")
-        assert h.count == 4
-        assert h.mean == pytest.approx(26.5)
-        assert h.min == 1 and h.max == 100
-
-    def test_cycle_accumulator_by_key(self):
-        acc = CycleAccumulator("x")
-        acc.add(10, key=1)
-        acc.add(5, key=1)
-        acc.add(7, key=None)
-        assert acc.total == 22
-        assert acc.by_key == {1: 15, None: 7}
-
-    def test_telemetry_count_and_snapshot(self):
+    def test_reregistering_a_name_replaces_its_collector(self):
         tel = Telemetry()
-        tel.count("ev")
-        tel.count("ev", 2)
-        tel.observe("h", 8)
-        tel.add_cycles("c", 100, sandbox_id=3)
-        snap = tel.snapshot()
-        assert snap["counters"]["ev"] == 3
-        assert snap["histograms"]["h"]["count"] == 1
-        assert snap["cycles"]["c"]["by_key"] == {"3": 100}
+        tel.register_component("kernel", lambda: KernelStats(syscalls=1))
+        tel.register_component("kernel", lambda: KernelStats(syscalls=2))
+        assert tel.snapshot()["components"]["kernel"]["syscalls"] == 2
 
     def test_reset(self):
+        """Reset drops the spans; the collectors read component
+        counters the sink does not own, so they stay."""
         tel = Telemetry()
-        tel.count("ev")
+        tel.register_component("kernel", KernelStats)
         tel.begin_span("s", 0)
         tel.reset()
         snap = tel.snapshot()
-        assert snap["counters"] == {}
         assert snap["spans"] == []
+        assert list(snap["components"]) == ["kernel"]
 
 
 class TestSpans:
@@ -132,13 +132,7 @@ class TestSpans:
     def test_sandbox_lifecycle_spans_nest_under_run(self, params):
         """hfi_enter/exit in simulated code open/close a span inside
         the cpu.run span, carrying transition attributes."""
-        tel = Telemetry()
-        runtime = WasmRuntime(params)
-        runtime.cpu.attach_telemetry(tel)
-        module = SPEC_BENCHMARKS["401.bzip2"](1)
-        instance = runtime.instantiate(module, make_strategy("hfi"))
-        result = runtime.run(instance)
-        assert result.reason == "hlt"
+        tel, _ = run_wasm(params)
         runs = tel.spans.named("cpu.run")
         boxes = tel.spans.named("hfi.sandbox")
         assert len(runs) == 1
@@ -146,45 +140,83 @@ class TestSpans:
         for box in boxes:
             assert box.parent_id == runs[0].span_id
             assert box.duration is not None and box.duration > 0
-        assert tel.registry.counter("cpu.hfi_enter").value >= 1
-        assert tel.registry.counter("cpu.hfi_exit").value >= 1
+        hfi = tel.collect()["hfi"]
+        assert hfi.enters >= len(boxes) and hfi.exits >= 1
+
+    @pytest.mark.parametrize("run", ["manager", "wasm"])
+    def test_closed_spans_lie_within_their_closed_parents(self, params,
+                                                          run):
+        """One timeline, one clock: a child span never starts before
+        or ends after its parent."""
+        tel = run_manager(params) if run == "manager" \
+            else run_wasm(params)[0]
+        spans = {span.span_id: span for span in tel.spans.spans}
+        assert spans
+        for span in spans.values():
+            parent = spans.get(span.parent_id)
+            if span.open or parent is None or parent.open:
+                continue
+            assert (parent.begin_cycle <= span.begin_cycle
+                    <= span.end_cycle <= parent.end_cycle), (span, parent)
 
 
 class TestAttribution:
+    """The manager is the one per-sandbox cycle ledger."""
+
     def test_attribution_sums_to_manager_total(self, params):
-        tel = Telemetry()
-        manager = SandboxManager(params, telemetry=tel)
+        manager = SandboxManager(params)
         handles = [manager.create_sandbox(heap_bytes=1 << 18)
                    for _ in range(3)]
         for i, handle in enumerate(handles * 4):
             manager.invoke(handle, service_cycles=1_000 * (i + 1))
         manager.grow_heap(handles[1], 1 << 20)
         manager.destroy_sandbox(handles[2])
-        attribution = tel.attribution()
-        assert sum(attribution.values()) == manager.total_cycles
-        assert set(attribution) == {1, 2, 3}
+        stats = manager.stats()
+        attribution = {s.sandbox_id: s.cycles for s in stats.sandboxes}
+        assert stats.attributed_cycles == manager.total_cycles
+        assert set(attribution) == {1, 2, 3}     # destroyed one too
         assert all(v > 0 for v in attribution.values())
+        assert stats.live_sandboxes == 2
 
     def test_attribution_matches_handle_cycles(self, params):
         tel = Telemetry()
         manager = SandboxManager(params, telemetry=tel)
         handle = manager.create_sandbox(heap_bytes=1 << 18)
         manager.invoke(handle, service_cycles=5_000)
-        assert tel.attribution()[handle.sandbox_id] == handle.cycles
+        ledger = tel.collect()["sandbox_manager"].sandboxes
+        assert [(s.sandbox_id, s.cycles) for s in ledger] == [
+            (handle.sandbox_id, handle.cycles)]
 
     def test_pooled_invocation_attributes_recycle_cost(self, params):
-        tel = Telemetry()
-        manager = SandboxManager(params, telemetry=tel)
+        manager = SandboxManager(params)
         handle = manager.create_sandbox(heap_bytes=1 << 18)
         pool = InstancePool(manager.space, HfiStrategy(), slots=2,
-                            heap_bytes=1 << 18, params=params,
-                            telemetry=tel)
+                            heap_bytes=1 << 18, params=params)
         result = manager.invoke_pooled(handle, pool, 2_000,
                                        TransitionKind.ZERO_COST)
         assert result.slot_index is not None
         assert result.recycle_cycles > 0
         assert pool.available == 2
-        assert sum(tel.attribution().values()) == manager.total_cycles
+        assert manager.stats().attributed_cycles == manager.total_cycles
+
+    def test_destroyed_sandbox_takes_no_more_work(self, params):
+        """Invoking or growing a destroyed sandbox raises, books no
+        cycles and holds no pool slot, so the ledger still sums."""
+        manager = SandboxManager(params)
+        handle = manager.create_sandbox(heap_bytes=1 << 18)
+        manager.destroy_sandbox(handle)
+        total = manager.total_cycles
+        pool = InstancePool(manager.space, HfiStrategy(), slots=2,
+                            heap_bytes=1 << 18, params=params)
+        with pytest.raises(SandboxError):
+            manager.invoke(handle, 1_000)
+        with pytest.raises(SandboxError):
+            manager.invoke_pooled(handle, pool, 1_000)
+        with pytest.raises(SandboxError):
+            manager.grow_heap(handle, 1 << 19)
+        assert pool.available == 2
+        assert manager.total_cycles == total
+        assert manager.stats().attributed_cycles == total
 
 
 class TestNullSinkParity:
@@ -218,11 +250,11 @@ class TestNullSinkParity:
     def test_null_sink_is_inert_and_shared(self):
         assert coalesce(None) is NULL_TELEMETRY
         assert not NULL_TELEMETRY.enabled
-        NULL_TELEMETRY.count("x")
-        NULL_TELEMETRY.attribute(1, 100)
+        NULL_TELEMETRY.register_component("kernel", KernelStats)
         NULL_TELEMETRY.begin_span("s", 0)
-        assert NULL_TELEMETRY.snapshot()["counters"] == {}
-        assert NULL_TELEMETRY.attribution() == {}
+        NULL_TELEMETRY.event("e", 0)
+        assert NULL_TELEMETRY.snapshot() == {
+            "spans": [], "spans_dropped": 0, "components": {}}
 
     def test_sinks_survive_deepcopy_as_identity(self):
         """The CPU deep-copies HfiState around speculation windows; a
@@ -319,9 +351,20 @@ class TestUniformStats:
         tel = Telemetry()
         cpu = Cpu(params, telemetry=tel)
         snap = tel.snapshot()
-        assert {"l1d", "l1i", "l2", "dtlb", "pht", "btb",
+        assert {"cpu", "hfi", "l1d", "l1i", "l2", "dtlb", "pht", "btb",
                 "rsb"} <= set(snap["components"])
         assert snap["components"]["l1d"]["component"] == "l1d"
+
+    def test_cpu_and_hfi_components_are_the_cores_own_counters(
+            self, params):
+        """The sink recounts nothing: after a run, its ``cpu`` and
+        ``hfi`` components are the core's own stats."""
+        tel, cpu = run_wasm(params)
+        components = tel.snapshot()["components"]
+        assert components["cpu"] == cpu.stats.as_dict()
+        assert components["hfi"] == cpu.hfi.stats().as_dict()
+        assert components["cpu"]["instructions"] > 0
+        assert components["hfi"]["enters"] > 0
 
     def test_as_dict_includes_properties(self):
         cache = Cache(sets=2, ways=1)
@@ -360,11 +403,12 @@ class TestExport:
         handle = manager.create_sandbox(heap_bytes=1 << 18)
         manager.invoke(handle, service_cycles=50)
         parsed = json.loads(to_json(tel))
-        assert parsed["counters"]["sandbox.invoke"] == 1
-        from repro.telemetry import write_csv, write_json
+        assert parsed["components"]["sandbox_manager"]["invocations"] == 1
+        assert [s["name"] for s in parsed["spans"]] == [
+            "sandbox.create", "sandbox.invoke"]
+        from repro.telemetry import write_json
         path = tmp_path / "tel.json"
         write_json(tel, str(path))
-        assert json.loads(path.read_text())["counters"]
-        write_csv(tel, str(tmp_path / "tel"))
-        sandboxes = (tmp_path / "tel_sandboxes.csv").read_text()
-        assert str(handle.sandbox_id) in sandboxes
+        written = json.loads(path.read_text())
+        ledger = written["components"]["sandbox_manager"]["sandboxes"]
+        assert [s["sandbox_id"] for s in ledger] == [handle.sandbox_id]
