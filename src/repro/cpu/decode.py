@@ -239,7 +239,9 @@ class CodeMap(dict):
     Any write or delete drops the corresponding :class:`DecodedOp` so
     the next fetch at that address re-decodes (lazily) — code patched
     via ``cpu._code[addr] = ins`` behaves exactly as before the staged
-    engine.
+    engine.  ``Cpu.load_program`` and ``unload_program`` bypass these
+    per-address hooks and keep the map, the decoded ops and
+    ``invalidations`` coherent in bulk.
     """
 
     __slots__ = ("decoded", "invalidations")

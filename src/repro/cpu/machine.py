@@ -266,11 +266,15 @@ class Cpu:
 
         The program is predecoded once (cached on the Program object),
         so repeated loads — and multiple cores sharing a program —
-        reuse the same DecodedOps.  :meth:`unload_program` undoes it.
+        reuse the same DecodedOps.  Loading over an address that holds
+        a decoded op replaces it, and ``invalidations`` counts that as
+        the code write it is.  :meth:`unload_program` undoes a load.
         """
         decoded = decode_program(program)
-        for ins in program.instructions:
-            self._code[ins.addr] = ins
+        code = self._code
+        # one bulk update rather than a CodeMap write per address
+        code.invalidations += len(self._decoded.keys() & decoded.keys())
+        dict.update(code, {ins.addr: ins for ins in program.instructions})
         self._decoded.update(decoded)
         self._predecoded += len(decoded)
 
@@ -285,10 +289,11 @@ class Cpu:
         code = self._code
         decoded = self._decoded
         for ins in program.instructions:
-            if code.get(ins.addr) is ins:
-                # dropping the op first leaves CodeMap nothing to count
-                decoded.pop(ins.addr, None)
-                del code[ins.addr]
+            addr = ins.addr
+            if code.get(addr) is ins:
+                # dict's own delete: CodeMap's would count a code write
+                dict.__delitem__(code, addr)
+                decoded.pop(addr, None)
 
     def _decode_at(self, pc: int) -> Optional[DecodedOp]:
         """Lazy decode for instructions patched in via ``_code``."""

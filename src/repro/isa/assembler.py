@@ -261,12 +261,16 @@ class Assembler:
                     raise AssemblerError(f"duplicate label {ins.label!r}")
                 program.labels[ins.label] = ins.addr
 
+        # only the few operand tuples that hold a label are rebuilt
         for ins in program.instructions:
-            ins.operands = tuple(
-                Imm(self._resolve(program, op)) if isinstance(op, LabelRef)
-                else op
-                for op in ins.operands
-            )
+            for op in ins.operands:
+                if isinstance(op, LabelRef):
+                    ins.operands = tuple(
+                        Imm(self._resolve(program, operand))
+                        if isinstance(operand, LabelRef) else operand
+                        for operand in ins.operands
+                    )
+                    break
         program.finalize()
         return program
 

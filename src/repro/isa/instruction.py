@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .opcodes import CONDITIONAL_JUMPS, HMOV_REGION, Opcode
+from .opcodes import CONDITIONAL_JUMPS, HFI_REGION_OPS, HMOV_REGION, Opcode
 from .operands import Imm, LabelRef, Mem, Operand
 from .registers import Reg
 
@@ -74,6 +74,33 @@ def _mem_len(mem: Mem) -> int:
     return length
 
 
+#: Opcodes whose length does not depend on their operands.
+_FIXED_LENGTHS = {
+    Opcode.NOP: 1,
+    Opcode.RET: 1,
+    Opcode.PUSH: 2,
+    Opcode.POP: 2,
+    Opcode.SYSCALL: 2,
+    Opcode.CPUID: 2,
+    Opcode.RDTSC: 2,
+    Opcode.INT80: 2,
+    Opcode.HLT: 2,
+    Opcode.LFENCE: 3,
+    Opcode.CLFLUSH: 3,
+    Opcode.WRPKRU: 3,
+    Opcode.RDPKRU: 3,
+    Opcode.XSAVE: 3,
+    Opcode.XRSTOR: 3,
+    # two-byte opcode + REX + modrm-ish
+    Opcode.HFI_ENTER: 4,
+    Opcode.HFI_EXIT: 4,
+    Opcode.HFI_REENTER: 4,
+    Opcode.HFI_CLEAR_ALL_REGIONS: 4,
+    # jcc rel32 (conservative: long form)
+    **dict.fromkeys(CONDITIONAL_JUMPS, 6),
+}
+
+
 def encoded_length(opcode: Opcode, operands: Tuple[Operand, ...]) -> int:
     """Return the modelled encoded byte length of an instruction.
 
@@ -81,30 +108,14 @@ def encoded_length(opcode: Opcode, operands: Tuple[Operand, ...]) -> int:
     encoder; what matters downstream is that relative code sizes across
     isolation strategies are realistic.
     """
-    if opcode is Opcode.NOP:
-        return 1
-    if opcode is Opcode.RET:
-        return 1
-    if opcode in (Opcode.PUSH, Opcode.POP):
-        return 2
-    if opcode in (Opcode.SYSCALL, Opcode.CPUID, Opcode.RDTSC,
-                  Opcode.INT80, Opcode.HLT):
-        return 2
-    if opcode in (Opcode.LFENCE, Opcode.CLFLUSH, Opcode.WRPKRU,
-                  Opcode.RDPKRU, Opcode.XSAVE, Opcode.XRSTOR):
-        return 3
-    if opcode in CONDITIONAL_JUMPS:
-        return 6  # jcc rel32 (conservative: long form)
-    if opcode in (Opcode.JMP, Opcode.CALL):
-        target = operands[0] if operands else None
-        if isinstance(target, Reg):
+    length = _FIXED_LENGTHS.get(opcode)
+    if length is not None:
+        return length
+    if opcode is Opcode.JMP or opcode is Opcode.CALL:
+        if operands and isinstance(operands[0], Reg):
             return 3  # jmp/call r64 (REX + FF /4)
         return 5  # rel32
-    if opcode in (Opcode.HFI_ENTER, Opcode.HFI_EXIT, Opcode.HFI_REENTER,
-                  Opcode.HFI_CLEAR_ALL_REGIONS):
-        return 4  # two-byte opcode + REX + modrm-ish
-    if opcode in (Opcode.HFI_SET_REGION, Opcode.HFI_GET_REGION,
-                  Opcode.HFI_CLEAR_REGION):
+    if opcode in HFI_REGION_OPS:  # clear-all returned above
         length = 4
         for op in operands:
             if isinstance(op, Mem):
@@ -113,14 +124,12 @@ def encoded_length(opcode: Opcode, operands: Tuple[Operand, ...]) -> int:
                 length += 1  # region number fits a byte
         return length
 
-    # General two-operand forms (mov/alu/lea/hmov/...)
-    length = 1  # primary opcode byte
-    length += 1  # REX.W prefix (64-bit operand size throughout)
-    if opcode in HMOV_REGION:
-        # hmov uses an added 2-byte prefix on top of a normal mov
-        # encoding (§5.2), giving it the "longer encoding" the paper
-        # blames for 445.gobmk's i-cache pressure.
-        length += 2
+    # General two-operand forms (mov/alu/lea/hmov/...): the primary
+    # opcode byte plus REX.W (64-bit operand size throughout).  hmov
+    # adds a 2-byte prefix on top of a normal mov encoding (§5.2),
+    # giving it the "longer encoding" the paper blames for 445.gobmk's
+    # i-cache pressure.
+    length = 4 if opcode in HMOV_REGION else 2
 
     has_modrm = False
     for op in operands:

@@ -14,6 +14,12 @@ import enum
 
 
 class Opcode(enum.Enum):
+    # Members are singletons, so identity hashing is correct — and it
+    # replaces Enum's Python-level ``hash(self._name_)`` with a C slot.
+    # Every emitted instruction looks its opcode up in the length table
+    # and the decoder table, so instantiation pays that hash per op.
+    __hash__ = object.__hash__
+
     # --- data movement ---
     MOV = "mov"            # reg<-reg / reg<-imm / load / store
     LEA = "lea"

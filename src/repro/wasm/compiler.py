@@ -80,6 +80,9 @@ class Compiler:
     def __init__(self, strategy: IsolationStrategy,
                  params: MachineParams = DEFAULT_PARAMS,
                  reserve_extra_regs: int = 0):
+        if reserve_extra_regs < 0:
+            raise ValueError(f"reserve_extra_regs must be >= 0, "
+                             f"got {reserve_extra_regs}")
         self.strategy = strategy
         self.params = params
         #: Artificially shrink the pool (the §6.1 register-pressure
@@ -131,7 +134,6 @@ class Compiler:
             asm.ret()
 
         program = asm.assemble()
-        program.finalize()
         entry = program.labels["__entry"]
         compiled = CompiledModule(module=module, program=program,
                                   entry=entry, layout=layout,
@@ -150,9 +152,9 @@ class Compiler:
     def _pool(self) -> List[Reg]:
         pool = [r for r in _POOL_ORDER
                 if r not in self.strategy.reserved_regs]
-        if self.reserve_extra_regs:
-            pool = pool[:len(pool) - self.reserve_extra_regs]
-        return pool
+        # reserving the whole pool or more leaves it empty: every
+        # local spills
+        return pool[:max(0, len(pool) - self.reserve_extra_regs)]
 
     def _allocate(self, fn: ir.Function) -> _FuncState:
         names = ir.collect_locals(fn.body)

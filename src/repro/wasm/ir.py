@@ -26,6 +26,10 @@ Value = Union[str, int]  # a local variable name or an integer literal
 
 
 class BinaryOp(enum.Enum):
+    # identity hashing, as ``Reg`` and ``Opcode`` have: the compiler
+    # maps every lowered op through a dict keyed by these enums
+    __hash__ = object.__hash__
+
     ADD = "add"
     SUB = "sub"
     MUL = "mul"
@@ -39,6 +43,8 @@ class BinaryOp(enum.Enum):
 
 
 class Cmp(enum.Enum):
+    __hash__ = object.__hash__
+
     EQ = "eq"
     NE = "ne"
     LT = "lt"    # signed
@@ -219,7 +225,12 @@ def validate(module: Module) -> None:
             if isinstance(op, Loop):
                 if isinstance(op.count, int) and op.count < 0:
                     raise ValidationError("negative loop count")
-                visit(op.body, defined)
+                # the body may run zero times: its names are defined
+                # afterwards only when a positive constant count runs it
+                if isinstance(op.count, int) and op.count > 0:
+                    visit(op.body, defined)
+                else:
+                    visit(op.body, set(defined))
             if isinstance(op, If):
                 then_defined = set(defined)
                 else_defined = set(defined)

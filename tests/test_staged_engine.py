@@ -5,8 +5,9 @@ into decode / exec / timing / journal stages:
 
 * the ``max_instructions`` boundary resolves a pending halt or fault
   instead of silently reporting ``instruction_limit``;
-* patching code through ``cpu._code`` invalidates the decoded entry
-  (self-modifying setups stay coherent with the predecode cache);
+* patching code through ``cpu._code``, or loading a program over
+  decoded code, invalidates the decoded entry (self-modifying setups
+  stay coherent with the predecode cache);
 * speculation squashes via the undo journal — the register file and
   HFI state keep their object identity, and ``copy.deepcopy`` never
   runs on the speculation or snapshot paths;
@@ -137,6 +138,36 @@ class TestPredecodeCache:
         assert cpu.run(program.base).reason == "hlt"
         assert cpu.regs.read(Reg.RAX) == 2
         assert cpu.decode_stats().lazy_decodes >= 1
+
+    def test_load_over_decoded_code_replaces_it(self, params):
+        cpu = make_cpu(params)
+        asm = Assembler()
+        asm.mov(Reg.RAX, Imm(1))
+        asm.hlt()
+        first = asm.assemble()
+        asm = Assembler()
+        asm.mov(Reg.RAX, Imm(2))
+        asm.add(Reg.RAX, Imm(3))   # lands where first's hlt was
+        asm.hlt()                  # a fresh address
+        second = asm.assemble()
+        cpu.load_program(first)
+        assert cpu.run(first.base).reason == "hlt"
+        assert cpu._code.invalidations == 0
+
+        cpu.load_program(second)
+        # first's two decoded ops were replaced; the third address
+        # held none
+        assert cpu._code.invalidations == 2
+        assert cpu.run(second.base).reason == "hlt"
+        assert cpu.regs.read(Reg.RAX) == 5
+        assert cpu.decode_stats().lazy_decodes == 0
+
+        cpu.unload_program(first)
+        assert cpu._code.invalidations == 2
+        assert cpu.decode_stats().cached_ops == len(second.instructions)
+        cpu.regs.write(Reg.RAX, 0)
+        assert cpu.run(second.base).reason == "hlt"
+        assert cpu.regs.read(Reg.RAX) == 5
 
     def test_shared_program_reuses_decode_cache(self, params):
         asm = Assembler()

@@ -10,6 +10,7 @@ from repro.isa import Reg
 from repro.wasm import (
     TRAP_MAGIC,
     BoundsCheckStrategy,
+    Compiler,
     GuardPagesStrategy,
     HfiEmulationStrategy,
     HfiStrategy,
@@ -178,15 +179,22 @@ class TestCompilerMechanics:
         assert read_global(runtime, instance) == sum(range(16))
 
     def test_reserving_registers_increases_spills(self):
-        """The §6.1 register-pressure experiment's mechanism."""
+        """The §6.1 register-pressure experiment's mechanism, swept past
+        the pool size: reserving more registers never spills less, and
+        reserving the whole pool or more spills every local."""
         ops = [Const(f"v{i}", i) for i in range(10)]
         module = Module("p", [Function("main", ops)], globals=[])
         runtime = WasmRuntime()
-        base = runtime.instantiate(module, NativeUnsafeStrategy())
-        squeezed = runtime.instantiate(module, NativeUnsafeStrategy(),
-                                       reserve_extra_regs=2)
-        assert squeezed.compiled.spilled_locals \
-            >= base.compiled.spilled_locals
+        pool = len(Compiler(NativeUnsafeStrategy())._pool())
+        spills = [runtime.instantiate(module, NativeUnsafeStrategy(),
+                                      reserve_extra_regs=k)
+                  .compiled.spilled_locals for k in range(pool + 3)]
+        assert spills == sorted(spills)
+        assert spills[0] < spills[pool] == spills[-1] == len(ops)
+
+    def test_negative_reservation_rejected(self):
+        with pytest.raises(ValueError):
+            Compiler(NativeUnsafeStrategy(), reserve_extra_regs=-1)
 
     def test_function_calls(self):
         callee = Function("callee", [
@@ -280,3 +288,23 @@ class TestValidation:
         module = Module("bad", [Function("main", [Call("ghost")])])
         with pytest.raises(ValidationError):
             validate(module)
+
+    def test_local_defined_only_in_loop_body_rejected(self):
+        """A loop body may run zero times, so a local only it defines
+        is undefined after the loop: on such a module the reference
+        interpreter raises KeyError while compiled code reads a stale
+        register."""
+        module = Module("bad", [Function("main", [
+            Const("n", 0),
+            Loop("n", [Const("x", 5)]),
+            StoreGlobal("result", "x"),
+        ])], globals=["result"])
+        with pytest.raises(ValidationError):
+            validate(module)
+
+    def test_local_defined_in_positive_constant_loop_accepted(self):
+        module = Module("ok", [Function("main", [
+            Loop(3, [Const("x", 5)]),
+            StoreGlobal("result", "x"),
+        ])], globals=["result"])
+        validate(module)
