@@ -62,9 +62,10 @@ def decoder(*opcodes: Opcode):
 class DecodedOp:
     """One predecoded instruction: a bound handler plus metadata.
 
-    ``deps`` is the out-of-order timing model's (reads, writes) rename
-    summary, filled on the op's first retirement under that model, so
-    it lives and dies with the op.
+    ``deps`` is the out-of-order timing model's dependence summary: a
+    (reads, writes) pair of tuples of scoreboard key indices (the 16
+    GPRs, then FLAGS).  It is filled on the op's first retirement
+    under that model, so it lives and dies with the op.
     """
 
     __slots__ = ("run", "ins", "addr", "next_rip", "deps")

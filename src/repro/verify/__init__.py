@@ -202,10 +202,10 @@ def _speculation_smoke(stats: VerifyStats, failures: List[str]) -> None:
 def _ooo_smoke(stats: VerifyStats, failures: List[str]) -> None:
     """The OoO invariant probe: run a mispredicting, serializing loop
     under the scoreboarded backend and audit its structural invariants
-    — retirement stays in order, no physical register is leaked or
-    double-booked, drains empty the window — plus architectural parity
-    (registers, serializations, instruction count) against the
-    in-order model on the same program."""
+    — every physical register is accounted for, the ROB, IQ and LSQ
+    stay within their depths, drains empty the window — plus
+    architectural parity (registers, serializations, instruction
+    count) against the in-order model on the same program."""
     from ..cpu.machine import Cpu
     from ..isa.assembler import Assembler
     from ..isa.operands import Imm

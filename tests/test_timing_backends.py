@@ -12,8 +12,8 @@ Pins down the pluggable timing contract introduced with the
 * the out-of-order backend exploits ILP (independent ALU chains
   finish faster than in-order; dependent chains do not), hides the
   hmov bounds check under the access latency (§4.2), pays for pipeline
-  drains (§3.4), and keeps its rename/ROB/free-list bookkeeping exact
-  under the structural audit.
+  drains (§3.4), and keeps its register, ROB, IQ and LSQ bookkeeping
+  exact under the structural audit, which flags each planted fault.
 """
 
 import pytest
@@ -157,6 +157,15 @@ class TestTimingApi:
         with pytest.raises(ValueError):
             Cpu(tight, timing="ooo")
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["ooo_width", "ooo_rob_depth",
+                                       "ooo_iq_depth", "ooo_lsq_depth"])
+    def test_machine_shape_floor_enforced(self, params, field, value):
+        """A shape below 1 is rejected, not simulated as width/depth 1
+        under a label that says otherwise."""
+        with pytest.raises(ValueError, match=field):
+            Cpu(params.with_overrides(**{field: value}), timing="ooo")
+
 
 class TestArchitecturalParity:
     def test_identical_state_only_cycles_differ(self):
@@ -294,6 +303,39 @@ class TestOooMicroarchitecture:
         cpu.timing.drain_pending()
         assert cpu.timing.window_occupancy == 0
         assert cpu.timing.ooo_stats().drains == before + 1
+        assert cpu.timing.audit() == []
+
+    def test_audit_flags_a_leaked_register(self):
+        cpu = make_cpu("ooo")
+        run_asm(cpu, _parallel_alu())
+        cpu.timing._free -= 1
+        assert any("leak" in p for p in cpu.timing.audit())
+
+    def test_audit_flags_a_negative_free_count(self):
+        """Every register accounted for, but more held than exist."""
+        cpu = make_cpu("ooo")
+        run_asm(cpu, _parallel_alu())
+        timing = cpu.timing
+        timing.drain_pending()
+        timing._rob.append((0, timing._free + 1))
+        timing._free = -1
+        assert timing.audit() == ["free register count is -1"]
+
+    @pytest.mark.parametrize("queue, entry", [("_rob", (0, 0)),
+                                              ("_iq", 0), ("_lsq", 0)])
+    def test_audit_flags_an_overfull_queue(self, params, queue, entry):
+        cpu = make_cpu("ooo", params=params.with_overrides(
+            ooo_rob_depth=4, ooo_iq_depth=4, ooo_lsq_depth=4))
+        run_asm(cpu, _parallel_alu())
+        getattr(cpu.timing, queue).extend([entry] * 5)
+        assert any("depth 4" in p for p in cpu.timing.audit())
+
+    def test_audit_flags_an_op_left_in_flight(self):
+        cpu = make_cpu("ooo")
+        run_asm(cpu, _parallel_alu())
+        cpu.timing.issue(next(iter(cpu._decoded.values())), 1)
+        assert any("in flight" in p for p in cpu.timing.audit())
+        cpu.timing.drain_pending()
         assert cpu.timing.audit() == []
 
     def test_tiny_rob_stalls_are_attributed(self, params):
