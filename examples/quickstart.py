@@ -2,8 +2,9 @@
 
 Demonstrates the core HFI flow from paper §3.3:
 
-1. the trusted runtime stages region descriptors in memory,
-2. ``hfi_set_region`` + ``hfi_enter`` start a native sandbox,
+1. the trusted runtime stages its sandbox descriptor in memory,
+2. the ``hfi_set_region`` + ``hfi_enter`` sequence the descriptor
+   emits starts a native sandbox,
 3. in-bounds loads/stores just work (checks ride the data path),
 4. a system call is converted into a jump to the exit handler,
 5. an out-of-bounds access traps, the cause lands in the MSR, and the
@@ -12,8 +13,8 @@ Demonstrates the core HFI flow from paper §3.3:
 Run:  python examples/quickstart.py
 """
 
-from repro.core import FaultCause, ImplicitCodeRegion, ImplicitDataRegion, SandboxFlags
-from repro.core.encoding import encode_region, encode_sandbox
+from repro.core import (FaultCause, ImplicitCodeRegion, ImplicitDataRegion,
+                        SandboxDescriptor)
 from repro.cpu import Cpu
 from repro.isa import Assembler, Imm, Mem, Reg
 from repro.os import AddressSpace, FileSystem, Kernel, Prot, Signal
@@ -39,29 +40,23 @@ def build_machine():
     return cpu, proc, space
 
 
-def stage_descriptors(space):
-    """The runtime describes what the sandbox may touch."""
-    code = ImplicitCodeRegion.covering(CODE, 1 << 17)   # incl. handler
-    heap = ImplicitDataRegion.covering(HEAP, 1 << 16, read=True,
-                                       write=True)
-    stack = ImplicitDataRegion.covering(STACK, 1 << 16, read=True,
-                                        write=True)
-    sandbox = SandboxFlags(is_hybrid=False, is_serialized=True)
-    space.write_bytes(DESC + 0, encode_region(code))
-    space.write_bytes(DESC + 24, encode_region(heap))
-    space.write_bytes(DESC + 48, encode_region(stack))
-    space.write_bytes(DESC + 72, encode_sandbox(sandbox,
-                                                exit_handler=HANDLER))
+def sandbox_descriptor():
+    """The runtime describes what the sandbox may touch: a serialized
+    native sandbox whose syscalls go to ``HANDLER``."""
+    return SandboxDescriptor.native(HANDLER, [
+        (0, ImplicitCodeRegion.covering(CODE, 1 << 17)),   # incl. handler
+        (2, ImplicitDataRegion.covering(HEAP, 1 << 16, read=True,
+                                        write=True)),
+        (3, ImplicitDataRegion.covering(STACK, 1 << 16, read=True,
+                                        write=True)),
+    ])
 
 
-def build_program():
+def build_program(descriptor):
     asm = Assembler(base=CODE)
     # --- trusted runtime: install regions, enter the sandbox ---
-    for i, region_number in enumerate((0, 2, 3)):
-        asm.mov(Reg.RDI, Imm(DESC + 24 * i))
-        asm.hfi_set_region(region_number, Reg.RDI)
-    asm.mov(Reg.RDI, Imm(DESC + 72))
-    asm.hfi_enter(Reg.RDI)
+    descriptor.emit_install(asm, DESC)
+    descriptor.emit_enter(asm, DESC)
     # --- sandboxed (untrusted) code ---
     asm.mov(Reg.RBX, Imm(HEAP))
     asm.mov(Reg.RAX, Imm(1234))
@@ -82,8 +77,9 @@ def build_program():
 
 def main():
     cpu, proc, space = build_machine()
-    stage_descriptors(space)
-    program, handler = build_program()
+    descriptor = sandbox_descriptor()
+    descriptor.stage(space, DESC)
+    program, handler = build_program(descriptor)
     cpu.load_program(program)
     cpu.load_program(handler)
 
@@ -105,16 +101,11 @@ def main():
     # --- now an out-of-bounds access ---
     print("\nout-of-bounds attempt ...")
     oob = Assembler(base=CODE + 0x8000)
-    asm = oob
-    asm.mov(Reg.RDI, Imm(DESC + 0))
-    asm.hfi_set_region(0, Reg.RDI)
-    asm.mov(Reg.RDI, Imm(DESC + 24))
-    asm.hfi_set_region(2, Reg.RDI)
-    asm.mov(Reg.RDI, Imm(DESC + 72))
-    asm.hfi_enter(Reg.RDI)
-    asm.mov(Reg.RBX, Imm(DESC))          # the descriptor page: outside!
-    asm.mov(Reg.RAX, Mem(base=Reg.RBX))
-    asm.hlt()
+    descriptor.emit_install(oob, DESC)
+    descriptor.emit_enter(oob, DESC)
+    oob.mov(Reg.RBX, Imm(DESC))          # the descriptor page: outside!
+    oob.mov(Reg.RAX, Mem(base=Reg.RBX))
+    oob.hlt()
     oob_prog = oob.assemble()
     cpu.load_program(oob_prog)
     result = cpu.run(oob_prog.base)

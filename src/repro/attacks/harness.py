@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
 from ..core import (IMPLICIT_DATA_BASE_NUMBER, ImplicitCodeRegion,
-                    ImplicitDataRegion, SandboxFlags)
-from ..core.encoding import (REGION_DESCRIPTOR_BYTES, encode_region,
-                             encode_sandbox)
+                    ImplicitDataRegion, SandboxDescriptor)
 from ..cpu.machine import Cpu
-from ..isa import Assembler, Imm, Program, Reg
+from ..isa import Assembler, Program, Reg
 from ..os.address_space import AddressSpace, Prot
 from ..params import DEFAULT_PARAMS, MachineParams
 
@@ -91,28 +89,28 @@ class SpectreAttack:
         """The implicit code regions, in region-number order."""
         return [ImplicitCodeRegion.covering(CODE_BASE, _BLOCK)]
 
-    def _enter(self, asm: Assembler) -> None:
-        """With HFI on, stage the regions in consecutive descriptor
-        slots and the hybrid sandbox after them, and emit the
-        ``hfi_set_region``…``hfi_enter`` prologue."""
-        if not self.protect_with_hfi:
-            return
+    def descriptor(self) -> SandboxDescriptor:
+        """The serialized hybrid sandbox: the code regions, then
+        implicit data regions over the victim data, the probe array
+        and the stack."""
         data = [ImplicitDataRegion.covering(base, size)
                 for base, size in ((DATA_BASE, _BLOCK),
                                    (PROBE_BASE, _PROBE_BYTES),
                                    (STACK_BASE, _BLOCK))]
-        numbered = (list(enumerate(self._code_regions()))
-                    + list(enumerate(data, IMPLICIT_DATA_BASE_NUMBER)))
-        for slot, (number, region) in enumerate(numbered):
-            desc = DESC_BASE + slot * REGION_DESCRIPTOR_BYTES
-            self.space.write_bytes(desc, encode_region(region))
-            asm.mov(Reg.RDI, Imm(desc))
-            asm.hfi_set_region(number, Reg.RDI)
-        desc = DESC_BASE + len(numbered) * REGION_DESCRIPTOR_BYTES
-        self.space.write_bytes(desc, encode_sandbox(
-            SandboxFlags(is_hybrid=True, is_serialized=True)))
-        asm.mov(Reg.RDI, Imm(desc))
-        asm.hfi_enter(Reg.RDI)
+        return SandboxDescriptor.hybrid(
+            list(enumerate(self._code_regions()))
+            + list(enumerate(data, IMPLICIT_DATA_BASE_NUMBER)),
+            serialized=True)
+
+    def _enter(self, asm: Assembler) -> None:
+        """With HFI on, stage :meth:`descriptor` at ``DESC_BASE`` and
+        emit the ``hfi_set_region``…``hfi_enter`` prologue."""
+        if not self.protect_with_hfi:
+            return
+        descriptor = self.descriptor()
+        descriptor.stage(self.space, DESC_BASE)
+        descriptor.emit_install(asm, DESC_BASE)
+        descriptor.emit_enter(asm, DESC_BASE)
 
     def _exit(self, asm: Assembler) -> None:
         """Leave the sandbox (with HFI on) and halt."""

@@ -1,4 +1,5 @@
-"""HFI core: regions, register file, state machine, and public facade.
+"""HFI core: regions, register file, state machine, and the sandbox
+descriptor every runtime stages, installs and prices.
 
 This package is the paper's primary contribution (§3-§4): the HFI ISA
 extension's architectural semantics, independent of any particular CPU
@@ -11,8 +12,8 @@ from .checks import (
     implicit_code_check,
     implicit_data_check,
 )
+from .encoding import SandboxDescriptor
 from .faults import ExitInfo, FaultCause, HfiFault
-from .interface import Hfi, SandboxDescriptor
 from .regions import (
     CODE_BASE_NUMBER,
     EXPLICIT_BASE_NUMBER,
@@ -36,7 +37,7 @@ from .registers import REGISTER_COUNT, HfiRegisterFile, SandboxFlags
 from .state import ExitOutcome, HfiState
 
 __all__ = [
-    "Hfi", "SandboxDescriptor", "HfiState", "ExitOutcome",
+    "SandboxDescriptor", "HfiState", "ExitOutcome",
     "HfiRegisterFile", "SandboxFlags", "REGISTER_COUNT",
     "ExplicitDataRegion", "ImplicitCodeRegion", "ImplicitDataRegion",
     "Region", "RegionError", "region_class", "ExitInfo", "FaultCause",

@@ -14,6 +14,7 @@ from ..core.encoding import (
     SANDBOX_DESCRIPTOR_BYTES,
     decode_region,
     decode_sandbox,
+    descriptor_cycles,
     encode_region,
 )
 from ..isa.opcodes import Opcode
@@ -22,8 +23,7 @@ from .decode import _StopSpeculation, decoder
 
 def _descriptor_read(cpu, ptr: int, nbytes: int) -> bytes:
     """Microcode loads of descriptor words (charged as L1 hits)."""
-    cpu.timing.charge((nbytes // 8) * (cpu.params.base_cycles
-                                       + cpu.params.l1d_hit_cycles))
+    cpu.timing.charge(descriptor_cycles(cpu.params, nbytes))
     return cpu.mem.read_bytes(ptr, nbytes, check=False)
 
 

@@ -1,11 +1,13 @@
 """A trusted runtime managing many HFI sandboxes (paper §3.1, §3.3).
 
 :class:`SandboxManager` is the high-level analytic API: it owns one
-core's :class:`~repro.core.Hfi` device plus an address space, creates
-sandboxes (native or hybrid), and accounts the cycle cost of every
-lifecycle operation.  Because HFI keeps no per-sandbox on-chip state,
-the manager can hold an arbitrary number of sandboxes and multiplex
-them over the single register bank — the scalability property (§3).
+core's :class:`~repro.core.HfiState` plus an address space, creates
+sandboxes (native or hybrid), enters each by installing its
+:class:`~repro.core.SandboxDescriptor` on that state, and accounts the
+cycle cost of every lifecycle operation.  Because HFI keeps no
+per-sandbox on-chip state, the manager can hold an arbitrary number of
+sandboxes and multiplex them over the single register bank — the
+scalability property (§3).
 
 :class:`SandboxExecutor` puts a manager under the serving loop
 (:class:`~repro.runtime.serving.ServingSimulator`), so served
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional
 from ..core import (
     ExplicitDataRegion,
     FaultCause,
-    Hfi,
+    HfiState,
     ImplicitCodeRegion,
     ImplicitDataRegion,
     SandboxDescriptor,
@@ -30,6 +32,7 @@ from ..os.signals import SigInfo, Signal, SignalTable
 from ..params import DEFAULT_PARAMS, MachineParams
 from ..telemetry.sink import Telemetry, coalesce
 from ..telemetry.stats import SandboxManagerStats, SandboxStats
+from ..wasm.strategies import HfiStrategy
 from .pool import PoolSlot
 from .supervisor import FAULT_PROGRESS, Request
 from .transitions import TransitionKind, TransitionModel
@@ -49,6 +52,8 @@ class SandboxHandle:
     code_base: int
     heap_base: int
     heap_bytes: int
+    #: End of the heap's address-space reservation: growth stops here.
+    reservation_end: int
     is_hybrid: bool
     invocations: int = 0
     cycles: int = 0
@@ -114,7 +119,7 @@ class SandboxManager:
         #: the runtime registers its handler here.
         self.signals = signals
         self.telemetry = coalesce(telemetry)
-        self.hfi = Hfi(params)
+        self.hfi = HfiState(params)
         self.transitions = TransitionModel(params)
         #: Live sandboxes by id.
         self._handles: Dict[int, SandboxHandle] = {}
@@ -127,7 +132,7 @@ class SandboxManager:
         self.faults = 0
         if self.telemetry.enabled:
             self.telemetry.register_component("sandbox_manager", self.stats)
-            self.telemetry.register_component("hfi", self.hfi.state.stats)
+            self.telemetry.register_component("hfi", self.hfi.stats)
 
     def _attribute(self, handle: SandboxHandle, cycles: int) -> None:
         """Charge cycles to the manager total and to one sandbox."""
@@ -152,7 +157,8 @@ class SandboxManager:
         entirely the memory mapping the developer asked for.
         """
         align = 1 << max(16, (heap_bytes - 1).bit_length())
-        raw = self.space.mmap(heap_bytes + align, Prot.NONE, name="sbx-heap")
+        reserved = heap_bytes + align
+        raw = self.space.mmap(reserved, Prot.NONE, name="sbx-heap")
         heap_base = (raw + align - 1) & ~(align - 1)
         cost = self.space.mprotect(heap_base, heap_bytes, Prot.rw())
         cost += 2 * self.params.syscall_cycles
@@ -176,7 +182,8 @@ class SandboxManager:
         handle = SandboxHandle(
             sandbox_id=self._next_id, descriptor=descriptor,
             code_base=code_base, heap_base=heap_base,
-            heap_bytes=heap_bytes, is_hybrid=hybrid)
+            heap_bytes=heap_bytes, reservation_end=raw + reserved,
+            is_hybrid=hybrid)
         self._next_id += 1
         self._handles[handle.sandbox_id] = handle
         self._ledger.append(handle)
@@ -201,7 +208,7 @@ class SandboxManager:
             telemetry.begin_span("sandbox.invoke", self.total_cycles,
                                  sandbox_id=handle.sandbox_id,
                                  transition=transition.value)
-        enter = self.hfi.enter(handle.descriptor)
+        enter = handle.descriptor.install(self.hfi)
         outcome = self.hfi.exit()
         software = 2 * self.transitions.software_cost(transition)
         total = enter + outcome.cycles + software + service_cycles
@@ -250,7 +257,7 @@ class SandboxManager:
         is how the runtime observes guest faults.
         """
         self._check_live(handle, "invoke")
-        enter = self.hfi.enter(handle.descriptor)
+        enter = handle.descriptor.install(self.hfi)
         outcome = self.hfi.fault(cause, fault_addr)
         done = int(service_cycles * max(0.0, min(1.0, progress)))
         total = (enter + done + outcome.cycles
@@ -275,15 +282,22 @@ class SandboxManager:
             fault=cause, cause=cause)
 
     def grow_heap(self, handle: SandboxHandle, new_bytes: int) -> int:
-        """Resize the sandbox's explicit region — a register update."""
+        """Resize the sandbox's explicit region — a register update,
+        priced as Wasm's HFI heap growth is (§6.1).  The heap may grow
+        only within the span :meth:`create_sandbox` reserved; past it
+        lies other mappings, another sandbox's heap among them."""
         self._check_live(handle, "heap growth")
+        if handle.heap_base + new_bytes > handle.reservation_end:
+            raise SandboxError(
+                f"heap growth of sandbox {handle.sandbox_id} to "
+                f"{new_bytes:#x} bytes passes its reservation")
         for i, (number, region) in enumerate(handle.descriptor.regions):
             if number == 6:
                 handle.descriptor.regions[i] = (
                     number, region.resize(new_bytes))
-        cost = (self.params.hfi_set_region_cycles
-                + 3 * (self.params.base_cycles
-                       + self.params.l1d_hit_cycles))
+        cost = HfiStrategy().grow_cost(self.space, handle.heap_base,
+                                       handle.heap_bytes, new_bytes,
+                                       self.params)
         handle.heap_bytes = new_bytes
         self._attribute(handle, cost)
         return cost

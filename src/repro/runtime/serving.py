@@ -60,7 +60,7 @@ from ..telemetry.sink import Telemetry, coalesce
 from ..telemetry.stats import ServingStats
 from ..wasm import make_strategy
 from .pool import PoolSlot, ShardedInstancePool
-from .startup import StartupModel
+from .startup import POOLED_POP_CYCLES, StartupModel
 from .supervisor import (
     BACKOFF_CYCLES,
     BREAKER_COOLDOWN_CYCLES,
@@ -82,10 +82,6 @@ from .supervisor import (
     watchdog_budget,
 )
 from .transitions import TransitionKind, TransitionModel
-
-#: Free-list pop cost of a pooled instance (matches ``StartupModel``'s
-#: pooled fast path, minus the HFI descriptor staging).
-POOLED_POP_CYCLES = 200
 
 
 # ----------------------------------------------------------------------

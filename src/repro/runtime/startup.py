@@ -14,9 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from ..core.encoding import REGION_DESCRIPTOR_BYTES, descriptor_cycles
 from ..os.address_space import AddressSpace
 from ..params import DEFAULT_PARAMS, MachineParams
 from ..wasm.strategies import IsolationStrategy
+
+#: Free-list pop cost of a pooled instance.
+POOLED_POP_CYCLES = 200
 
 
 @dataclass
@@ -41,10 +45,11 @@ class StartupModel:
         HFI descriptor staging) — the fast path FaaS providers use.
         """
         if pooled:
-            # free-list pop + descriptor staging + region installs
-            return 200 + 3 * (self.params.hfi_set_region_cycles
-                              + 3 * (self.params.base_cycles
-                                     + self.params.l1d_hit_cycles))
+            # free-list pop + three region installs, each loading its
+            # staged descriptor
+            return POOLED_POP_CYCLES + 3 * (
+                self.params.hfi_set_region_cycles
+                + descriptor_cycles(self.params, REGION_DESCRIPTOR_BYTES))
         space = AddressSpace(self.params)
         _, cost = strategy.reserve_memory(space, heap_bytes)
         return cost + 2 * self.params.syscall_cycles

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ..core.encoding import REGION_DESCRIPTOR_BYTES, descriptor_cycles
 from ..params import DEFAULT_PARAMS, MachineParams
 
 #: Registers a springboard saves/clears (SysV caller+callee saved).
@@ -60,8 +61,8 @@ class TransitionModel:
                        regions_installed: int = 3) -> int:
         """hfi_set_region x N (with descriptor loads) + hfi_enter."""
         per_region = (self.params.hfi_set_region_cycles
-                      + 3 * (self.params.base_cycles
-                             + self.params.l1d_hit_cycles))
+                      + descriptor_cycles(self.params,
+                                          REGION_DESCRIPTOR_BYTES))
         cost = regions_installed * per_region + self.params.hfi_enter_cycles
         if serialized:
             cost += self.params.serialize_drain_cycles

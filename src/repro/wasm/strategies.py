@@ -32,13 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..core.encoding import encode_region, encode_sandbox
+from ..core.encoding import (
+    REGION_DESCRIPTOR_BYTES,
+    SandboxDescriptor,
+    descriptor_cycles,
+    encode_region,
+)
 from ..core.regions import (
     ExplicitDataRegion,
     ImplicitCodeRegion,
     ImplicitDataRegion,
 )
-from ..core.registers import SandboxFlags
 from ..isa import Assembler, Imm, Mem, Reg
 from ..os.address_space import AddressSpace, Prot
 from ..params import MachineParams
@@ -377,19 +381,30 @@ class HfiStrategy(IsolationStrategy):
         asm.hmov(memory,
                  Mem(index=addr, scale=1, disp=offset, size=size), src)
 
+    def descriptor(self, layout: SandboxLayout) -> SandboxDescriptor:
+        """Code region 0, the support area's implicit region 2, then
+        one large explicit region per linear memory from region 6 (the
+        heap first, so ``hmovN`` reaches memory N)."""
+        memories = [(layout.heap_base, layout.heap_bytes)]
+        memories += layout.extra_memories
+        regions = [
+            (0, ImplicitCodeRegion.covering(layout.code_base,
+                                            layout.code_bytes)),
+            (2, ImplicitDataRegion.covering(layout.support_base,
+                                            layout.support_bytes)),
+        ]
+        regions += [(6 + i, ExplicitDataRegion(base, size,
+                                               permission_read=True,
+                                               permission_write=True))
+                    for i, (base, size) in enumerate(memories)]
+        return SandboxDescriptor.hybrid(
+            regions, serialized=self.serialized_transitions)
+
     def emit_entry(self, asm, ctx):
         base = ctx.layout.descriptor_base
-        asm.mov(Reg.RDI, Imm(base + 0))
-        asm.hfi_set_region(0, Reg.RDI)          # code region
-        asm.mov(Reg.RDI, Imm(base + 24))
-        asm.hfi_set_region(2, Reg.RDI)          # support implicit data
-        asm.mov(Reg.RDI, Imm(base + 48))
-        asm.hfi_set_region(6, Reg.RDI)          # heap explicit region
-        for i in range(len(ctx.layout.extra_memories)):
-            asm.mov(Reg.RDI, Imm(base + 96 + 24 * i))
-            asm.hfi_set_region(7 + i, Reg.RDI)  # extra linear memories
-        asm.mov(Reg.RDI, Imm(base + 72))
-        asm.hfi_enter(Reg.RDI)
+        descriptor = self.descriptor(ctx.layout)
+        descriptor.emit_install(asm, base)
+        descriptor.emit_enter(asm, base)
 
     def emit_exit(self, asm, ctx):
         asm.hfi_exit()
@@ -400,39 +415,15 @@ class HfiStrategy(IsolationStrategy):
             asm.nop()
         asm.hfi_reenter()
 
-    def sandbox_flags(self) -> SandboxFlags:
-        return SandboxFlags(is_hybrid=True,
-                            is_serialized=self.serialized_transitions)
-
     def prepare(self, space, layout, params):
-        base = layout.descriptor_base
-        code = ImplicitCodeRegion.covering(layout.code_base,
-                                           layout.code_bytes)
-        support = ImplicitDataRegion.covering(layout.support_base,
-                                              layout.support_bytes)
-        heap = ExplicitDataRegion(layout.heap_base, layout.heap_bytes,
-                                  permission_read=True,
-                                  permission_write=True,
-                                  is_large_region=True)
-        space.write_bytes(base + 0, encode_region(code), check=False)
-        space.write_bytes(base + 24, encode_region(support), check=False)
-        space.write_bytes(base + 48, encode_region(heap), check=False)
-        space.write_bytes(base + 72,
-                          encode_sandbox(self.sandbox_flags()), check=False)
-        for i, (mem_base, mem_bytes) in enumerate(layout.extra_memories):
-            region = ExplicitDataRegion(mem_base, mem_bytes,
-                                        permission_read=True,
-                                        permission_write=True,
-                                        is_large_region=True)
-            space.write_bytes(base + 96 + 24 * i, encode_region(region),
-                              check=False)
+        self.descriptor(layout).stage(space, layout.descriptor_base)
 
     def grow_cost(self, space, heap_base, old_bytes, new_bytes, params):
-        # one descriptor store + hfi_set_region (§6.1: "just a register
-        # update", ~30x faster than the mprotect path)
-        store = 3 * (params.base_cycles + params.l1d_hit_cycles)
-        loads = 3 * (params.base_cycles + params.l1d_hit_cycles)
-        return store + loads + params.hfi_set_region_cycles
+        # store the resized region descriptor, then hfi_set_region
+        # loads it (§6.1: "just a register update", ~30x faster than
+        # the mprotect path)
+        move = descriptor_cycles(params, REGION_DESCRIPTOR_BYTES)
+        return 2 * move + params.hfi_set_region_cycles
 
 
 class HfiEmulationStrategy(IsolationStrategy):
@@ -486,10 +477,7 @@ class HfiEmulationStrategy(IsolationStrategy):
             space.write_bytes(layout.descriptor_base + slot * 24,
                               encode_region(heap), check=False)
 
-    def grow_cost(self, space, heap_base, old_bytes, new_bytes, params):
-        store = 3 * (params.base_cycles + params.l1d_hit_cycles)
-        loads = 3 * (params.base_cycles + params.l1d_hit_cycles)
-        return store + loads + params.hfi_set_region_cycles
+    grow_cost = HfiStrategy.grow_cost
 
 
 class SwivelStrategy(GuardPagesStrategy):
@@ -540,20 +528,27 @@ class NativeHfiStrategy(IsolationStrategy):
         #: Emit real register-clearing springboard code at entry.
         self.springboard = springboard
 
+    def descriptor(self, layout: SandboxLayout) -> SandboxDescriptor:
+        """Code region 0 and implicit data regions 2 (heap) and 3
+        (support area); no exit handler."""
+        return SandboxDescriptor.native(0, [
+            (0, ImplicitCodeRegion.covering(layout.code_base,
+                                            layout.code_bytes)),
+            (2, ImplicitDataRegion.covering(layout.heap_base,
+                                            layout.heap_bytes)),
+            (3, ImplicitDataRegion.covering(layout.support_base,
+                                            layout.support_bytes)),
+        ], serialized=self.serialized_transitions)
+
     def emit_entry(self, asm, ctx):
         super().emit_entry(asm, ctx)
         if self.springboard:
             for reg in self.SPRINGBOARD_CLEARS:
                 asm.xor(reg, reg)
         base = ctx.layout.descriptor_base
-        asm.mov(Reg.RDI, Imm(base + 0))
-        asm.hfi_set_region(0, Reg.RDI)          # code region
-        asm.mov(Reg.RDI, Imm(base + 24))
-        asm.hfi_set_region(2, Reg.RDI)          # heap implicit region
-        asm.mov(Reg.RDI, Imm(base + 48))
-        asm.hfi_set_region(3, Reg.RDI)          # support implicit region
-        asm.mov(Reg.RDI, Imm(base + 72))
-        asm.hfi_enter(Reg.RDI)
+        descriptor = self.descriptor(ctx.layout)
+        descriptor.emit_install(asm, base)
+        descriptor.emit_enter(asm, base)
 
     def emit_exit(self, asm, ctx):
         asm.hfi_exit()
@@ -564,23 +559,8 @@ class NativeHfiStrategy(IsolationStrategy):
             asm.nop()
         asm.hfi_reenter()
 
-    def sandbox_flags(self) -> SandboxFlags:
-        return SandboxFlags(is_hybrid=False,
-                            is_serialized=self.serialized_transitions)
-
     def prepare(self, space, layout, params):
-        base = layout.descriptor_base
-        code = ImplicitCodeRegion.covering(layout.code_base,
-                                           layout.code_bytes)
-        heap = ImplicitDataRegion.covering(layout.heap_base,
-                                           layout.heap_bytes)
-        support = ImplicitDataRegion.covering(layout.support_base,
-                                              layout.support_bytes)
-        space.write_bytes(base + 0, encode_region(code), check=False)
-        space.write_bytes(base + 24, encode_region(heap), check=False)
-        space.write_bytes(base + 48, encode_region(support), check=False)
-        space.write_bytes(base + 72,
-                          encode_sandbox(self.sandbox_flags()), check=False)
+        self.descriptor(layout).stage(space, layout.descriptor_base)
 
 
 #: Registry for CLI/bench parameterization.

@@ -22,9 +22,8 @@ import contextlib
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core import ImplicitCodeRegion, ImplicitDataRegion, SandboxFlags
-from ..core.encoding import encode_region, encode_sandbox
-from ..core.regions import ExplicitDataRegion
+from ..core import (ExplicitDataRegion, ImplicitCodeRegion,
+                    ImplicitDataRegion, SandboxDescriptor)
 from ..cpu.machine import Cpu, CpuStats
 from ..cpu.timing import default_timing
 from ..isa import Assembler, Imm, Mem, Reg
@@ -95,44 +94,48 @@ def _wasm_case(suite: str, name: str, strategy: str) -> Callable[[], Metrics]:
 # ----------------------------------------------------------------------
 # NGINX-shaped transition loop (cycle-level enter/exit per "request")
 # ----------------------------------------------------------------------
+#: Where :func:`transition_loop` maps its heap and its stack.
+_LOOP_HEAP = 0x10_0000
+_LOOP_STACK = 0x7F_0000
+
+
+def transition_descriptor(serialized: bool = True) -> SandboxDescriptor:
+    """The native sandbox :func:`transition_loop` enters: implicit
+    regions over its code, heap and stack, and an explicit region over
+    the heap for its ``hmov`` traffic."""
+    return SandboxDescriptor.native(0, [
+        (0, ImplicitCodeRegion.covering(0x40_0000, 1 << 16)),
+        (2, ImplicitDataRegion(_LOOP_HEAP, 0xFFFF, True, True)),
+        (3, ImplicitDataRegion(_LOOP_STACK, 0xFFFF, True, True)),
+        (6, ExplicitDataRegion(_LOOP_HEAP, 1 << 16,
+                               permission_read=True,
+                               permission_write=True)),
+    ], serialized=serialized)
+
+
 def transition_loop(iterations: int = 200,
                     serialized: bool = True) -> Metrics:
     """A trusted runtime entering/leaving a sandbox per iteration — the
     per-request shape of the §6.4.2 NGINX experiment, but run on the
     cycle simulator so transition costs (descriptor loads,
     serialization drains, hmov checks) are locked end to end.
-    ``serialized`` marks enter/exit as serialized in the descriptor."""
+    ``serialized`` marks enter/exit as serialized in the descriptor.
+    The regions are installed once; each iteration re-enters with
+    the staged sandbox descriptor."""
     params = MachineParams()
     mem = AddressSpace(params)
     cpu = Cpu(params, memory=mem)
-    heap = mem.mmap(1 << 20, Prot.rw(), addr=0x10_0000)
-    stack = mem.mmap(1 << 16, Prot.rw(), addr=0x7F_0000)
+    heap = mem.mmap(1 << 20, Prot.rw(), addr=_LOOP_HEAP)
+    stack = mem.mmap(1 << 16, Prot.rw(), addr=_LOOP_STACK)
     cpu.regs.write(Reg.RSP, stack + (1 << 16) - 64)
     desc = mem.mmap(4096, Prot.rw(), addr=0x20_0000)
-
-    code = ImplicitCodeRegion.covering(0x40_0000, 1 << 16)
-    data = ImplicitDataRegion(heap, 0xFFFF, True, True)
-    stack_region = ImplicitDataRegion(0x7F_0000, 0xFFFF, True, True)
-    explicit = ExplicitDataRegion(heap, 1 << 16, permission_read=True,
-                                  permission_write=True)
-    mem.write_bytes(desc, encode_region(code))
-    mem.write_bytes(desc + 24, encode_region(data))
-    mem.write_bytes(desc + 48, encode_region(stack_region))
-    mem.write_bytes(desc + 72, encode_region(explicit))
-    mem.write_bytes(desc + 96, encode_sandbox(
-        SandboxFlags(is_hybrid=False, is_serialized=serialized)))
+    descriptor = transition_descriptor(serialized)
+    descriptor.stage(mem, desc)
 
     asm = Assembler()
-    asm.mov(Reg.RDI, Imm(desc))
-    asm.hfi_set_region(0, Reg.RDI)
-    asm.mov(Reg.RDI, Imm(desc + 24))
-    asm.hfi_set_region(2, Reg.RDI)
-    asm.mov(Reg.RDI, Imm(desc + 48))
-    asm.hfi_set_region(3, Reg.RDI)
-    asm.mov(Reg.RDI, Imm(desc + 72))
-    asm.hfi_set_region(6, Reg.RDI)
+    descriptor.emit_install(asm, desc)
     asm.mov(Reg.R8, Imm(iterations))
-    asm.mov(Reg.RDI, Imm(desc + 96))
+    asm.mov(Reg.RDI, Imm(descriptor.sandbox_address(desc)))
     asm.label("request")
     asm.hfi_enter(Reg.RDI)
     # "crypto" work inside the sandbox: loads, stores, hmov traffic

@@ -38,13 +38,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.encoding import descriptor_cycles
 from ..params import DEFAULT_PARAMS, MachineParams
 from ..runtime.serving import (
-    POOLED_POP_CYCLES,
     SchemeCosts,
     arrival_process,
     connection_lifecycle_costs,
 )
+from ..runtime.startup import POOLED_POP_CYCLES
 from ..runtime.supervisor import Priority, Request
 from .font import graphite_reflow
 from .image import COMPRESSION_ROUNDS, RESOLUTIONS, jpeg_decode
@@ -179,8 +180,8 @@ def churn_scheme_costs(scheme: str, *, heap_bytes: int = 1 << 16,
         setup, teardown = connection_lifecycle_costs(
             "native-hfi", heap_bytes=heap_bytes,
             touched_bytes=touched_bytes, params=params)
-        # staging the implicit-region descriptors is three stores
-        setup += 3 * (params.base_cycles + params.l1d_hit_cycles)
+        # staging the implicit-region descriptors: three word stores
+        setup += descriptor_cycles(params, 3 * 8)
         return SchemeCosts(name="hfi", strategy_name="native-hfi",
                            transition_cycles=0,
                            dispatch_cycles=POOLED_POP_CYCLES,

@@ -21,6 +21,8 @@ from repro.runtime import (
     percentile,
     simulate_serving,
 )
+from repro.runtime.sandbox import SandboxError
+from repro.wasm import HfiStrategy
 
 
 @pytest.fixture
@@ -114,8 +116,28 @@ class TestSandboxManager:
         handle = manager.create_sandbox(heap_bytes=1 << 20)
         cost = manager.grow_heap(handle, 2 << 20)
         assert cost < 100                      # no syscall anywhere
+        # the §6.1 price: descriptor store, its load, hfi_set_region
+        assert cost == HfiStrategy().grow_cost(
+            manager.space, handle.heap_base, 1 << 20, 2 << 20, params)
         region = dict(handle.descriptor.regions)[6]
         assert region.bound == 2 << 20
+
+    def test_grow_heap_stays_within_its_reservation(self, params):
+        """Growth past the heap's reservation would let the explicit
+        region, and the teardown's discard, reach the next sandbox's
+        heap; it raises instead and changes nothing."""
+        manager = SandboxManager(params)
+        a = manager.create_sandbox(heap_bytes=1 << 16)
+        b = manager.create_sandbox(heap_bytes=1 << 16)
+        manager.space.write(b.heap_base, 0x1234)
+        total = manager.total_cycles
+        with pytest.raises(SandboxError):
+            manager.grow_heap(a, 4 << 20)
+        assert a.heap_bytes == 1 << 16
+        assert dict(a.descriptor.regions)[6].end <= b.heap_base
+        assert manager.total_cycles == total
+        manager.destroy_sandbox(a)
+        assert manager.space.read(b.heap_base) == 0x1234
 
     def test_destroy_returns_memory_cost(self, params):
         manager = SandboxManager(params)

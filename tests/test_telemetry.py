@@ -169,7 +169,7 @@ class TestAttribution:
                    for _ in range(3)]
         for i, handle in enumerate(handles * 4):
             manager.invoke(handle, service_cycles=1_000 * (i + 1))
-        manager.grow_heap(handles[1], 1 << 20)
+        manager.grow_heap(handles[1], 1 << 19)
         manager.destroy_sandbox(handles[2])
         stats = manager.stats()
         attribution = {s.sandbox_id: s.cycles for s in stats.sandboxes}
