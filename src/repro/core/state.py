@@ -19,7 +19,6 @@ from ..telemetry.stats import HfiDeviceStats
 from ..params import DEFAULT_PARAMS, MachineParams
 from .checks import (
     hmov_effective_address,
-    implicit_code_check,
     implicit_data_check,
 )
 from .faults import ExitInfo, FaultCause, HfiFault
@@ -66,7 +65,7 @@ class HfiState:
         self.exits = 0
         self.region_installs = 0
         #: When a CPU speculation window is open, this points at its
-        #: undo journal; mutating methods save this state on first
+        #: speculation journal; mutating methods save this state on first
         #: write so the wrong path rolls back without any deepcopy.
         self._journal = None
 
@@ -285,19 +284,13 @@ class HfiState:
         return ExitInfo(cause=self.regs.cause_msr)
 
     # ------------------------------------------------------------------
-    # access checks (§4.1, §4.2) — called by the CPU's data/fetch paths
+    # access checks (§4.1, §4.2) — called by the CPU's data paths
     # ------------------------------------------------------------------
     def check_data_access(self, addr: int, size: int, is_write: bool) -> None:
         """Implicit data-region check for a non-hmov load/store."""
         if not self.regs.enabled:
             return
         implicit_data_check(self.regs.data, addr, size, is_write)
-
-    def check_code_fetch(self, addr: int) -> None:
-        """Implicit code-region check on the program counter."""
-        if not self.regs.enabled:
-            return
-        implicit_code_check(self.regs.code, addr)
 
     def hmov_address(self, region_index: int, index: int, scale: int,
                      disp: int, size: int, is_write: bool) -> int:

@@ -4,8 +4,9 @@ The staged execution engine splits the old monolithic interpreter into
 :mod:`.decode` (predecode cache + handler-table dispatch), the exec
 units (:mod:`.exec_alu`, :mod:`.exec_mem`, :mod:`.exec_control`,
 :mod:`.exec_system`, :mod:`.exec_hfi`), the :mod:`.timing` seam, and
-the :mod:`.journal` undo log that squashes wrong-path speculation
-without deepcopy.  :mod:`.machine` keeps the pipeline skeleton.
+the :mod:`.journal` (a register snapshot and page shadows) that
+squashes wrong-path speculation without deepcopy.  :mod:`.machine`
+keeps the pipeline skeleton.
 """
 
 from .cache import Cache, CacheHierarchy, CacheStats

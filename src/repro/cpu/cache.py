@@ -27,7 +27,12 @@ from ..telemetry.stats import CacheStats
 
 
 class Cache:
-    """One level of set-associative cache, LRU within each set."""
+    """One level of set-associative cache, LRU within each set.
+
+    ``_last``, the line of the latest access, is its set's most recent:
+    the CPU's hot paths count a repeat access to it as a hit without
+    touching ``_sets``.  :meth:`access` sets it; the flushes clear it.
+    """
 
     def __init__(self, sets: int, ways: int, line_bytes: int = 64,
                  name: str = "cache"):
@@ -38,6 +43,7 @@ class Cache:
         # Each set is an insertion-ordered dict of tag -> True; the
         # first key is the LRU victim.
         self._sets: List[Dict[int, bool]] = [dict() for _ in range(sets)]
+        self._last = -1
         self._hits = 0
         self._misses = 0
 
@@ -63,6 +69,7 @@ class Cache:
         n_sets = self.n_sets                    # runs once per simulated
         tag = line // n_sets                    # memory access
         ways = self._sets[line % n_sets]
+        self._last = line
         if tag in ways:
             # refresh LRU position
             del ways[tag]
@@ -80,10 +87,12 @@ class Cache:
         """clflush: evict the line containing ``addr`` if present."""
         set_idx, tag = self._locate(addr)
         self._sets[set_idx].pop(tag, None)
+        self._last = -1
 
     def flush_all(self) -> None:
         for ways in self._sets:
             ways.clear()
+        self._last = -1
 
 
 class CacheHierarchy:

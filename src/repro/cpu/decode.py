@@ -140,16 +140,13 @@ def make_reader(op) -> Callable:
 def make_writer(op) -> Callable:
     """Closure storing a value to the operand.
 
-    Register writers append an ``(reg, old_value)`` undo entry to the
-    speculation journal while a window is open — this is the only
-    write path for GPRs in the exec layer, so squash is complete.
+    Register writers write straight through on either path: the
+    speculation journal snapshots the whole GPR file when a window
+    opens and restores it at squash.
     """
     if isinstance(op, Reg):
         def write(cpu, value, _r=op):
-            regs = cpu.regs.regs
-            if cpu._speculative:
-                cpu._journal.entries.append((_r, regs[_r]))
-            regs[_r] = value & MASK64
+            cpu.regs.regs[_r] = value & MASK64
     elif isinstance(op, Mem):
         ea_of = make_ea(op)
         size = op.size

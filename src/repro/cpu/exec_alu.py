@@ -8,7 +8,7 @@ flags already mutated.
 
 The dominant shapes — register destination with a register or
 immediate source — get fully inlined handlers: no accessor closures,
-no flag-helper calls, journaled register write spelled out.  The
+no flag-helper calls, register write spelled out.  The
 overflow flags there use the classic bit identities (brute-force
 verified equivalent to the reference helpers over the 64-bit wrap):
 
@@ -96,8 +96,6 @@ def _add(ins, addr, next_rip):
                 f.sf = bool(result >> 63)
                 f.cf = wide > MASK64
                 f.of = bool(~(a ^ b) & (a ^ result) & _SIGN)
-                if cpu._speculative:
-                    cpu._journal.entries.append((dst, a))
                 regs[dst] = result
         else:
             def run(cpu):
@@ -112,8 +110,6 @@ def _add(ins, addr, next_rip):
                 f.sf = bool(result >> 63)
                 f.cf = wide > MASK64
                 f.of = bool(~(a ^ const) & (a ^ result) & _SIGN)
-                if cpu._speculative:
-                    cpu._journal.entries.append((dst, a))
                 regs[dst] = result
         return run
 
@@ -149,8 +145,6 @@ def _sub(ins, addr, next_rip):
                 f.sf = bool(result >> 63)
                 f.cf = a < b
                 f.of = bool((a ^ b) & (a ^ result) & _SIGN)
-                if cpu._speculative:
-                    cpu._journal.entries.append((dst, a))
                 regs[dst] = result
         else:
             def run(cpu):
@@ -164,8 +158,6 @@ def _sub(ins, addr, next_rip):
                 f.sf = bool(result >> 63)
                 f.cf = a < const
                 f.of = bool((a ^ const) & (a ^ result) & _SIGN)
-                if cpu._speculative:
-                    cpu._journal.entries.append((dst, a))
                 regs[dst] = result
         return run
 
@@ -201,8 +193,6 @@ def _bitop(ins, addr, next_rip):
                     f.sf = bool(result >> 63)
                     f.cf = False
                     f.of = False
-                    if cpu._speculative:
-                        cpu._journal.entries.append((dst, regs[dst]))
                     regs[dst] = result
             else:
                 def run(cpu):
@@ -215,8 +205,6 @@ def _bitop(ins, addr, next_rip):
                     f.sf = bool(result >> 63)
                     f.cf = False
                     f.of = False
-                    if cpu._speculative:
-                        cpu._journal.entries.append((dst, regs[dst]))
                     regs[dst] = result
         elif opcode is Opcode.OR:
             if const is None:
@@ -230,8 +218,6 @@ def _bitop(ins, addr, next_rip):
                     f.sf = bool(result >> 63)
                     f.cf = False
                     f.of = False
-                    if cpu._speculative:
-                        cpu._journal.entries.append((dst, regs[dst]))
                     regs[dst] = result
             else:
                 def run(cpu):
@@ -244,8 +230,6 @@ def _bitop(ins, addr, next_rip):
                     f.sf = bool(result >> 63)
                     f.cf = False
                     f.of = False
-                    if cpu._speculative:
-                        cpu._journal.entries.append((dst, regs[dst]))
                     regs[dst] = result
         else:
             if const is None:
@@ -259,8 +243,6 @@ def _bitop(ins, addr, next_rip):
                     f.sf = bool(result >> 63)
                     f.cf = False
                     f.of = False
-                    if cpu._speculative:
-                        cpu._journal.entries.append((dst, regs[dst]))
                     regs[dst] = result
             else:
                 def run(cpu):
@@ -273,8 +255,6 @@ def _bitop(ins, addr, next_rip):
                     f.sf = bool(result >> 63)
                     f.cf = False
                     f.of = False
-                    if cpu._speculative:
-                        cpu._journal.entries.append((dst, regs[dst]))
                     regs[dst] = result
         return run
 
@@ -308,8 +288,6 @@ def _not(ins, addr, next_rip):
             rf.rip = next_rip
             regs = rf.regs
             old = regs[dst]
-            if cpu._speculative:
-                cpu._journal.entries.append((dst, old))
             regs[dst] = ~old & MASK64     # no flag update (x86)
         return run
 
@@ -337,8 +315,6 @@ def _neg(ins, addr, next_rip):
             f.sf = bool(value >> 63)
             f.cf = value != 0
             f.of = False
-            if cpu._speculative:
-                cpu._journal.entries.append((dst, old))
             regs[dst] = value
         return run
 
@@ -376,8 +352,6 @@ def _shift(ins, addr, next_rip):
                 f.sf = bool(result >> 63)
                 f.cf = False
                 f.of = False
-                if cpu._speculative:
-                    cpu._journal.entries.append((dst, a))
                 regs[dst] = result
         elif opcode is Opcode.SHR:
             def run(cpu):
@@ -393,8 +367,6 @@ def _shift(ins, addr, next_rip):
                 f.sf = bool(result >> 63)
                 f.cf = False
                 f.of = False
-                if cpu._speculative:
-                    cpu._journal.entries.append((dst, a))
                 regs[dst] = result
         else:
             def run(cpu):
@@ -411,8 +383,6 @@ def _shift(ins, addr, next_rip):
                 f.sf = bool(result >> 63)
                 f.cf = False
                 f.of = False
-                if cpu._speculative:
-                    cpu._journal.entries.append((dst, a))
                 regs[dst] = result
         return run
 
@@ -575,8 +545,6 @@ def _inc(ins, addr, next_rip):
             f.sf = bool(result >> 63)
             f.cf = wide > MASK64
             f.of = bool(~(a ^ 1) & (a ^ result) & _SIGN)
-            if cpu._speculative:
-                cpu._journal.entries.append((dst, a))
             regs[dst] = result
         return run
 
@@ -606,8 +574,6 @@ def _dec(ins, addr, next_rip):
             f.sf = bool(result >> 63)
             f.cf = a < 1
             f.of = bool((a ^ 1) & (a ^ result) & _SIGN)
-            if cpu._speculative:
-                cpu._journal.entries.append((dst, a))
             regs[dst] = result
         return run
 

@@ -34,8 +34,6 @@ def _mov(ins, addr, next_rip):
                 rf = cpu.regs
                 rf.rip = next_rip
                 regs = rf.regs
-                if cpu._speculative:
-                    cpu._journal.entries.append((dst, regs[dst]))
                 regs[dst] = regs[src]
             return run
         if type(src) is Imm:
@@ -45,8 +43,6 @@ def _mov(ins, addr, next_rip):
                 rf = cpu.regs
                 rf.rip = next_rip
                 regs = rf.regs
-                if cpu._speculative:
-                    cpu._journal.entries.append((dst, regs[dst]))
                 regs[dst] = const
             return run
 

@@ -1,52 +1,51 @@
-"""Undo-log journal for the speculation engine.
+"""Wrong-path state for the speculation engine.
 
-The old interpreter squashed a wrong path by deep-copying the whole
-architectural state up front (``RegisterFile.copy()`` plus
-``copy.deepcopy(self.hfi)``) and swapping the copies back afterwards.
-That is O(state) per misprediction and rebinds ``cpu.regs`` /
-``cpu.hfi`` object identity on every window.
+A wrong-path instruction costs what a committed one costs, and squash
+never deep-copies the machine:
 
-The journal inverts the cost: entering a window records only a handful
-of scalars (rip, flags, pkru), and every *write* performed on the wrong
-path logs an ``(location, old_value)`` undo entry.  Squash replays the
-log backwards, so a window that writes three registers undoes three
-dictionary stores — independent of how big the register file or the
-HFI bank is.  Object identity of ``cpu.regs``, ``cpu.hfi`` and
-``Process.hfi_state`` is preserved across speculation.
+* opening a window copies the 16-entry GPR dict and the rip, flags and
+  pkru scalars; squash restores them in place (``dict.update``), so
+  register writers need no speculation test;
+* the first wrong-path store to a page copies that page (a zero page
+  if it was never written: :meth:`AddressSpace.page_copy` materializes
+  nothing) into :attr:`SpeculationJournal.shadows`; later stores write
+  into the copy, wrong-path loads read whole words from it, an access
+  that crosses a page boundary is split there, and squash drops them;
+* HFI state is banked copy-on-first-write: the first mutating
+  ``HfiState`` method in a window (each calls :meth:`snapshot_hfi` via
+  its ``_journal`` hook) saves the register file and lifecycle
+  counters once; most windows never touch HFI state.
 
-HFI state is journaled copy-on-first-write: the first mutating
-``HfiState`` method executed inside a window (they all call
-:meth:`snapshot_hfi` via their ``_journal`` hook) banks the register
-file and lifecycle counters once; most windows never touch HFI state
-and pay nothing.
-
-What deliberately does **not** roll back — cache fills, TLB fills, and
-predictor updates — is exactly the paper's Spectre channel; the journal
-never records those structures.
+Object identity of ``cpu.regs``, ``cpu.regs.regs``, ``cpu.hfi`` and
+``Process.hfi_state`` survives speculation.  Cache fills, TLB fills and
+predictor updates deliberately do **not** roll back: they are the
+paper's Spectre channel, and the journal never records them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, Optional
 
+from ..os.address_space import PAGE
 from ..telemetry.stats import SpeculationJournalStats
 
 
 class SpeculationJournal:
-    """Per-core undo log, recorded only while ``cpu._speculative``."""
+    """Per-core wrong-path state, live while ``cpu._speculative``."""
 
-    __slots__ = ("entries", "windows", "rollbacks", "reg_entries",
-                 "hfi_snapshots", "_rip", "_flags", "_pkru", "_hfi_undo",
-                 "probe")
+    __slots__ = ("shadows", "windows", "rollbacks", "shadow_pages",
+                 "hfi_snapshots", "_gprs", "_rip", "_flags", "_pkru",
+                 "_hfi_undo", "probe")
 
     def __init__(self) -> None:
-        #: Wrong-path GPR writes as ``(Reg, old_value)``; writer
-        #: closures append here directly (hot path).
-        self.entries: List[Tuple[object, int]] = []
+        #: Page number -> the window's copy of that page; empty outside
+        #: a window (the CPU's load path tests it for that reason).
+        self.shadows: Dict[int, bytearray] = {}
         self.windows = 0
         self.rollbacks = 0
-        self.reg_entries = 0
+        self.shadow_pages = 0
         self.hfi_snapshots = 0
+        self._gprs: Dict[object, int] = {}
         self._rip = 0
         self._flags = (False, False, False, False)
         self._pkru = 0
@@ -59,11 +58,11 @@ class SpeculationJournal:
     # window lifecycle
     # ------------------------------------------------------------------
     def open(self, cpu) -> None:
-        """Record the pre-window scalars and arm the HFI hook."""
+        """Snapshot the registers and scalars; arm the HFI hook."""
         self.windows += 1
-        self.entries.clear()
         regs = cpu.regs
         flags = regs.flags
+        self._gprs = regs.regs.copy()
         self._rip = regs.rip
         self._flags = (flags.zf, flags.sf, flags.cf, flags.of)
         self._pkru = cpu.process.pkru if cpu.process is not None else 0
@@ -85,18 +84,15 @@ class SpeculationJournal:
                               hfi.enters, hfi.exits, hfi.region_installs)
 
     def rollback(self, cpu) -> None:
-        """Squash: replay the undo log backwards, in place."""
-        entries = self.entries
-        self.reg_entries += len(entries)
-        regs = cpu.regs.regs
-        while entries:
-            reg, old = entries.pop()
-            regs[reg] = old
+        """Squash: restore the snapshot in place, drop the shadows."""
+        cpu.regs.regs.update(self._gprs)
         flags = cpu.regs.flags
         flags.zf, flags.sf, flags.cf, flags.of = self._flags
         cpu.regs.rip = self._rip
         if cpu.process is not None:
             cpu.process.pkru = self._pkru
+        self.shadow_pages += len(self.shadows)
+        self.shadows.clear()
         hfi = cpu.hfi
         undo = self._hfi_undo
         if undo is not None:
@@ -116,11 +112,39 @@ class SpeculationJournal:
             self.probe.on_rollback(cpu)
 
     # ------------------------------------------------------------------
+    # wrong-path memory
+    # ------------------------------------------------------------------
+    def load(self, mem, ea: int, size: int) -> int:
+        """A wrong-path load: shadowed pages, else memory."""
+        page, offset = divmod(ea, PAGE)
+        low = min(size, PAGE - offset)
+        shadow = self.shadows.get(page)
+        if shadow is None:
+            value = mem.read(ea, low, check=False)
+        else:
+            value = int.from_bytes(shadow[offset:offset + low], "little")
+        if low < size:                      # split at the page boundary
+            value |= self.load(mem, ea + low, size - low) << (8 * low)
+        return value
+
+    def store(self, mem, ea: int, size: int, value: int) -> None:
+        """A wrong-path store, into its page's (copied once) shadow."""
+        page, offset = divmod(ea, PAGE)
+        low = min(size, PAGE - offset)
+        shadow = self.shadows.get(page)
+        if shadow is None:
+            shadow = self.shadows[page] = mem.page_copy(page)
+        shadow[offset:offset + low] = (
+            value & ((1 << (8 * low)) - 1)).to_bytes(low, "little")
+        if low < size:                      # split at the page boundary
+            self.store(mem, ea + low, size - low, value >> (8 * low))
+
+    # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> SpeculationJournalStats:
         """Uniform component-stats snapshot (``repro.telemetry``)."""
         return SpeculationJournalStats(
             component="journal", windows=self.windows,
-            rollbacks=self.rollbacks, reg_entries=self.reg_entries,
+            rollbacks=self.rollbacks, shadow_pages=self.shadow_pages,
             hfi_snapshots=self.hfi_snapshots)

@@ -24,8 +24,9 @@ and the data-memory path.  Instruction semantics live in the exec
 units (:mod:`.exec_alu`, :mod:`.exec_mem`, :mod:`.exec_control`,
 :mod:`.exec_system`, :mod:`.exec_hfi`), reached through predecoded
 handlers (:mod:`.decode`); cycle charging flows through the timing
-seam (:mod:`.timing`); and wrong-path squash is an undo log
-(:mod:`.journal`) rather than a deepcopy snapshot.
+seam (:mod:`.timing`); and wrong-path squash restores a register
+snapshot and drops page shadows (:mod:`.journal`) rather than
+deep-copying the machine.
 """
 
 from __future__ import annotations
@@ -196,10 +197,11 @@ class Cpu:
         self._lazy_decodes = 0
         #: The timing seam — all cycle charging by the exec layer.
         self.timing = create_timing(self.timing_model, self)
-        #: Undo log for wrong-path squash (no deepcopy anywhere).
+        #: Wrong-path state: register snapshot, page shadows, HFI bank.
         self._journal = SpeculationJournal()
+        #: The journal's page shadows; non-empty only inside a window.
+        self._shadows = self._journal.shadows
         self._speculative = False
-        self._store_buffer: Dict[int, int] = {}
         self._xsave_areas: Dict[int, Tuple[RegisterFile, object, int]] = {}
         self._halted = False
         self._fault: Optional[FaultInfo] = None
@@ -336,12 +338,11 @@ class Cpu:
         hfi_regs = self.hfi.regs
         tracer = self.tracer
         base_cycles = self.params.base_cycles
-        # l1i hit fast path, inlined (the one cache probe made on every
-        # single instruction); misses fall back to the full hierarchy.
+        # A fetch from the L1I's latest line only counts its hit (the
+        # line is already most recently used); any other line takes the
+        # full access through ``fetch``.
         l1i = self.caches.l1i
-        l1i_sets = l1i._sets
         l1i_line = l1i.line_bytes
-        l1i_nsets = l1i.n_sets
         l1i_hit_cycles = self.params.l1i_hit_cycles
         while executed < max_instructions:
             if self._halted:
@@ -364,12 +365,7 @@ class Cpu:
                     self._raise_fault(fault)
                     executed += 1
                     continue
-            line = pc // l1i_line
-            ways = l1i_sets[line % l1i_nsets]
-            tag = line // l1i_nsets
-            if tag in ways:
-                del ways[tag]
-                ways[tag] = True
+            if pc // l1i_line == l1i._last:
                 l1i._hits += 1
                 fetch_cycles = l1i_hit_cycles
             else:
@@ -461,33 +457,37 @@ class Cpu:
     def _speculate(self, wrong_path: int) -> None:
         """Run the mispredicted path in shadow state, then squash.
 
-        Register writes and stores are discarded (via the undo journal
-        and the store buffer); cache and TLB fills are not — faithfully
-        creating (and letting HFI close) the Spectre channel.
+        Register writes and stores are discarded (the journal restores
+        its register snapshot and drops its page shadows); cache and
+        TLB fills are not — faithfully creating (and letting HFI close)
+        the Spectre channel.  Fetch is the commit loop's front end.
         """
         journal = self._journal
         journal.open(self)
         self._speculative = True
-        self._store_buffer = {}
         regs = self.regs
         stats = self.stats
         decoded = self._decoded
         fetch = self.timing.fetch
         hfi_regs = self.hfi.regs
-        check_fetch = self.hfi.check_code_fetch
         tracer = self.tracer
+        l1i = self.caches.l1i
+        l1i_line = l1i.line_bytes
         regs.rip = wrong_path
         try:
             for _ in range(self.params.speculation_window):
                 pc = regs.rip
                 if hfi_regs.enabled:
                     try:
-                        check_fetch(pc)
+                        implicit_code_check(hfi_regs.code, pc)
                     except HfiFault:
                         # decode turns the micro-ops into a faulting
                         # NOP; nothing out-of-bounds executes (§4.1).
                         break
-                fetch(pc)
+                if pc // l1i_line == l1i._last:
+                    l1i._hits += 1
+                else:
+                    fetch(pc)
                 dop = decoded.get(pc)
                 if dop is None:
                     dop = self._decode_at(pc)
@@ -505,7 +505,6 @@ class Cpu:
             pass
         finally:
             self._speculative = False
-            self._store_buffer = {}
             journal.rollback(self)
 
     # ------------------------------------------------------------------
@@ -524,16 +523,9 @@ class Cpu:
                     raise PageFault(ea, _READ, f"pkey {vma.pkey} denied")
         self.timing.mem_access(ea)
         self.stats.loads += 1
-        value = self.mem.read(ea, size, check=False)
-        if self._speculative and self._store_buffer:
-            data = bytearray(value.to_bytes(size, "little"))
-            buffer = self._store_buffer
-            for i in range(size):
-                buffered = buffer.get(ea + i)
-                if buffered is not None:
-                    data[i] = buffered
-            value = int.from_bytes(bytes(data), "little")
-        return value
+        if self._shadows:                   # a wrong path has stored
+            return self._journal.load(self.mem, ea, size)
+        return self.mem.read(ea, size, check=False)
 
     def _store_ea(self, ea: int, size: int, value: int) -> None:
         """Data store at a resolved (and HFI-checked) address."""
@@ -548,17 +540,11 @@ class Cpu:
         self.timing.mem_access(ea)
         self.stats.stores += 1
         if self._speculative:
-            data = (value & ((1 << (8 * size)) - 1)).to_bytes(
-                size, "little")
-            buffer = self._store_buffer
-            for i, byte in enumerate(data):
-                buffer[ea + i] = byte
+            self._journal.store(self.mem, ea, size, value)
         else:
             self.mem.write(ea, value, size, check=False)
 
     def _wreg(self, reg: Reg, value: int) -> None:
-        """Journaled GPR write — the exec layer's only register-write
-        path besides the decode-time writer closures."""
-        if self._speculative:
-            self._journal.entries.append((reg, self.regs.regs[reg]))
+        """GPR write for the exec layer's fixed-register effects (the
+        window's register snapshot undoes it on a wrong path)."""
         self.regs.regs[reg] = value & MASK64

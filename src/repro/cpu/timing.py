@@ -32,8 +32,10 @@ timing drift the golden-cycle fixture exists to catch:
   Spectre channel), but their latency is charged at commit only.
 
 ``fetch`` is the bound i-side access used by both the commit loop and
-the speculation loop; fetch latency policy lives in the callers (the
-commit loop charges it, the wrong path does not).
+the speculation loop when the fetch misses the L1I's last-access
+marker (a repeat of the latest line only counts its hit); fetch
+latency policy lives in the callers (the commit loop charges it, the
+wrong path does not).
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class InOrderTiming:
     inline_commit = True
 
     __slots__ = ("cpu", "stats", "params", "fetch", "_tlb", "_dcache",
-                 "_l1d", "_tlb_obj", "_page_bytes")
+                 "_l1d", "_page_bytes")
 
     def __init__(self, cpu) -> None:
         self.cpu = cpu
@@ -133,8 +135,7 @@ class InOrderTiming:
         self.params = cpu.params
         #: i-side access (cache side effects + returned latency).
         self.fetch = cpu.caches.fetch_access
-        self._tlb = cpu.tlb.access
-        self._tlb_obj = cpu.tlb
+        self._tlb = cpu.tlb
         self._page_bytes = cpu.params.page_bytes
         self._dcache = cpu.caches.data_access
         self._l1d = cpu.caches.l1d
@@ -153,30 +154,19 @@ class InOrderTiming:
 
         The side effects (LRU refresh, fills, hit counters) always
         happen — that persistence is the Spectre channel — while the
-        caller decides what to do with the returned latency.
+        caller decides what to do with the returned latency.  A repeat
+        of the latest page or line (the ``_last`` markers) only counts
+        its hit; any other access takes the full ``Tlb.access`` /
+        hierarchy path.
         """
-        # dTLB hit fast path, inlined; misses take the full LRU+evict
-        # path in Tlb.access.
-        tlb = self._tlb_obj
-        pages = tlb._pages
-        page = ea // self._page_bytes
-        if page in pages:
-            del pages[page]
-            pages[page] = True
+        tlb = self._tlb
+        if ea // self._page_bytes == tlb._last:
             tlb._hits += 1
             tlb_cost = 0
         else:
-            tlb_cost = self._tlb(ea)
-        # l1d hit fast path, inlined (runs on every load and store);
-        # misses fall back to the full hierarchy walk.
+            tlb_cost = tlb.access(ea)
         l1d = self._l1d
-        line = ea // l1d.line_bytes
-        n_sets = l1d.n_sets
-        ways = l1d._sets[line % n_sets]
-        tag = line // n_sets
-        if tag in ways:
-            del ways[tag]
-            ways[tag] = True
+        if ea // l1d.line_bytes == l1d._last:
             l1d._hits += 1
             return tlb_cost + self.params.l1d_hit_cycles
         return tlb_cost + self._dcache(ea)

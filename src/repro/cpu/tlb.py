@@ -19,12 +19,17 @@ from ..telemetry.stats import TlbStats
 
 
 class Tlb:
-    """Page-granular translation cache."""
+    """Page-granular translation cache.
+
+    ``_last`` (the latest page, so the most recent) works as
+    :class:`~repro.cpu.cache.Cache`'s does; a shootdown clears it.
+    """
 
     def __init__(self, params: MachineParams = DEFAULT_PARAMS):
         self.params = params
         self.entries = params.dtlb_entries
         self._pages: Dict[int, bool] = {}
+        self._last = -1
         self._hits = 0
         self._misses = 0
         self._shootdowns = 0
@@ -39,6 +44,7 @@ class Tlb:
     def access(self, addr: int) -> int:
         """Translate; returns added latency (0 on hit, walk cost on miss)."""
         page = addr // self.params.page_bytes
+        self._last = page
         if page in self._pages:
             del self._pages[page]
             self._pages[page] = True
@@ -54,4 +60,5 @@ class Tlb:
     def shootdown(self) -> None:
         """Invalidate everything (munmap/madvise in concurrent mode)."""
         self._pages.clear()
+        self._last = -1
         self._shootdowns += 1

@@ -352,6 +352,12 @@ class AddressSpace:
             raise PageFault(addr, kind, f"protection ({vma.prot!r})")
         return vma
 
+    def page_copy(self, number: int) -> bytearray:
+        """A copy of page ``number``'s contents (zeros if it was never
+        written); unlike a write, it materializes nothing."""
+        stored = self._pages.get(number)
+        return bytearray(stored) if stored is not None else bytearray(PAGE)
+
     def _page(self, number: int) -> bytearray:
         page = self._pages.get(number)
         if page is None:

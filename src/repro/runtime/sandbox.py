@@ -164,12 +164,18 @@ class SandboxManager:
         cost += 2 * self.params.syscall_cycles
         code_base = self.space.mmap(code_bytes, Prot.rx(), name="sbx-code")
 
+        # Region 6 covers exactly the heap: a large region when the
+        # size is 64 KiB-granular, else a small one (§3.2).  The heap
+        # starts less than ``align`` past ``raw``, so the region ends
+        # inside the reservation.
+        heap = ExplicitDataRegion(heap_base, heap_bytes,
+                                  permission_read=True,
+                                  permission_write=True,
+                                  is_large_region=heap_bytes % (1 << 16) == 0)
         regions = [
             (0, ImplicitCodeRegion.covering(code_base, code_bytes)),
             (2, ImplicitDataRegion.covering(heap_base, heap_bytes)),
-            (6, ExplicitDataRegion(heap_base, align,
-                                   permission_read=True,
-                                   permission_write=True)),
+            (6, heap),
         ]
         if hybrid:
             descriptor = SandboxDescriptor.hybrid(

@@ -327,23 +327,21 @@ class DecodeCacheStats(ComponentStats):
 
 @dataclass
 class SpeculationJournalStats(ComponentStats):
-    """Undo-log traffic for journaled wrong-path speculation.
+    """What journaled wrong-path speculation cost.
 
     One ``window`` per mispredict that opened speculation; every window
     rolls back, so ``rollbacks`` should equal ``windows``.
-    ``hfi_snapshots`` counts copy-on-first-write HFI bank saves — it
-    stays far below ``windows`` because most wrong paths never touch
-    HFI state, which is exactly the saving over eager deepcopy.
+    ``shadow_pages`` counts pages copied by wrong-path stores (one per
+    page a window stored to).  ``hfi_snapshots`` counts
+    copy-on-first-write HFI bank saves — it stays far below ``windows``
+    because most wrong paths never touch HFI state, which is exactly
+    the saving over eager deepcopy.
     """
 
     windows: int = 0
     rollbacks: int = 0
-    reg_entries: int = 0
+    shadow_pages: int = 0
     hfi_snapshots: int = 0
-
-    @property
-    def entries_per_window(self) -> float:
-        return self.reg_entries / self.windows if self.windows else 0.0
 
 
 @dataclass

@@ -104,7 +104,7 @@ class TestWrongPathInvisibility:
 
     def test_speculative_store_to_load_forwarding(self, params):
         """A wrong-path load observes a wrong-path store through the
-        store buffer, and transmits it via the cache."""
+        window's page shadow, and transmits it via the cache."""
         cpu, space = fresh_cpu(params)
         oob_x = OOB_X + 0x41            # low byte 0x41 -> slot 65
         asm = Assembler(base=CODE)
@@ -120,12 +120,127 @@ class TestWrongPathInvisibility:
         cpu.load_program(program)
         flush = [PROBE + slot * 64 for slot in range(256)]
         train_flush_attack(cpu, program, oob_x=oob_x, flush=flush)
-        # forwarding: rdx got oob_x's low byte from the store buffer
+        # forwarding: rdx got oob_x's low byte from the page shadow
         assert cpu.caches.l1d.lookup(PROBE + 0x41 * 64)
         # without forwarding it would have read 0 from memory
         assert not cpu.caches.l1d.lookup(PROBE)
         # and the store itself never committed
         assert space.read(DATA + oob_x * 8, 8) == 0
+
+
+def wrong_path_program(body):
+    """``cmp rax, rax; je done``: the branch is taken, and the PHT's
+    first prediction is not-taken, so ``body`` (then a ``hlt``, which
+    squashes) runs only on the wrong path."""
+    asm = Assembler(base=CODE)
+    asm.cmp(Reg.RAX, Reg.RAX)
+    asm.je("done")
+    body(asm)
+    asm.hlt()
+    asm.label("done")
+    asm.hlt()
+    return asm.assemble()
+
+
+class WrongPathSpy:
+    """A tracer that keeps the GPRs and flags as each wrong-path
+    instruction is fetched, so its last entry is the state the whole
+    wrong path left behind."""
+
+    def __init__(self, cpu):
+        self.cpu = cpu
+        self.seen = []
+
+    def record(self, addr, ins, hfi_enabled, speculative=False):
+        if speculative:
+            regs = self.cpu.regs
+            f = regs.flags
+            self.seen.append((dict(regs.regs), (f.zf, f.sf, f.cf, f.of)))
+
+
+def run_wrong_path(cpu, body):
+    """Run ``body`` on one wrong path; return its final GPRs and flags."""
+    program = wrong_path_program(body)
+    cpu.load_program(program)
+    spy = WrongPathSpy(cpu)
+    cpu.tracer = spy
+    result = cpu.run(program.base, max_instructions=80)
+    assert result.reason == "hlt"
+    assert cpu.stats.mispredicts == 1
+    assert len(spy.seen) == len(program.instructions) - 3
+    return spy.seen[-1]
+
+
+class TestWrongPathState:
+    """Wrong-path stores forward to wrong-path loads at any size and
+    alignment, and squash restores every register and byte."""
+
+    def test_byte_store_merges_into_a_committed_word(self, params):
+        cpu, space = fresh_cpu(params)
+        space.write(DATA + 8, 0x1122_3344_5566_7788, 8)
+
+        def body(asm):
+            asm.mov(Reg.RCX, Imm(0xAB))
+            asm.mov(Mem(disp=DATA + 11, size=1), Reg.RCX)
+            asm.mov(Reg.RDX, Mem(disp=DATA + 8))
+        regs, _ = run_wrong_path(cpu, body)
+        assert regs[Reg.RDX] == 0x1122_3344_AB66_7788
+        assert space.read(DATA + 8, 8) == 0x1122_3344_5566_7788
+        assert cpu.regs.read(Reg.RDX) == 0
+
+    def test_store_and_load_across_a_page_boundary(self, params):
+        cpu, space = fresh_cpu(params)
+        edge = DATA + 0x1000
+        space.write(edge + 5, 0xEE, 1)
+        present = space.present_pages
+
+        def body(asm):
+            asm.mov(Reg.RCX, Imm(0x0102_0304_0506_0708))
+            asm.mov(Mem(disp=edge - 3), Reg.RCX)
+            asm.mov(Reg.RDX, Mem(disp=edge - 3))
+            asm.mov(Reg.RSI, Mem(disp=edge - 2))   # 7 stored, 1 not
+        regs, _ = run_wrong_path(cpu, body)
+        assert regs[Reg.RDX] == 0x0102_0304_0506_0708
+        assert regs[Reg.RSI] == 0xEE01_0203_0405_0607
+        assert space.read(edge - 2, 8) == 0xEE << 56
+        assert space.present_pages == present
+
+    def test_store_to_a_never_written_page(self, params):
+        cpu, space = fresh_cpu(params)
+        fresh = DATA + 0x5000
+        present = space.present_pages
+
+        def body(asm):
+            asm.mov(Reg.RCX, Imm(0x5A5A))
+            asm.mov(Mem(disp=fresh + 16), Reg.RCX)
+            asm.mov(Reg.RDX, Mem(disp=fresh + 16))
+            asm.mov(Reg.RSI, Mem(disp=fresh + 24))
+        regs, _ = run_wrong_path(cpu, body)
+        assert (regs[Reg.RDX], regs[Reg.RSI]) == (0x5A5A, 0)
+        assert space.present_pages == present
+        assert space.read(fresh + 16) == 0
+        assert space.present_pages == present
+
+    def test_every_register_and_flag_restored(self, params):
+        cpu, _ = fresh_cpu(params)
+        committed = {reg: 0x100 + i for i, reg in enumerate(Reg)}
+        for reg, value in committed.items():
+            cpu.regs.write(reg, value)
+        gprs = cpu.regs.regs
+
+        def body(asm):
+            for i, reg in enumerate(Reg):
+                asm.mov(reg, Imm(0xF00 + i))
+            asm.mov(Reg.RAX, Imm((1 << 63) - 1))
+            asm.mov(Reg.RBX, Imm((1 << 64) - 1))
+            asm.cmp(Reg.RAX, Reg.RBX)        # zf=0 sf=1 cf=1 of=1
+        regs, flags = run_wrong_path(cpu, body)
+        assert all(regs[reg] != committed[reg] for reg in Reg)
+        assert flags == (False, True, True, True)
+        assert cpu.regs.regs is gprs
+        assert gprs == committed
+        f = cpu.regs.flags
+        assert (f.zf, f.sf, f.cf, f.of) == (True, False, False, False)
 
 
 class TestSpeculationBarriers:

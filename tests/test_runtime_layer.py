@@ -7,7 +7,8 @@ import dataclasses
 import pytest
 
 from repro.chaos import ChaosConfig, ChaosInjector
-from repro.core import FaultCause
+from repro.core import FaultCause, HfiFault, HfiState
+from repro.os import Prot
 from repro.params import MachineParams
 from repro.runtime import (
     FaultKind,
@@ -138,6 +139,27 @@ class TestSandboxManager:
         assert manager.total_cycles == total
         manager.destroy_sandbox(a)
         assert manager.space.read(b.heap_base) == 0x1234
+
+    @pytest.mark.parametrize("heap_bytes", [16 << 10, 320 << 10])
+    def test_heap_region_ends_at_the_heap(self, params, heap_bytes):
+        """Region 6 covers the heap and nothing past it, for a heap
+        smaller than 64 KiB and one that is not a power of two: it
+        must not reach past the reservation onto the sandbox's own
+        code, so an hmov one byte past the heap traps."""
+        manager = SandboxManager(params)
+        manager.space.mmap(4096, Prot.rw())
+        handle = manager.create_sandbox(heap_bytes=heap_bytes)
+        region = dict(handle.descriptor.regions)[6]
+        assert region.end == handle.heap_base + heap_bytes
+        assert region.end <= handle.reservation_end <= handle.code_base
+        state = HfiState(params)
+        handle.descriptor.install(state)
+        last = state.hmov_address(0, heap_bytes - 1, 1, 0, 1,
+                                  is_write=True)
+        assert last == handle.heap_base + heap_bytes - 1
+        with pytest.raises(HfiFault) as trap:
+            state.hmov_address(0, heap_bytes, 1, 0, 1, is_write=True)
+        assert trap.value.cause is FaultCause.HMOV_OUT_OF_BOUNDS
 
     def test_destroy_returns_memory_cost(self, params):
         manager = SandboxManager(params)
