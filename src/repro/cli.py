@@ -294,7 +294,8 @@ def cmd_verify(args) -> int:
 
     Exit status 0 iff the run is clean: zero staged-vs-reference
     divergences, zero unclassified comparator disagreements, zero
-    poison hits, zero invariant violations."""
+    poison hits, zero invariant violations, zero failed attack
+    cells."""
     from .verify import run_verify
 
     if args.seeds < 1:
@@ -322,6 +323,8 @@ def cmd_verify(args) -> int:
         f"(violations: {report['invariant_violations']})",
         f"determinism runs:  {report['determinism']['runs']} "
         f"(mismatches: {report['determinism']['mismatches']})",
+        f"attack cells:      {report['attacks']['cells']} "
+        f"(failures: {report['attacks']['failures']})",
         f"verdict:           {'CLEAN' if stats.clean else 'DIRTY'}",
     ]
     lines += [f"  FAIL: {failure}" for failure in report["failures"]]

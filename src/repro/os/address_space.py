@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from ..params import DEFAULT_PARAMS, MachineParams
 
@@ -153,21 +153,20 @@ class AddressSpace:
     def vmas(self) -> List[Vma]:
         return list(self._vmas)
 
-    def _overlapping(self, start: int, end: int) -> Iterator[int]:
-        """Yield indices of VMAs overlapping ``[start, end)``, ascending."""
-        idx = bisect.bisect_right(self._starts, start) - 1
-        if idx < 0:
-            idx = 0
-        while idx < len(self._vmas):
-            vma = self._vmas[idx]
-            if vma.start >= end:
-                break
-            if vma.end > start:
-                yield idx
-            idx += 1
+    def _overlapping(self, start: int, end: int) -> range:
+        """Indices of VMAs overlapping ``[start, end)``, ascending.
+
+        VMAs are sorted and disjoint, so the overlap is one run: from
+        the VMA holding ``start`` (or the next one) up to the last VMA
+        starting before ``end``.
+        """
+        lo = bisect.bisect_right(self._starts, start) - 1
+        if lo < 0 or self._vmas[lo].end <= start:
+            lo += 1
+        return range(lo, bisect.bisect_left(self._starts, end))
 
     def _is_free(self, start: int, end: int) -> bool:
-        return next(iter(self._overlapping(start, end)), None) is None
+        return not self._overlapping(start, end)
 
     @property
     def reserved_bytes(self) -> int:
@@ -214,7 +213,7 @@ class AddressSpace:
                 self._mmap_next = addr + length
                 return addr
             # skip past the blocking VMA
-            idx = next(self._overlapping(addr, addr + length))
+            idx = self._overlapping(addr, addr + length)[0]
             addr = page_align_up(self._vmas[idx].end)
         raise OutOfAddressSpace(
             f"no free range of {length} bytes in "
@@ -276,12 +275,14 @@ class AddressSpace:
         """
         start, end = page_align_down(addr), page_align_up(addr + length)
         present = self._drop_pages(start, end)
+        hits = self._overlapping(start, end)
         reserved_bytes = 0
-        vma_count = 0
-        for idx in self._overlapping(start, end):
+        for idx in hits:
+            # compares, not min()/max(): every pool release lands here
             vma = self._vmas[idx]
-            vma_count += 1
-            reserved_bytes += min(end, vma.end) - max(start, vma.start)
+            reserved_bytes += ((vma.end if vma.end < end else end)
+                               - (vma.start if vma.start > start else start))
+        vma_count = len(hits)
         cost = (self.params.madvise_fixed_cycles
                 + present * self.params.madvise_per_present_page_cycles
                 + vma_count * self.params.madvise_per_vma_cycles
@@ -294,8 +295,7 @@ class AddressSpace:
     def _carve(self, start: int, end: int,
                new_prot: Optional[Prot], pkey: Optional[int] = None) -> None:
         """Split VMAs at ``start``/``end``; retag or remove the middle."""
-        affected = list(self._overlapping(start, end))
-        for idx in reversed(affected):
+        for idx in reversed(self._overlapping(start, end)):
             vma = self._vmas[idx]
             self._remove_index(idx)
             if vma.start < start:
@@ -313,7 +313,8 @@ class AddressSpace:
     def set_pkey(self, addr: int, length: int, pkey: int) -> int:
         """pkey_mprotect: tag a range with an MPK protection key."""
         start, end = page_align_down(addr), page_align_up(addr + length)
-        for idx in list(self._overlapping(start, end)):
+        # last VMA first: splitting one shifts the indices after it
+        for idx in reversed(self._overlapping(start, end)):
             vma = self._vmas[idx]
             self._carve(max(start, vma.start), min(end, vma.end),
                         new_prot=vma.prot, pkey=pkey)
@@ -322,6 +323,8 @@ class AddressSpace:
                 + pages * self.params.mprotect_per_page_cycles)
 
     def _drop_pages(self, start: int, end: int) -> int:
+        if not self._pages:     # most releases find nothing materialized
+            return 0
         first, last = start // PAGE, (end + PAGE - 1) // PAGE
         span = last - first
         if span < len(self._pages):

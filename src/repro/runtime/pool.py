@@ -11,9 +11,7 @@ a reusable component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
-
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 from ..os.address_space import AddressSpace
 from ..params import DEFAULT_PARAMS, MachineParams
@@ -36,13 +34,13 @@ class PoolSlot:
     in_use: bool = False
     dirty: bool = False
     quarantined: bool = False
+    #: The top word of the slot's heap.  Whatever a serving executor
+    #: leaves there must still be there after the guest ran; anything
+    #: else means the guest escaped its heap.
+    canary_address: int = field(init=False, repr=False)
 
-    @property
-    def canary_address(self) -> int:
-        """The top word of the slot's heap.  Whatever a serving
-        executor leaves there must still be there after the guest
-        ran; anything else means the guest escaped its heap."""
-        return self.heap_base + self.heap_bytes - CANARY_BYTES
+    def __post_init__(self):
+        self.canary_address = self.heap_base + self.heap_bytes - CANARY_BYTES
 
 
 class InstancePool:
@@ -360,10 +358,9 @@ class ShardedInstancePool:
     def _richest_other(self, shard: int) -> Optional[int]:
         best, best_avail = None, 0
         for index, pool in enumerate(self.shards):
-            if index == shard:
-                continue
-            if pool.available > best_avail:
-                best, best_avail = index, pool.available
+            available = len(pool._free)
+            if available > best_avail and index != shard:
+                best, best_avail = index, available
         return best
 
     # ------------------------------------------------------------------

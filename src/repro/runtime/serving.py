@@ -5,7 +5,7 @@ off: one process multiplexes thousands of sandboxed invocations, and
 the per-request protection cost (transition round trips, instance
 staging, teardown madvise) decides how much offered load the node
 sustains before the tail blows up.  This module models that node as
-an event-heap simulator in the image of the Firecracker serving
+a discrete-event simulator in the image of the Firecracker serving
 architecture and the Faasm cluster setup (SNIPPETS.md):
 
 * **open-loop arrivals** — Poisson, bursty (2-state MMPP), or
@@ -30,12 +30,17 @@ architecture and the Faasm cluster setup (SNIPPETS.md):
   madvise accounting.
 
 Everything inside the loop is integer cycles with a deterministic
-event order (``(cycle, kind, seq)`` heap keys) and no RNG, so the
-request stream, seeded or replayed, fully determines a run — the
-property the golden serving fixture (tests/golden_serving.json) and
-the ``repro-hfi verify`` determinism gate pin down.  Latency
-percentiles (p50/p99/p999) are computed over integer cycle latencies
-with the exact nearest-rank rule of :func:`percentile`.
+event order and no RNG, so the request stream, seeded or replayed,
+fully determines a run — the property the golden serving fixture
+(tests/golden_serving.json) and the ``repro-hfi verify`` determinism
+gate pin down.  Arrivals stream from the request list, stably sorted
+by ``arrival_cycle`` (same-cycle arrivals keep their list order); only
+the completions of started invocations, at most one per core, wait in
+a heap keyed by ``(cycle, seq)``.  Before each arrival, every
+completion at or before its cycle runs, in cycle order and then in the
+order the invocations started.  Latency percentiles (p50/p99/p999)
+are computed over integer cycle latencies with the exact nearest-rank
+rule of :func:`percentile`.
 
 Table 1 runs here too: fed one constant service time and a zero-cost
 :class:`SchemeCosts`, the node is an FCFS M/D/c queue — request *i*
@@ -50,8 +55,9 @@ import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..os.address_space import AddressSpace
@@ -366,9 +372,13 @@ def percentile(values: Sequence[float], pct: float) -> float:
     minimum, at or above 100 to the maximum — the nearest-rank rule is
     only defined on (0, 100].
     """
-    if not values:
+    return _nearest_rank(sorted(values), pct)
+
+
+def _nearest_rank(ordered: Sequence[float], pct: float) -> float:
+    """:func:`percentile` of values already sorted ascending."""
+    if not ordered:
         return 0.0
-    ordered = sorted(values)
     if pct <= 0:
         return ordered[0]
     if pct >= 100:
@@ -444,25 +454,23 @@ class ServingMetrics:
         return json.dumps(ints, sort_keys=True)
 
 
-# event kinds — completions drain before same-cycle arrivals so a
-# freed slot is visible to the arrival that needs it
-_COMPLETE = 0
-_ARRIVAL = 1
-
-
-@dataclass(eq=False)
 class _InFlight:
     """One admitted request holding a pool slot (compared by identity,
     so removing it from a core queue never compares fields)."""
 
-    request: Request
-    slot: PoolSlot
-    owner_shard: int
-    core: int
-    injection: Optional[Injection] = None
-    started: bool = False
-    #: The fault this invocation acts on, fixed when it starts.
-    pending: Optional[FaultKind] = None
+    __slots__ = ("request", "slot", "owner_shard", "core", "injection",
+                 "started", "pending")
+
+    def __init__(self, request: Request, slot: PoolSlot, owner_shard: int,
+                 core: int, injection: Optional[Injection]):
+        self.request = request
+        self.slot = slot
+        self.owner_shard = owner_shard
+        self.core = core
+        self.injection = injection
+        self.started = False
+        #: The fault this invocation acts on, fixed when it starts.
+        self.pending: Optional[FaultKind] = None
 
 
 class _Core:
@@ -487,8 +495,11 @@ def _reject_duplicate_indices(requests: Sequence[Request]) -> None:
             raise ValueError(f"duplicate request index {indices[i]}")
 
 
+_arrival_cycle = attrgetter("arrival_cycle")
+
+
 class ServingSimulator:
-    """Event-heap serving loop over sharded pools for one scheme.
+    """Discrete-event serving loop over sharded pools for one scheme.
 
     ``scheme`` is a scheme name, or the executor the invocations run
     on: a :class:`SchemeCosts` cost model or a
@@ -496,6 +507,9 @@ class ServingSimulator:
     sandboxes.  The pool lives in the executor's address space, if it
     has one.  Which fault an invocation meets, and what follows, is
     decided here, once, for both executors.
+
+    A simulator serves one request stream: its counters, outcomes,
+    breakers, clock and pool are that stream's ledger.
     """
 
     def __init__(self, scheme="hfi",
@@ -520,7 +534,20 @@ class ServingSimulator:
         self.latencies: List[int] = []
         self.clock = 0
         self._inflight = 0
+        self._cores = [_Core() for _ in range(self.config.n_cores)]
+        #: Completions of started invocations, at most one per core, as
+        #: a heap of ``(cycle, seq, record)``; ``seq`` counts starts, so
+        #: same-cycle completions run in the order their invocations
+        #: started.
+        self._completions: List[tuple] = []
         self._seq = 0
+        #: Queued (not started) records below ``no_shed_priority``, as a
+        #: heap of ``(shed_rank, record)``.  A record that starts stays
+        #: in it until it reaches the top; ``_victims_live`` counts the
+        #: entries still queued.
+        self._victims: List[tuple] = []
+        self._victims_live = 0
+        self._used = False
         coalesce(telemetry).register_component("serving", self.stats)
 
     # ------------------------------------------------------------------
@@ -530,46 +557,54 @@ class ServingSimulator:
         order (same-cycle arrivals in list order).
 
         Request indices must be unique: they rank shed victims and key
-        chaos injections.
+        chaos injections.  A simulator runs once; a second call raises
+        RuntimeError rather than mix two streams in one ledger.
         """
+        if self._used:
+            raise RuntimeError(
+                "this ServingSimulator already served a request stream; "
+                "build one simulator per stream")
         _reject_duplicate_indices(requests)
-        heap: List[tuple] = []
-        for request in requests:
-            self._push(heap, request.arrival_cycle, _ARRIVAL, request)
-        last_arrival = max((r.arrival_cycle for r in requests), default=0)
-        self._cores = [_Core() for _ in range(self.config.n_cores)]
-        #: Queued (not started) records below ``no_shed_priority``, as a
-        #: heap of ``(shed_rank, record)``.  A record that starts stays
-        #: in it until it reaches the top; ``_victims_live`` counts the
-        #: entries still queued.
-        self._victims: List[tuple] = []
-        self._victims_live = 0
-        while heap:
-            cycle, kind, _, payload = heapq.heappop(heap)
-            self.clock = max(self.clock, cycle)
-            if kind == _ARRIVAL:
-                self._on_arrival(heap, payload, injector)
-            else:
-                self._on_complete(heap, payload)
-        duration = max(self.clock, last_arrival)
-        return self._metrics(requests, duration)
+        self._used = True
+        # a stable sort: same-cycle arrivals keep their list order
+        arrivals = sorted(requests, key=_arrival_cycle)
+        completions = self._completions
+        on_arrival, complete_next = self._on_arrival, self._complete_next
+        for request in arrivals:
+            cycle = request.arrival_cycle
+            # completions drain before same-cycle arrivals so a freed
+            # slot is visible to the arrival that needs it
+            while completions and completions[0][0] <= cycle:
+                complete_next()
+            if cycle > self.clock:
+                self.clock = cycle
+            on_arrival(request, injector)
+        while completions:
+            complete_next()
+        # the last event ends the run: the clock has passed every arrival
+        return self._metrics(arrivals, self.clock)
 
-    def _push(self, heap, cycle: int, kind: int, payload) -> None:
-        self._seq += 1
-        heapq.heappush(heap, (cycle, kind, self._seq, payload))
+    def _complete_next(self) -> None:
+        """Pop the earliest completion and run it."""
+        cycle, _, record = heapq.heappop(self._completions)
+        if cycle > self.clock:
+            self.clock = cycle
+        self._on_complete(record)
 
     # ------------------------------------------------------------------
     # arrivals: breaker -> admission -> slot -> enqueue
     # ------------------------------------------------------------------
-    def _on_arrival(self, heap, request: Request, injector) -> None:
-        self.counters.requests += 1
+    def _on_arrival(self, request: Request, injector) -> None:
+        counters = self.counters
+        counters.requests += 1
         injection = request.injection or (
             injector.injection_for(request.index) if injector else None)
         breaker = self.breakers.get(request.tenant)
         if breaker is None:
             breaker = self.breakers[request.tenant] = TenantBreaker()
-        if not breaker_admits(breaker, self.clock):
-            self.counters.breaker_shed += 1
+        clock = self.clock
+        if not breaker_admits(breaker, clock):
+            counters.breaker_shed += 1
             self._shed(request, injection, "breaker")
             return
         # --- admission control: bounded in-flight ---------------------
@@ -586,22 +621,24 @@ class ServingSimulator:
                 slot, owner, extra = self.pool.acquire(core_index)
                 cycles += extra
         core = self._cores[core_index]
-        core.busy_until = max(core.busy_until, self.clock) + cycles
+        busy_until = core.busy_until
+        core.busy_until = (busy_until if busy_until > clock
+                           else clock) + cycles
         core.busy_cycles += cycles
-        self.counters.recycle_cycles += cycles
+        counters.recycle_cycles += cycles
         if slot is None:
             self._shed(request, injection, "capacity")
             return
         record = _InFlight(request, slot, owner, core_index, injection)
         self._inflight += 1
-        self.counters.peak_inflight = max(self.counters.peak_inflight,
-                                          self._inflight)
+        if self._inflight > counters.peak_inflight:
+            counters.peak_inflight = self._inflight
         core.queue.append(record)
         if request.priority < NO_SHED_PRIORITY:
             heapq.heappush(self._victims,
                            (shed_rank(request.index, request), record))
             self._victims_live += 1
-        self._maybe_start(heap, core_index)
+        self._maybe_start(core_index)
 
     def _make_room(self, newcomer: Request,
                    injection: Optional[Injection]) -> bool:
@@ -663,7 +700,7 @@ class ServingSimulator:
     # ------------------------------------------------------------------
     # dispatch and completion
     # ------------------------------------------------------------------
-    def _maybe_start(self, heap, core_index: int) -> None:
+    def _maybe_start(self, core_index: int) -> None:
         core = self._cores[core_index]
         if core.running is not None or not core.queue:
             return
@@ -673,11 +710,14 @@ class ServingSimulator:
         record.pending = pending_fault(record.injection)
         if record.request.priority < NO_SHED_PRIORITY:
             self._victim_left()
-        start = max(self.clock, core.busy_until)
+        clock, busy_until = self.clock, core.busy_until
+        start = busy_until if busy_until > clock else clock
         duration = self._invocation_cycles(record)
         core.busy_until = start + duration
         core.busy_cycles += duration
-        self._push(heap, start + duration, _COMPLETE, record)
+        self._seq += 1
+        heapq.heappush(self._completions,
+                       (start + duration, self._seq, record))
 
     def _invocation_cycles(self, record: _InFlight) -> int:
         """Run the invocation on the executor, meeting its pending
@@ -721,7 +761,7 @@ class ServingSimulator:
                              check=False)
         return cycles
 
-    def _on_complete(self, heap, record: _InFlight) -> None:
+    def _on_complete(self, record: _InFlight) -> None:
         core = self._cores[record.core]
         core.running = None
         request, injection = record.request, record.injection
@@ -764,7 +804,7 @@ class ServingSimulator:
             self.counters.succeeded += 1
             self.outcomes.append(RequestOutcome(
                 request, "ok", attempts=attempts, cycles=latency))
-        self._maybe_start(heap, record.core)
+        self._maybe_start(record.core)
 
     def _release_record(self, record: _InFlight,
                         quarantine: bool) -> None:
@@ -775,7 +815,9 @@ class ServingSimulator:
         cost = (self.pool.release(record.slot, record.owner_shard)
                 + self.scheme.teardown_cycles)
         core = self._cores[record.core]
-        core.busy_until = max(core.busy_until, self.clock) + cost
+        clock, busy_until = self.clock, core.busy_until
+        core.busy_until = (busy_until if busy_until > clock
+                           else clock) + cost
         core.busy_cycles += cost
         self.counters.recycle_cycles += cost
 
@@ -785,21 +827,24 @@ class ServingSimulator:
                              self.config.breaker_cooldown_cycles)
 
     # ------------------------------------------------------------------
-    def _metrics(self, requests: Sequence[Request],
+    def _metrics(self, arrivals: Sequence[Request],
                  duration: int) -> ServingMetrics:
+        """The run's metrics; ``arrivals`` is the stream in arrival
+        order."""
         counters = self.counters
         counters.steals = self.pool.steals
         counters.duration_cycles = duration
         counters.busy_cycles = sum(c.busy_cycles for c in self._cores)
-        counters.p50_cycles = int(percentile(self.latencies, 50))
-        counters.p99_cycles = int(percentile(self.latencies, 99))
-        counters.p999_cycles = int(percentile(self.latencies, 99.9))
-        n = len(requests)
+        latencies = sorted(self.latencies)
+        counters.p50_cycles = int(_nearest_rank(latencies, 50))
+        counters.p99_cycles = int(_nearest_rank(latencies, 99))
+        counters.p999_cycles = int(_nearest_rank(latencies, 99.9))
+        n = len(arrivals)
         seconds = self.params.cycles_to_seconds(duration) or 1e-12
         # the span of the stream, not its list order: the loop accepts
         # requests in any order
-        mean_gap = ((max(r.arrival_cycle for r in requests)
-                     - min(r.arrival_cycle for r in requests)) / (n - 1)
+        mean_gap = ((arrivals[-1].arrival_cycle
+                     - arrivals[0].arrival_cycle) / (n - 1)
                     if n > 1 else 0.0)
         offered_rps = (1.0 / self.params.cycles_to_seconds(mean_gap)
                        if mean_gap else 0.0)

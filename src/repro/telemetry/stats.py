@@ -390,6 +390,9 @@ class VerifyStats(ComponentStats):
     permission, va-width — is an understood design limit; an
     unclassified one is a bug).  ``poison_hits`` and the invariant
     counters come from the sanitizer probes in ``verify.invariants``.
+    ``attack_cells`` counts Spectre (attack, HFI on/off, timing) cells
+    run, ``attack_failures`` the cells that leaked with HFI on or failed
+    to leak the secret without it.
     """
 
     oracle_runs: int = 0
@@ -408,6 +411,8 @@ class VerifyStats(ComponentStats):
     chaos_zombie_sandboxes: int = 0
     determinism_runs: int = 0
     determinism_mismatches: int = 0
+    attack_cells: int = 0
+    attack_failures: int = 0
 
     @property
     def clean(self) -> bool:
@@ -418,4 +423,5 @@ class VerifyStats(ComponentStats):
                 and self.chaos_faults_unaccounted == 0
                 and self.chaos_leaked_slots == 0
                 and self.chaos_zombie_sandboxes == 0
-                and self.determinism_mismatches == 0)
+                and self.determinism_mismatches == 0
+                and self.attack_failures == 0)

@@ -18,6 +18,9 @@ recycling runtime:
 * a short :mod:`repro.chaos` soak — seeded fault injection through the
   serving loop on real sandboxes, gated on zero leaked slots, zero zombie
   sandboxes, and a fully accounted fault ledger.
+* the basic :mod:`repro.attacks` cells — Spectre-PHT, -BTB and -RSB,
+  each with HFI off and on, under every timing model, gated on "signal
+  without HFI, no signal with HFI".
 
 ``run_verify`` bundles all of it into one :class:`VerifyStats`
 verdict; the ``repro-hfi verify`` CLI subcommand and the CI ``verify``
@@ -267,6 +270,41 @@ def _ooo_smoke(stats: VerifyStats, failures: List[str]) -> None:
             failures.append(f"ooo invariant: {label} failed")
 
 
+def _attack_smoke(stats: VerifyStats, failures: List[str],
+                  params: Optional[MachineParams] = None) -> None:
+    """Signal without HFI, no signal with HFI (§5.3), on every timing
+    model: without HFI the fastest reload must recover the secret byte;
+    with HFI no reload may come in at or under the hit threshold."""
+    from ..attacks import (SpectreBtbAttack, SpectrePhtAttack,
+                           SpectreRsbAttack)
+    from ..cpu.timing import TIMING_MODELS, default_timing
+
+    # each PoC with the secret byte it plants
+    cells = (("pht", SpectrePhtAttack, ord("I")),
+             ("btb", SpectreBtbAttack, ord("S")),
+             ("rsb", SpectreRsbAttack, ord("R")))
+    params = params if params is not None else MachineParams()
+    for timing in TIMING_MODELS:
+        for name, poc, secret in cells:
+            for hfi in (False, True):
+                with default_timing(timing):
+                    attack = poc(params, protect_with_hfi=hfi)
+                result = attack.attack(secret_value=secret)
+                stats.attack_cells += 1
+                cell = f"attack {name} [{timing}, hfi={hfi}]"
+                if hfi and min(result.latencies) <= result.threshold:
+                    stats.attack_failures += 1
+                    failures.append(
+                        f"{cell}: a reload took {min(result.latencies)} "
+                        f"cycles, at or under the {result.threshold}-cycle "
+                        "threshold")
+                elif not hfi and result.leaked_value != secret:
+                    stats.attack_failures += 1
+                    failures.append(
+                        f"{cell}: recovered {result.leaked_value!r}, "
+                        f"expected the secret {secret}")
+
+
 def _determinism_smoke(stats: VerifyStats, failures: List[str],
                        seeds: Iterable[int] = (0, 7),
                        params: Optional[MachineParams] = None) -> None:
@@ -312,7 +350,7 @@ def run_verify(seeds: Iterable[int] = range(50),
 
     ``stats.clean`` is the gate: zero cross-backend divergences, zero
     unclassified comparator disagreements, zero poison hits, zero
-    invariant violations.
+    invariant violations, zero failed attack cells.
     """
     stats = VerifyStats(component="verify")
     failures: List[str] = []
@@ -341,6 +379,7 @@ def run_verify(seeds: Iterable[int] = range(50),
     _ooo_smoke(stats, failures)
     _chaos_smoke(stats, failures, params=params)
     _determinism_smoke(stats, failures, params=params)
+    _attack_smoke(stats, failures, params=params)
 
     report = {
         "engines": list(engines),
@@ -365,6 +404,10 @@ def run_verify(seeds: Iterable[int] = range(50),
         "determinism": {
             "runs": stats.determinism_runs,
             "mismatches": stats.determinism_mismatches,
+        },
+        "attacks": {
+            "cells": stats.attack_cells,
+            "failures": stats.attack_failures,
         },
         "poison_writes": stats.poison_writes,
         "poison_hits": stats.poison_hits,

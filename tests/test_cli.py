@@ -49,6 +49,10 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["comparator"]["classified"] == dict(
             sweep(trials=200, seed=7).counts)
+        # the Spectre cells are reported, as counters and as a section
+        assert payload["attacks"] == {"cells": 12, "failures": 0}
+        assert payload["stats"]["attack_cells"] == 12
+        assert payload["stats"]["attack_failures"] == 0
 
     @pytest.mark.parametrize("flag, value", [("--cores", "0"),
                                              ("--slots-per-shard", "0"),

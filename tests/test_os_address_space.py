@@ -1,6 +1,8 @@
 """Unit tests for the virtual-memory substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.os import (
     PAGE,
@@ -80,6 +82,21 @@ class TestMprotect:
         assert large > small
 
 
+class TestSetPkey:
+    def test_tags_every_vma_the_range_covers(self, space):
+        """Splitting the first VMA must not push the next one out of
+        the walk."""
+        addr = space.mmap(2 * PAGE, Prot.rw())
+        space.mmap(2 * PAGE, Prot.rx(), addr=addr + 2 * PAGE)
+        space.set_pkey(addr + PAGE, 2 * PAGE, 5)
+        assert [(v.start - addr, v.end - addr, v.prot, v.pkey)
+                for v in space.vmas()] == [
+            (0, PAGE, Prot.rw(), 0),
+            (PAGE, 2 * PAGE, Prot.rw(), 5),
+            (2 * PAGE, 3 * PAGE, Prot.rx(), 5),
+            (3 * PAGE, 4 * PAGE, Prot.rx(), 0)]
+
+
 class TestMadvise:
     def test_dontneed_zeroes_contents(self, space):
         addr = space.mmap(2 * PAGE, Prot.rw())
@@ -103,6 +120,103 @@ class TestMadvise:
         narrow = space.madvise_dontneed(heap, 16 * PAGE)
         wide = space.madvise_dontneed(heap, (16 + 4096) * PAGE)
         assert wide > narrow
+
+
+# ----------------------------------------------------------------------
+# madvise against a plain walk over vmas() and a page set
+# ----------------------------------------------------------------------
+_BASE = AddressSpace.MMAP_BASE
+#: Multi-GiB lengths, so the per-reserved-GiB term shows.
+_HUGE = st.sampled_from((1 << 30, (3 << 30) + 5 * PAGE))
+
+
+def plain_madvise(vmas, pages, params, concurrent, addr, length):
+    """``madvise_dontneed``'s price and the pages it leaves, from a
+    list of VMAs and a set of materialized page numbers."""
+    start = addr - addr % PAGE
+    end = -(-(addr + length) // PAGE) * PAGE
+    dropped = {page for page in pages if start <= page * PAGE < end}
+    hit = [vma for vma in vmas if vma.start < end and vma.end > start]
+    reserved = sum(min(end, vma.end) - max(start, vma.start)
+                   for vma in hit)
+    cost = (params.madvise_fixed_cycles
+            + len(dropped) * params.madvise_per_present_page_cycles
+            + len(hit) * params.madvise_per_vma_cycles
+            + (reserved >> 30) * params.madvise_per_reserved_gb_cycles)
+    if concurrent and dropped:
+        cost += params.tlb_shootdown_cycles
+    return cost, pages - dropped
+
+
+@st.composite
+def vm_histories(draw):
+    """mmap/mprotect/set_pkey/munmap/write steps over a 48-page window
+    (a step the space refuses is skipped), leaving runs of adjacent
+    VMAs with different protections and keys."""
+    steps = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(
+            ("mmap", "mmap", "mprotect", "set_pkey", "munmap", "write")))
+        addr = _BASE + draw(st.integers(0, 47)) * PAGE
+        if kind == "write":
+            addr += draw(st.integers(0, PAGE - 1))
+            steps.append((kind, addr, draw(st.integers(1, 8))))
+            continue
+        length = draw(_HUGE if draw(st.integers(0, 7)) == 0
+                      else st.integers(1, 12 * PAGE))
+        extra = (draw(st.sampled_from(list(Prot))) if kind != "set_pkey"
+                 else draw(st.integers(0, 3)))
+        steps.append((kind, addr, length, extra))
+    return steps
+
+
+def _apply(space, pages, step):
+    kind, addr = step[0], step[1]
+    if kind == "write":
+        size = step[2]
+        space.write(addr, (1 << 8 * size) - 1, size, check=False)
+        pages.update(range(addr // PAGE, (addr + size - 1) // PAGE + 1))
+        return
+    length, extra = step[2], step[3]
+    if kind == "mmap":
+        try:
+            space.mmap(length, extra, addr=addr)
+        except ValueError:      # overlaps an existing mapping
+            pass
+    elif kind == "mprotect":
+        try:
+            space.mprotect(addr, length, extra)
+        except PageFault:       # part of the range is unmapped
+            pass
+    elif kind == "set_pkey":
+        space.set_pkey(addr, length, extra)
+    else:
+        space.munmap(addr, length)
+        end = addr + length
+        pages.difference_update(
+            [page for page in pages if addr <= page * PAGE < end])
+
+
+@settings(max_examples=200, deadline=None)
+@given(history=vm_histories(), concurrent=st.booleans(),
+       ranges=st.lists(st.tuples(st.integers(-2 * PAGE, 60 * PAGE),
+                                 st.integers(1, 64 * PAGE) | _HUGE),
+                       min_size=1, max_size=6))
+def test_madvise_matches_a_plain_walk(history, concurrent, ranges):
+    params = MachineParams()
+    space = AddressSpace(params)
+    space.concurrent = concurrent
+    pages = set()
+    for step in history:
+        _apply(space, pages, step)
+    assert set(space._pages) == pages
+    for offset, length in ranges:
+        vmas = space.vmas()
+        want, pages = plain_madvise(vmas, pages, params, concurrent,
+                                    _BASE + offset, length)
+        assert space.madvise_dontneed(_BASE + offset, length) == want
+        assert set(space._pages) == pages
+        assert space.vmas() == vmas
 
 
 class TestAccess:

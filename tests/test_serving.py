@@ -4,8 +4,12 @@ Covers the pieces separately — arrival processes, the sharded
 work-stealing pool, scheme cost derivation — then the assembled event
 loop: accounting partitions, recovery-policy integration (admission
 shedding, breakers, watchdog), fault-ledger classification, and the
-telemetry snapshot.
+telemetry snapshot.  Two references hold the loop's fast paths: a full
+scan for the admission index, and the one-heap loop for the event
+order.
 """
+
+import heapq
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +33,8 @@ from repro.runtime import (
     simulate_serving,
 )
 from repro.os import AddressSpace
-from repro.runtime.supervisor import NO_SHED_PRIORITY, shed_rank
+from repro.runtime.supervisor import (NO_SHED_PRIORITY, pending_fault,
+                                      shed_rank)
 from repro.telemetry import ServingStats, Telemetry
 from repro.wasm import HfiStrategy
 
@@ -297,6 +302,50 @@ class TestServingLoop:
             sim.run(reqs)
         assert sim.outcomes == [] and sim.counters.requests == 0
 
+    def test_a_simulator_serves_one_stream(self):
+        """A second run would add its requests to the first run's
+        counters, outcomes, breakers, clock and pool (400 outcomes for
+        200 requests, and a ledger that no longer balances), so it is
+        refused.  A run refused for duplicate indices used nothing."""
+        reqs = build_requests(PoissonArrivals(20_000.0, seed=6), 200,
+                              seed=6)
+        sim = ServingSimulator("hfi", params=MachineParams())
+        with pytest.raises(ValueError, match="duplicate request index"):
+            sim.run(reqs + reqs[:1])
+        first = sim.run(reqs)
+        assert first.accounted and len(sim.outcomes) == 200
+        with pytest.raises(RuntimeError, match="one simulator per stream"):
+            sim.run(reqs)
+        assert len(sim.outcomes) == 200 and sim.counters.requests == 200
+        assert sim.stats().accounted
+
+    @pytest.mark.parametrize("scheme", SERVING_SCHEMES)
+    def test_completion_runs_before_a_same_cycle_arrival(self, scheme):
+        """One slot: the second request arrives on the exact cycle the
+        first completes, and gets the slot the completion frees."""
+        costs = scheme_costs(scheme)
+        done = (1_000 + costs.dispatch_cycles + costs.transition_cycles
+                + 30_000)
+        reqs = [Request(0, "t0", 30_000, Priority.NORMAL, 1_000),
+                Request(1, "t0", 30_000, Priority.NORMAL, done)]
+        config = ServingConfig(n_cores=1, slots_per_shard=1,
+                               max_inflight=4)
+        sim, _ = self.run(reqs, config=config, scheme=scheme)
+        assert sim.outcomes[0].cycles == done - 1_000
+        assert [o.status for o in sim.outcomes] == ["ok", "ok"]
+
+    def test_same_cycle_arrivals_run_in_list_order(self):
+        """One slot, two arrivals on one cycle: the one listed first
+        takes the slot, whatever the indices say."""
+        reqs = [Request(7, "t0", 30_000, Priority.NORMAL, 5_000),
+                Request(4, "t0", 30_000, Priority.NORMAL, 5_000),
+                Request(2, "t0", 1_000, Priority.NORMAL, 0)]
+        config = ServingConfig(n_cores=1, slots_per_shard=1,
+                               max_inflight=4)
+        sim, _ = self.run(reqs, config=config)
+        assert [(o.request.index, o.status) for o in sim.outcomes] == [
+            (2, "ok"), (4, "shed"), (7, "ok")]
+
     def test_normal_newcomer_evicts_queued_low(self):
         config = ServingConfig(n_cores=1, slots_per_shard=8,
                                max_inflight=2)
@@ -457,8 +506,8 @@ class ScanCheckedSimulator(ServingSimulator):
         self._assert_shed(expected, before)
         return evicted
 
-    def _maybe_start(self, heap, core_index):
-        super()._maybe_start(heap, core_index)
+    def _maybe_start(self, core_index):
+        super()._maybe_start(core_index)
         self._assert_index()
 
 
@@ -488,6 +537,121 @@ def test_admission_index_matches_full_scan(stream, n_cores, slots,
                            max_inflight=max_inflight)
     sim = ScanCheckedSimulator(scheme, config, MachineParams())
     assert sim.run(stream).accounted
+
+
+# ----------------------------------------------------------------------
+# the event order against the one-heap loop it replaced
+# ----------------------------------------------------------------------
+_COMPLETE, _ARRIVAL = 0, 1
+
+
+class HeapOrderSimulator(ServingSimulator):
+    """The loop's event order before arrivals streamed, kept as it
+    was: every arrival is pushed up front into one heap with the
+    completions, keyed ``(cycle, kind, seq, payload)``.  Completions
+    (kind 0) run before same-cycle arrivals (kind 1), and each kind in
+    push order.  The handlers are the simulator's own."""
+
+    def run(self, requests, injector=None):
+        heap = self._heap = []
+        for request in requests:
+            self._push(heap, request.arrival_cycle, _ARRIVAL, request)
+        last_arrival = max((r.arrival_cycle for r in requests), default=0)
+        while heap:
+            cycle, kind, _, payload = heapq.heappop(heap)
+            self.clock = max(self.clock, cycle)
+            if kind == _ARRIVAL:
+                self._on_arrival(payload, injector)
+            else:
+                self._on_complete(payload)
+        duration = max(self.clock, last_arrival)
+        return self._metrics(
+            sorted(requests, key=lambda r: r.arrival_cycle), duration)
+
+    def _push(self, heap, cycle, kind, payload):
+        self._seq += 1
+        heapq.heappush(heap, (cycle, kind, self._seq, payload))
+
+    def _maybe_start(self, core_index):
+        core = self._cores[core_index]
+        if core.running is not None or not core.queue:
+            return
+        record = core.queue.popleft()
+        core.running = record
+        record.started = True
+        record.pending = pending_fault(record.injection)
+        if record.request.priority < NO_SHED_PRIORITY:
+            self._victim_left()
+        start = max(self.clock, core.busy_until)
+        duration = self._invocation_cycles(record)
+        core.busy_until = start + duration
+        core.busy_cycles += duration
+        self._push(self._heap, start + duration, _COMPLETE, record)
+
+
+@st.composite
+def event_order_cases(draw):
+    """A scheme, 1-4 cores and a stream whose list order, index order
+    and arrival order all differ.  Arrivals share cycles, and some land
+    on the cycle an earlier request completes if it started on
+    arrival; a chaos plan faults some of them."""
+    scheme = draw(st.sampled_from(SERVING_SCHEMES))
+    costs = scheme_costs(scheme)
+    overhead = costs.dispatch_cycles + costs.transition_cycles
+    n = draw(st.integers(1, 40))
+    cycles, services = [], []
+    for _ in range(n):
+        service = draw(st.sampled_from((10_000, 25_000, 60_000, 150_000)))
+        shape = draw(st.sampled_from(("gap", "same", "done")))
+        if not cycles:
+            cycle = draw(st.integers(0, 3_000))
+        elif shape == "same":
+            cycle = draw(st.sampled_from(cycles))
+        elif shape == "done":
+            j = draw(st.integers(0, len(cycles) - 1))
+            cycle = cycles[j] + overhead + services[j]
+        else:
+            cycle = max(cycles) + draw(
+                st.sampled_from((1, 2_000, 20_000, 80_000)))
+        cycles.append(cycle)
+        services.append(service)
+    indices = draw(st.permutations(range(n)))
+    stream = [Request(index=indices[k], tenant=f"t{indices[k] % 3}",
+                      service_cycles=services[k],
+                      priority=draw(st.sampled_from(list(Priority))),
+                      arrival_cycle=cycles[k])
+              for k in range(n)]
+    stream = [stream[k] for k in draw(st.permutations(range(n)))]
+    plan = draw(st.dictionaries(st.integers(0, n - 1),
+                                st.sampled_from(list(FaultKind)),
+                                max_size=n // 3))
+    config = ServingConfig(n_cores=draw(st.integers(1, 4)),
+                           slots_per_shard=draw(st.integers(1, 4)),
+                           max_inflight=draw(st.integers(1, 12)))
+    return scheme, config, stream, plan
+
+
+def _ledger(sim, injector):
+    return ([(o.request.index, o.status, o.attempts, o.cycles, o.detail)
+             for o in sim.outcomes],
+            sim.stats(), sim.pool.stats(),
+            [(i.request_index, i.classified)
+             for i in injector.plan.values()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=event_order_cases())
+def test_event_order_matches_the_one_heap_loop(case):
+    scheme, config, stream, plan = case
+    reference = HeapOrderSimulator(scheme, config, MachineParams())
+    want_injector = FakeInjector(plan)
+    want = reference.run(stream, want_injector)
+    sim = ServingSimulator(scheme, config, MachineParams())
+    got_injector = FakeInjector(plan)
+    got = sim.run(stream, got_injector)
+    assert got.digest() == want.digest()
+    assert got.as_dict() == want.as_dict()
+    assert _ledger(sim, got_injector) == _ledger(reference, want_injector)
 
 
 # ----------------------------------------------------------------------

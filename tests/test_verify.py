@@ -263,6 +263,25 @@ class TestRunVerify:
         assert stats.determinism_mismatches == 0
         assert report["determinism"]["runs"] == stats.determinism_runs
         assert report["determinism"]["mismatches"] == 0
+        # PHT, BTB and RSB, HFI off and on, under both timing models
+        assert stats.attack_cells == 12
+        assert stats.attack_failures == 0
+        assert report["attacks"] == {"cells": 12, "failures": 0}
+
+    def test_attack_smoke_fails_when_hfi_never_engages(self, monkeypatch):
+        """A harness that never enters the sandbox leaks in every HFI
+        cell, and each such cell is a failure."""
+        from repro.attacks import SpectreAttack
+        from repro.telemetry import VerifyStats
+        from repro.verify import _attack_smoke
+
+        monkeypatch.setattr(SpectreAttack, "_enter", lambda self, asm: None)
+        stats, failures = VerifyStats(), []
+        _attack_smoke(stats, failures)
+        assert stats.attack_cells == 12
+        assert stats.attack_failures == 6
+        assert all("hfi=True" in line for line in failures)
+        assert not stats.clean
 
     def test_verify_stats_clean_property(self):
         from repro.telemetry import VerifyStats
@@ -272,4 +291,5 @@ class TestRunVerify:
         assert not VerifyStats(poison_hits=1).clean
         assert not VerifyStats(invariant_violations=1).clean
         assert not VerifyStats(determinism_mismatches=1).clean
+        assert not VerifyStats(attack_failures=1).clean
         assert "clean" in VerifyStats().as_dict()
