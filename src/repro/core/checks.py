@@ -69,6 +69,30 @@ def implicit_code_check(regions: List[Optional[ImplicitCodeRegion]],
     raise HfiFault(FaultCause.CODE_OUT_OF_BOUNDS, addr)
 
 
+def code_pass_range(regions: List[Optional[ImplicitCodeRegion]],
+                    addr: int) -> Tuple[int, int]:
+    """:func:`implicit_code_check`, returning the range ``[lo, hi)`` of
+    addresses on which it passes the same way ``addr`` does.
+
+    That is the first matching region's range.  Prefix regions either
+    nest or are disjoint, so an earlier slot can only cut into it by
+    holding a region nested inside it; then the range is ``addr`` alone.
+    Faults exactly where :func:`implicit_code_check` does.
+    """
+    for slot, region in enumerate(regions):
+        if region is not None and region.matches(addr):
+            if not region.permission_exec:
+                raise HfiFault(FaultCause.CODE_OUT_OF_BOUNDS, addr,
+                               "no execute permission")
+            lo = region.base_prefix
+            hi = lo + region.lsb_mask + 1
+            for earlier in regions[:slot]:
+                if earlier is not None and lo <= earlier.base_prefix < hi:
+                    return addr, addr + 1
+            return lo, hi
+    raise HfiFault(FaultCause.CODE_OUT_OF_BOUNDS, addr)
+
+
 def hmov_effective_address(region: Optional[ExplicitDataRegion],
                            index: int, scale: int, disp: int,
                            size: int, is_write: bool) -> int:

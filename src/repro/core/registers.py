@@ -58,6 +58,11 @@ class HfiRegisterFile:
     flags: SandboxFlags = field(default_factory=SandboxFlags)
     enabled: bool = False
     cause_msr: FaultCause = FaultCause.NONE
+    #: Bumped by every write to the region slots (:meth:`set`,
+    #: :meth:`clear_all`, :meth:`restore`), so a CPU fetch loop can keep
+    #: the range its last code-region check passed on until it changes.
+    #: Not architectural state: snapshots neither copy nor compare it.
+    region_writes: int = field(default=0, compare=False, repr=False)
 
     @property
     def locked(self) -> bool:
@@ -76,6 +81,7 @@ class HfiRegisterFile:
             check_region_type(number, region)
         slot, idx = self._slot(number)
         slot[idx] = region
+        self.region_writes += 1
 
     def _slot(self, number: int):
         if number < 0 or number >= NUM_REGIONS:
@@ -90,6 +96,7 @@ class HfiRegisterFile:
         self.code = [None] * NUM_CODE_REGIONS
         self.data = [None] * NUM_IMPLICIT_DATA_REGIONS
         self.explicit = [None] * NUM_EXPLICIT_REGIONS
+        self.region_writes += 1
 
     def snapshot(self) -> "HfiRegisterFile":
         """Copy the full register file (xsave / switch-on-exit bank).
@@ -114,3 +121,4 @@ class HfiRegisterFile:
         self.flags = saved.flags
         self.enabled = saved.enabled
         self.cause_msr = saved.cause_msr
+        self.region_writes += 1

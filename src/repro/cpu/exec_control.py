@@ -51,8 +51,7 @@ def _jcc(ins, addr, next_rip):
             return
         stats = cpu.stats
         stats.branches += 1
-        predicted = cpu.pht.predict(addr)
-        cpu.pht.update(addr, taken)
+        predicted = cpu.pht.resolve(addr, taken)
         if predicted != taken:
             stats.mispredicts += 1
             cpu.timing.mispredict()

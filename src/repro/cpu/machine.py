@@ -13,10 +13,11 @@ The model keeps exactly the properties the paper's evaluation rests on:
   window with register writes and stores sandboxed in shadow state —
   but cache fills persist, which is the Spectre channel.
 * **HFI hooks**: when HFI mode is on, every fetch is prefix-checked
-  before decode, every load/store is checked before any cache or TLB
-  update (speculative or not), ``hmov`` resolves through explicit
-  regions, and syscalls in native sandboxes become jumps to the exit
-  handler (§4).
+  before decode (each fetch loop keeps the range the check last passed
+  on, until a region register is written), every load/store is
+  checked before any cache or TLB update (speculative or not),
+  ``hmov`` resolves through explicit regions, and syscalls in native
+  sandboxes become jumps to the exit handler (§4).
 
 Since the staged-engine refactor this module holds only the pipeline
 *skeleton*: the commit loop, the speculation window, fault delivery,
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
 
-from ..core.checks import implicit_code_check
+from ..core.checks import code_pass_range
 from ..core.faults import FaultCause, HfiFault
 from ..core.regions import RegionError
 from ..core.state import HfiState
@@ -55,7 +56,6 @@ from . import timing as timing_seam
 from .timing import create_timing, _validate_timing
 from .tlb import Tlb
 
-_READ = AccessKind.READ
 _WRITE = AccessKind.WRITE
 
 # Importing the exec units populates the decode.DECODERS table.
@@ -210,8 +210,6 @@ class Cpu:
         self.fault_resume_address: Optional[int] = None
         #: Optional committed/speculative instruction tracer.
         self.tracer = None
-        #: MPK enforcement happens only when a process is attached.
-        self.enforce_pkeys = process is not None
         #: Telemetry sink (defaults to the shared no-op null sink).
         self.telemetry = coalesce(None)
         self.attach_telemetry(telemetry)
@@ -344,6 +342,9 @@ class Cpu:
         l1i = self.caches.l1i
         l1i_line = l1i.line_bytes
         l1i_hit_cycles = self.params.l1i_hit_cycles
+        # The code-region check's pass range: a pc inside it passes
+        # without the check until a region register is written.
+        code_lo = code_hi = code_writes = 0
         while executed < max_instructions:
             if self._halted:
                 return RunResult("hlt", stats, rip=regs.rip)
@@ -356,15 +357,18 @@ class Cpu:
             pc = regs.rip
             # HFI code-region check happens at decode, before execution
             # and before any micro-op enters the pipeline (§4.1).
-            # (``hfi_regs.code`` is re-read per fetch: enter/restore
+            # (``hfi_regs.code`` is re-read per check: enter/restore
             # rebind the list.)
-            if hfi_regs.enabled:
+            if hfi_regs.enabled and not (
+                    code_lo <= pc < code_hi
+                    and hfi_regs.region_writes == code_writes):
                 try:
-                    implicit_code_check(hfi_regs.code, pc)
+                    code_lo, code_hi = code_pass_range(hfi_regs.code, pc)
                 except HfiFault as fault:
                     self._raise_fault(fault)
                     executed += 1
                     continue
+                code_writes = hfi_regs.region_writes
             if pc // l1i_line == l1i._last:
                 l1i._hits += 1
                 fetch_cycles = l1i_hit_cycles
@@ -473,17 +477,22 @@ class Cpu:
         tracer = self.tracer
         l1i = self.caches.l1i
         l1i_line = l1i.line_bytes
+        code_lo = code_hi = code_writes = 0    # the window's pass range
         regs.rip = wrong_path
         try:
             for _ in range(self.params.speculation_window):
                 pc = regs.rip
-                if hfi_regs.enabled:
+                if hfi_regs.enabled and not (
+                        code_lo <= pc < code_hi
+                        and hfi_regs.region_writes == code_writes):
                     try:
-                        implicit_code_check(hfi_regs.code, pc)
+                        code_lo, code_hi = code_pass_range(hfi_regs.code,
+                                                           pc)
                     except HfiFault:
                         # decode turns the micro-ops into a faulting
                         # NOP; nothing out-of-bounds executes (§4.1).
                         break
+                    code_writes = hfi_regs.region_writes
                 if pc // l1i_line == l1i._last:
                     l1i._hits += 1
                 else:
@@ -511,38 +520,33 @@ class Cpu:
     # memory path
     # ------------------------------------------------------------------
     def _load_ea(self, ea: int, size: int) -> int:
-        """Data load at a resolved (and HFI-checked) address."""
-        # The MPK check: the common case is no pkey restriction on the
-        # touched VMA.
-        vma = self.mem.check_access(ea, size, _READ)
-        if self.enforce_pkeys and vma.pkey:
-            process = self.process
-            if process is not None and process.pkru:
-                bits = (process.pkru >> (2 * vma.pkey)) & 0b11
-                if bits & 0b01:
-                    raise PageFault(ea, _READ, f"pkey {vma.pkey} denied")
+        """Data load at a resolved (and HFI-checked) address.
+
+        The address space checks protection and (with a process
+        attached, under its PKRU) MPK keys, and reads, in one call; a
+        faulting load touches no cache or TLB.
+        """
+        process = self.process
+        value = self.mem.load(ea, size,
+                              process.pkru if process is not None else 0)
         self.timing.mem_access(ea)
         self.stats.loads += 1
         if self._shadows:                   # a wrong path has stored
             return self._journal.load(self.mem, ea, size)
-        return self.mem.read(ea, size, check=False)
+        return value
 
     def _store_ea(self, ea: int, size: int, value: int) -> None:
-        """Data store at a resolved (and HFI-checked) address."""
-        vma = self.mem.check_access(ea, size, _WRITE)
-        if self.enforce_pkeys and vma.pkey:
-            process = self.process
-            if process is not None and process.pkru:
-                bits = (process.pkru >> (2 * vma.pkey)) & 0b11
-                if bits & 0b11:
-                    raise PageFault(ea, _WRITE,
-                                    f"pkey {vma.pkey} denied")
-        self.timing.mem_access(ea)
-        self.stats.stores += 1
+        """Data store at a resolved (and HFI-checked) address; a
+        wrong-path store goes to the journal's page shadows."""
+        process = self.process
+        pkru = process.pkru if process is not None else 0
         if self._speculative:
+            self.mem.check(ea, size, _WRITE, pkru)
             self._journal.store(self.mem, ea, size, value)
         else:
-            self.mem.write(ea, value, size, check=False)
+            self.mem.store(ea, size, value, pkru)
+        self.timing.mem_access(ea)
+        self.stats.stores += 1
 
     def _wreg(self, reg: Reg, value: int) -> None:
         """GPR write for the exec layer's fixed-register effects (the

@@ -48,6 +48,31 @@ class PatternHistoryTable:
         self._counters[idx] = (min(3, counter + 1) if taken
                                else max(0, counter - 1))
 
+    def resolve(self, pc: int, taken: bool) -> bool:
+        """:meth:`predict`, then :meth:`update`, in one call; returns
+        the prediction.  Counters and stats end as the two calls leave
+        them."""
+        self._lookups += 1
+        counters = self._counters
+        idx = (pc >> 2) % self.size
+        counter = counters[idx]
+        if counter >= 2:
+            if taken:
+                self._correct += 1
+                counters[idx] = 3
+            else:
+                self._mispredicts += 1
+                counters[idx] = counter - 1
+            return True
+        if taken:
+            self._mispredicts += 1
+            counters[idx] = counter + 1
+        else:
+            self._correct += 1
+            if counter:
+                counters[idx] = 0
+        return False
+
     def stats(self) -> PredictorStats:
         return PredictorStats(
             component="pht", lookups=self._lookups,

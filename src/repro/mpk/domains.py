@@ -10,9 +10,10 @@ Models the pieces ERIM-style sandboxes rely on:
   cycles, slightly cheaper than HFI's enter path because HFI must also
   move region metadata from memory into registers (Fig. 5).
 
-Enforcement itself happens in the CPU model: each access checks the
-VMA's pkey against the process PKRU (see ``Cpu._load_ea`` and
-``Cpu._store_ea``).
+Enforcement itself happens on the CPU's memory path: each access
+checks the pkey of every VMA it touches against the process PKRU (see
+``AddressSpace.load``/``store``, which ``Cpu._load_ea`` and
+``Cpu._store_ea`` call).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..params import DEFAULT_PARAMS, MachineParams
@@ -64,6 +64,15 @@ _REQUIRED = {
 #: avoids IntFlag.__and__ (a Python-level call that allocates a new
 #: flag member) on the once-per-memory-access check path.
 _REQUIRED_BITS = {kind: prot._value_ for kind, prot in _REQUIRED.items()}
+
+#: PKRU bits that deny an access, per access kind (x86: AD=0b01 denies
+#: every data access, WD=0b10 denies writes).
+_PKEY_DENIED = {AccessKind.READ: 0b01, AccessKind.WRITE: 0b11}
+
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
+_READ_BIT = Prot.READ._value_
+_WRITE_BIT = Prot.WRITE._value_
 
 
 class PageFault(Exception):
@@ -126,20 +135,28 @@ class AddressSpace:
         self._vmas: List[Vma] = []
         self._starts: List[int] = []
         self._pages: Dict[int, bytearray] = {}
+        #: Page number -> the VMA holding it, filled by :meth:`load` and
+        #: :meth:`store`.  VMAs are page-aligned, so one VMA holds a
+        #: whole page; every change to the VMA list clears the memo.
+        self._page_vmas: Dict[int, Vma] = {}
         self._mmap_next = self.MMAP_BASE
         self.concurrent = False  # multi-threaded: unmap => TLB shootdown
 
     # ------------------------------------------------------------------
     # VMA bookkeeping
     # ------------------------------------------------------------------
+    # ``_insert`` and ``_splice`` are the only writers of the VMA list.
     def _insert(self, vma: Vma) -> None:
         idx = bisect.bisect_left(self._starts, vma.start)
         self._vmas.insert(idx, vma)
         self._starts.insert(idx, vma.start)
+        self._page_vmas.clear()
 
-    def _remove_index(self, idx: int) -> None:
-        del self._vmas[idx]
-        del self._starts[idx]
+    def _splice(self, lo: int, hi: int, vmas: List[Vma]) -> None:
+        """Replace the VMAs at indices ``[lo, hi)`` with ``vmas``."""
+        self._vmas[lo:hi] = vmas
+        self._starts[lo:hi] = [vma.start for vma in vmas]
+        self._page_vmas.clear()
 
     def find_vma(self, addr: int) -> Optional[Vma]:
         """Return the VMA containing ``addr``, if any."""
@@ -258,9 +275,8 @@ class AddressSpace:
                 break
             if (cur.end == nxt.start and cur.prot == nxt.prot
                     and cur.pkey == nxt.pkey and cur.name == nxt.name):
-                self._remove_index(idx + 1)
-                self._remove_index(idx)
-                self._insert(replace(cur, end=nxt.end))
+                self._splice(idx, idx + 2, [Vma(cur.start, nxt.end, cur.prot,
+                                                cur.pkey, cur.name)])
                 continue
             idx += 1
 
@@ -294,21 +310,26 @@ class AddressSpace:
 
     def _carve(self, start: int, end: int,
                new_prot: Optional[Prot], pkey: Optional[int] = None) -> None:
-        """Split VMAs at ``start``/``end``; retag or remove the middle."""
+        """Split VMAs at ``start``/``end``; retag or remove the middle.
+
+        Each overlapping VMA is replaced in place by its pieces (a
+        retag that covers the whole VMA is a one-entry replacement).
+        """
+        vmas = self._vmas
         for idx in reversed(self._overlapping(start, end)):
-            vma = self._vmas[idx]
-            self._remove_index(idx)
-            if vma.start < start:
-                self._insert(replace(vma, end=start))
-            if vma.end > end:
-                self._insert(replace(vma, start=end))
-            mid_start, mid_end = max(vma.start, start), min(vma.end, end)
+            vma = vmas[idx]
+            vstart, vend, prot, vkey, name = (vma.start, vma.end, vma.prot,
+                                              vma.pkey, vma.name)
+            pieces = []
+            if vstart < start:
+                pieces.append(Vma(vstart, start, prot, vkey, name))
             if new_prot is not None:
-                mid = replace(vma, start=mid_start, end=mid_end,
-                              prot=new_prot)
-                if pkey is not None:
-                    mid = replace(mid, pkey=pkey)
-                self._insert(mid)
+                pieces.append(Vma(vstart if vstart > start else start,
+                                  vend if vend < end else end, new_prot,
+                                  vkey if pkey is None else pkey, name))
+            if vend > end:
+                pieces.append(Vma(end, vend, prot, vkey, name))
+            self._splice(idx, idx + 1, pieces)
 
     def set_pkey(self, addr: int, length: int, pkey: int) -> int:
         """pkey_mprotect: tag a range with an MPK protection key."""
@@ -354,6 +375,75 @@ class AddressSpace:
         if not vma.prot._value_ & required:
             raise PageFault(addr, kind, f"protection ({vma.prot!r})")
         return vma
+
+    def check(self, addr: int, size: int, kind: AccessKind,
+              pkru: int = 0) -> Vma:
+        """:meth:`check_access`, then the MPK key test of every VMA the
+        access reaches (x86 tests the key of each page it touches).
+
+        ``pkru`` is the accessing thread's PKRU; 0 grants every key.
+        Returns the VMA holding ``addr``.
+        """
+        vma = self.check_access(addr, size, kind)
+        if pkru:
+            denied = _PKEY_DENIED[kind]
+            nxt = self.find_vma(vma.end) if addr + size > vma.end else None
+            for reached, first in ((vma, addr), (nxt, vma.end)):
+                if reached is not None and reached.pkey and (
+                        pkru >> (2 * reached.pkey)) & denied:
+                    raise PageFault(first, kind,
+                                    f"pkey {reached.pkey} denied")
+        return vma
+
+    def load(self, addr: int, size: int, pkru: int = 0) -> int:
+        """A CPU load: :meth:`check`, then :meth:`read`, in one call.
+
+        An access inside one page finds its VMA in the page memo and
+        tests the protection and key bits inline; the first access to
+        a page, and any access that crosses a page, takes the full
+        :meth:`check`.
+        """
+        page, offset = divmod(addr, PAGE)
+        end = offset + size
+        if end > PAGE:
+            self.check(addr, size, _READ, pkru)
+            return self.read(addr, size, check=False)
+        vma = self._page_vmas.get(page)
+        if vma is None:
+            vma = self.check_access(addr, size, _READ)
+            self._page_vmas[page] = vma
+        elif not vma.prot._value_ & _READ_BIT:
+            raise PageFault(addr, _READ, f"protection ({vma.prot!r})")
+        if pkru and vma.pkey and (pkru >> (2 * vma.pkey)) & 0b01:
+            raise PageFault(addr, _READ, f"pkey {vma.pkey} denied")
+        stored = self._pages.get(page)
+        if stored is None:
+            return 0                           # untouched pages read 0
+        return int.from_bytes(stored[offset:end], "little")
+
+    def store(self, addr: int, size: int, value: int, pkru: int = 0) -> None:
+        """A CPU store: :meth:`check`, then :meth:`write`, in one call
+        (the page memo works as in :meth:`load`)."""
+        page, offset = divmod(addr, PAGE)
+        end = offset + size
+        if end > PAGE:
+            self.check(addr, size, _WRITE, pkru)
+            self.write(addr, value, size, check=False)
+            return
+        vma = self._page_vmas.get(page)
+        if vma is None:
+            vma = self.check_access(addr, size, _WRITE)
+            self._page_vmas[page] = vma
+        elif not vma.prot._value_ & _WRITE_BIT:
+            raise PageFault(addr, _WRITE, f"protection ({vma.prot!r})")
+        if pkru and vma.pkey and (pkru >> (2 * vma.pkey)) & 0b11:
+            raise PageFault(addr, _WRITE, f"pkey {vma.pkey} denied")
+        stored = self._pages.get(page)
+        if stored is None:
+            stored = bytearray(PAGE)           # lazy page materialisation
+            self._pages[page] = stored
+        stored[offset:end] = (value & ((1 << (8 * size)) - 1)).to_bytes(
+            size, "little")
 
     def page_copy(self, number: int) -> bytearray:
         """A copy of page ``number``'s contents (zeros if it was never

@@ -5,8 +5,10 @@ opcode table — ALU traffic, loads/stores of every operand size,
 balanced push/pop, forward branches, bounded loops, direct and
 indirect calls, HFI sandbox episodes (region installs, ``hfi_enter``
 in every flag combination, in- and out-of-bounds ``hmov``,
-``hfi_exit``/``hfi_reenter``), ``xsave``/``xrstor`` pairs, syscalls,
-and deliberately-faulting accesses.  ``run_differential(seed)`` then
+``hfi_exit``/``hfi_reenter``), a hybrid sandbox in the exit handler
+that rewrites its code regions and then runs or jumps past the new
+bound, ``xsave``/``xrstor`` pairs, syscalls, and deliberately-faulting
+accesses.  ``run_differential(seed)`` then
 executes the same program on every requested engine — by default the
 staged interpreter and the naive
 :class:`~repro.verify.reference.ReferenceCpu` — starting from
@@ -82,6 +84,11 @@ DESC_STACK = DATA_BASE + 0xF040
 DESC_HEAP_LARGE = DATA_BASE + 0xF060
 DESC_HEAP_SMALL = DATA_BASE + 0xF080
 SANDBOX_DESCS = [DATA_BASE + 0xF100 + 0x10 * i for i in range(4)]
+#: The code-region episode's region descriptor and, 24 bytes above it,
+#: its jump target (both written once the program is laid out), then
+#: its sandbox: hybrid, with no exit handler.
+CODE_EPISODE_DESC = DATA_BASE + 0xF200
+CODE_EPISODE_SANDBOX = CODE_EPISODE_DESC + 32
 SANDBOX_FLAG_VARIANTS = [
     SandboxFlags(),                                      # native
     SandboxFlags(is_hybrid=True),
@@ -112,11 +119,16 @@ class FuzzCase:
 class _Generator:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
+        #: The code-region episode draws from its own stream, so having
+        #: one or not leaves the rest of the program unchanged.
+        self.code_rng = random.Random(f"code-region-{seed}")
         self.asm = Assembler(base=CODE_BASE)
         self.depth = 0            # tracked push/pop balance
         self.had_episode = False  # an hfi_exit has banked a reenter state
         self._label = 0
         self._fns = ["fn0", "fn1"]
+        #: (variant, label names, execute) of the code-region episode.
+        self._code_episode: Optional[Tuple[str, Dict[str, str], bool]] = None
 
     def fresh_label(self, tag: str) -> str:
         self._label += 1
@@ -353,6 +365,55 @@ class _Generator:
                 self.sandboxed_step()
             a.hfi_exit()
 
+    def code_region_episode(self) -> None:
+        """A hybrid sandbox rewrites its code regions (in the exit
+        handler, which ends most programs).
+
+        Region 0 first covers all the code.  The sandbox then narrows
+        it and runs off its end (``run_past``), narrows it and jumps
+        just past it (``jump_past``), or fills slot 1 with all the code
+        and slot 0 with a one-byte region nested in it, with or without
+        execute permission (``nested``).  The descriptor depends on the
+        layout, so :meth:`code_episode_preload` writes it after
+        assembly.
+        """
+        main, self.rng = self.rng, self.code_rng
+        a, rng = self.asm, self.rng
+        variant = rng.choice(["run_past", "jump_past", "nested", "nested"])
+        for number, region_desc in ((0, DESC_CODE), (2, DESC_DATA),
+                                    (3, DESC_STACK)):
+            a.mov(Reg.RDI, Imm(region_desc))
+            a.hfi_set_region(number, Reg.RDI)
+        if variant == "nested":
+            a.mov(Reg.RDI, Imm(DESC_CODE))
+            a.hfi_set_region(1, Reg.RDI)
+        else:
+            a.hfi_clear_region(1)
+        a.mov(Reg.RDI, Imm(CODE_EPISODE_SANDBOX))
+        a.hfi_enter(Reg.RDI)
+        for _ in range(rng.randint(1, 3)):
+            self.step_simple()
+        a.mov(Reg.RDI, Imm(CODE_EPISODE_DESC))
+        a.hfi_set_region(0, Reg.RDI)
+        labels = {name: self.fresh_label(f"code_{name}")
+                  for name in ("start", "hole", "last", "after")}
+        steps = rng.randint(2, 8)
+        hole = rng.randrange(steps)
+        a.label(labels["start"])
+        for step in range(steps):
+            if step == hole:
+                a.label(labels["hole"])
+            if step == steps - 1:
+                a.label(labels["last"])
+            self.step_simple()
+        if variant == "jump_past":
+            a.mov(Reg.R14, Mem(disp=CODE_EPISODE_DESC + 24, size=8))
+            a.jmp(Reg.R14)
+        a.label(labels["after"])
+        a.hfi_exit()
+        self._code_episode = (variant, labels, rng.random() < 0.5)
+        self.rng = main
+
     def sandboxed_step(self) -> None:
         rng = self.rng
         kind = rng.choices(
@@ -420,6 +481,32 @@ class _Generator:
         else:
             self.step_fault(sandboxed=False)
 
+    def code_episode_preload(self, program: Program
+                             ) -> List[Tuple[int, bytes]]:
+        """The code-region episode's descriptor and jump target."""
+        if self._code_episode is None:
+            return []
+        variant, labels, execute = self._code_episode
+        at = {name: program.labels[label] for name, label in labels.items()}
+        start, target = at["start"], 0
+        if variant == "nested":
+            region = ImplicitCodeRegion(at["hole"], 0,
+                                        permission_exec=execute)
+        elif variant == "run_past":
+            # the largest aligned block holding ``start`` that ends at
+            # or before the last step: straight-line code runs off it
+            mask = 0
+            while (start | (2 * mask + 1)) + 1 <= at["last"]:
+                mask = 2 * mask + 1
+            region = ImplicitCodeRegion(start & ~mask, mask)
+        else:
+            region = ImplicitCodeRegion.covering(start, at["after"] - start)
+            target = region.base_prefix + region.size
+        return [(CODE_EPISODE_DESC, encode_region(region)),
+                (CODE_EPISODE_DESC + 24, target.to_bytes(8, "little")),
+                (CODE_EPISODE_SANDBOX,
+                 encode_sandbox(SandboxFlags(is_hybrid=True), 0))]
+
     # ------------------------------------------------------------------
     def build(self, seed: int) -> FuzzCase:
         a, rng = self.asm, self.rng
@@ -441,6 +528,8 @@ class _Generator:
         # exit handler targeted by native-sandbox syscall interposition
         a.label("handler")
         a.nop()
+        if self.code_rng.random() < 0.5:
+            self.code_region_episode()
         a.hlt()
 
         program = a.assemble()
@@ -466,6 +555,7 @@ class _Generator:
                         else bytes(rng.randrange(256) for _ in range(0x300))))
         preload.append((HEAP_BASE,
                         bytes(rng.randrange(256) for _ in range(0x200))))
+        preload.extend(self.code_episode_preload(program))
         mappings = [
             (CODE_BASE, CODE_BYTES, Prot.READ | Prot.EXEC, "code"),
             (DATA_BASE, DATA_BYTES, Prot.READ | Prot.WRITE, "data"),

@@ -99,10 +99,13 @@ class PoolInvariants:
 
     Install with :meth:`install`; the pool then calls back on every
     ``acquire``/``release``/``flush_discards``.  Reads through the
-    pool's address space are intercepted (``read`` and ``read_bytes``
-    are shadowed on the instance) and checked against the live set of
-    poisoned ranges.
+    pool's address space are intercepted (``read``, ``read_bytes`` and
+    the CPU's ``load`` are shadowed on the instance) and checked
+    against the live set of poisoned ranges.
     """
+
+    #: The address space's read paths the probe shadows.
+    READ_PATHS = ("read", "read_bytes", "load")
 
     def __init__(self, raise_on_violation: bool = True):
         self.raise_on_violation = raise_on_violation
@@ -115,34 +118,30 @@ class PoolInvariants:
         self._poisoned: Dict[int, Tuple[int, int]] = {}
         self._pool = None
         self._space = None
-        self._orig_read = None
-        self._orig_read_bytes = None
 
     # ------------------------------------------------------------------
     def install(self, pool) -> "PoolInvariants":
         pool.invariants = self
         self._pool = pool
         self._space = pool.space
-        self._orig_read = pool.space.read
-        self._orig_read_bytes = pool.space.read_bytes
-
-        def guarded_read(addr, size=8, *, check=True):
-            self._check_read(addr, size)
-            return self._orig_read(addr, size, check=check)
-
-        def guarded_read_bytes(addr, size, *, check=True):
-            self._check_read(addr, size)
-            return self._orig_read_bytes(addr, size, check=check)
-
-        pool.space.read = guarded_read
-        pool.space.read_bytes = guarded_read_bytes
+        for name in self.READ_PATHS:
+            setattr(pool.space, name,
+                    self._guarded(getattr(pool.space, name)))
         return self
+
+    def _guarded(self, read):
+        """``read`` (whose first two arguments are address and size),
+        checked against the poisoned ranges first."""
+        def guarded(addr, size=8, *args, **kwargs):
+            self._check_read(addr, size)
+            return read(addr, size, *args, **kwargs)
+        return guarded
 
     def uninstall(self) -> None:
         if self._space is not None:
             # drop the instance-level shadows so attribute lookup falls
             # back to the plain class methods
-            for name in ("read", "read_bytes"):
+            for name in self.READ_PATHS:
                 self._space.__dict__.pop(name, None)
         if self._pool is not None:
             self._pool.invariants = None

@@ -104,7 +104,6 @@ class ReferenceCpu:
         self._halted = False
         self._fault: Optional[FaultInfo] = None
         self.fault_resume_address: Optional[int] = None
-        self.enforce_pkeys = process is not None
 
     def attach_telemetry(self, telemetry) -> None:
         """Backend-protocol no-op: the oracle exposes no components."""
@@ -204,27 +203,28 @@ class ReferenceCpu:
             ea += self.regs.regs[mem.index] * mem.scale
         return ea & MASK64
 
+    def _check_pkeys(self, ea: int, size: int, kind: AccessKind,
+                     denied: int) -> None:
+        """MPK: the key of every VMA the access touches (its first and
+        last byte's), tested against the process PKRU."""
+        process = self.process
+        if process is None or not process.pkru:
+            return
+        for byte in (ea, ea + size - 1):
+            vma = self.mem.find_vma(byte)
+            if vma.pkey and (process.pkru >> (2 * vma.pkey)) & denied:
+                raise PageFault(max(ea, vma.start), kind,
+                                f"pkey {vma.pkey} denied")
+
     def _load_ea(self, ea: int, size: int) -> int:
-        vma = self.mem.check_access(ea, size, AccessKind.READ)
-        if self.enforce_pkeys and vma.pkey:
-            process = self.process
-            if process is not None and process.pkru:
-                bits = (process.pkru >> (2 * vma.pkey)) & 0b11
-                if bits & 0b01:
-                    raise PageFault(ea, AccessKind.READ,
-                                    f"pkey {vma.pkey} denied")
+        self.mem.check_access(ea, size, AccessKind.READ)
+        self._check_pkeys(ea, size, AccessKind.READ, 0b01)
         self.stats.loads += 1
         return self.mem.read(ea, size, check=False)
 
     def _store_ea(self, ea: int, size: int, value: int) -> None:
-        vma = self.mem.check_access(ea, size, AccessKind.WRITE)
-        if self.enforce_pkeys and vma.pkey:
-            process = self.process
-            if process is not None and process.pkru:
-                bits = (process.pkru >> (2 * vma.pkey)) & 0b11
-                if bits & 0b11:
-                    raise PageFault(ea, AccessKind.WRITE,
-                                    f"pkey {vma.pkey} denied")
+        self.mem.check_access(ea, size, AccessKind.WRITE)
+        self._check_pkeys(ea, size, AccessKind.WRITE, 0b11)
         self.stats.stores += 1
         self.mem.write(ea, value, size, check=False)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu import Cpu
+from repro.cpu.machine import create_backend
 from repro.isa import Assembler, Imm, Mem, Reg
 from repro.mpk import (
     AD,
@@ -117,6 +118,64 @@ class TestEnforcementOnCpu:
         program = asm.assemble()
         cpu.load_program(program)
         assert cpu.run(program.base).reason == "hlt"
+
+
+class TestStraddlingAccess:
+    """x86 tests the key of every page an access touches: an 8-byte
+    access that starts in an open page and ends in the vault's first
+    page is denied, and neither reads nor writes the vault."""
+
+    VAULT = 0x20_0000
+    SECRET = 0x5EC2E7
+
+    def _machine(self, params, engine):
+        kernel = Kernel(params)
+        proc = kernel.spawn()
+        space = proc.address_space
+        space.mmap(1 << 16, Prot.rw(), addr=self.VAULT - (1 << 16),
+                   name="open")
+        space.mmap(1 << 16, Prot.rw(), addr=self.VAULT, name="vault")
+        manager = MpkDomainManager(space, params)
+        vault = manager.pkey_alloc("vault")
+        manager.pkey_mprotect(vault, self.VAULT, 1 << 16)
+        space.write(self.VAULT, self.SECRET, 8)
+        cpu = create_backend(engine, params=params, process=proc,
+                             kernel=kernel)
+        proc.pkru = pkru_allowing(set())      # vault key not granted
+        return cpu, space
+
+    def _run(self, cpu, emit):
+        asm = Assembler()
+        asm.mov(Reg.RBX, Imm(self.VAULT - 4))
+        emit(asm)
+        asm.hlt()
+        program = asm.assemble()
+        cpu.load_program(program)
+        return cpu.run(program.base)
+
+    @pytest.mark.parametrize("engine", ["staged", "reference"])
+    def test_load_into_the_vault_is_denied(self, params, engine):
+        cpu, _ = self._machine(params, engine)
+        result = self._run(cpu, lambda asm: asm.mov(Reg.RAX,
+                                                    Mem(base=Reg.RBX)))
+        assert result.reason == "fault"
+        assert result.fault.addr == self.VAULT
+        assert "pkey" in result.fault.detail
+        assert cpu.regs.regs[Reg.RAX] == 0
+
+    @pytest.mark.parametrize("engine", ["staged", "reference"])
+    def test_store_into_the_vault_is_denied(self, params, engine):
+        cpu, space = self._machine(params, engine)
+
+        def emit(asm):
+            asm.mov(Reg.RAX, Imm(0x4141_4141_4141_4141))
+            asm.mov(Mem(base=Reg.RBX), Reg.RAX)
+        result = self._run(cpu, emit)
+        assert result.reason == "fault"
+        assert result.fault.addr == self.VAULT
+        assert "pkey" in result.fault.detail
+        assert space.read(self.VAULT - 4, 8, check=False) == (
+            self.SECRET << 32)
 
 
 class TestSwitcher:

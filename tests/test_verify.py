@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.faults import FaultCause
 from repro.cpu import Cpu
-from repro.isa import Assembler, Imm, Reg
+from repro.isa import Assembler, Imm, Mem, Reg
 from repro.os import AddressSpace
 from repro.params import MachineParams
 from repro.runtime import InstancePool
@@ -154,6 +154,26 @@ class TestPoolPoison:
             pool.release(slot)
             with pytest.raises(PoisonedReadError):
                 pool.space.read(slot.heap_base + 8)   # stale read
+            assert probe.poison_hits == 1
+        finally:
+            probe.uninstall()
+
+    def test_poison_flags_a_cpu_load_of_a_released_slot(self, params):
+        """CPU loads take ``AddressSpace.load``, not ``read``: the
+        probe must catch them too."""
+        pool = self._pool(params)
+        probe = PoolInvariants().install(pool)
+        try:
+            slot = pool.acquire()
+            pool.release(slot)
+            asm = Assembler()
+            asm.mov(Reg.RAX, Mem(disp=slot.heap_base + 8))
+            asm.hlt()
+            program = asm.assemble()
+            cpu = Cpu(params, memory=pool.space)
+            cpu.load_program(program)
+            with pytest.raises(PoisonedReadError):
+                cpu.run(program.base)
             assert probe.poison_hits == 1
         finally:
             probe.uninstall()
