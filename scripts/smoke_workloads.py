@@ -1,4 +1,10 @@
-"""Dev smoke: run a workload suite across strategies, print ratios."""
+"""Dev smoke: run a workload suite across strategies, print ratios.
+
+A row reads ``BAD`` when the strategies disagree on the workload's
+result or a run does not halt; the script then exits 1.
+
+    PYTHONPATH=src python scripts/smoke_workloads.py sightglass|spec [scale]
+"""
 
 import sys
 import time
@@ -12,11 +18,13 @@ from repro.wasm import (
 )
 
 
-def main(which: str, scale: int = 1) -> None:
+def main(which: str, scale: int = 1) -> int:
+    """Print one row per workload; return how many rows are ``BAD``."""
     if which == "sightglass":
         from repro.workloads.sightglass import SIGHTGLASS_BENCHMARKS as SUITE
     else:
         from repro.workloads.spec import SPEC_BENCHMARKS as SUITE
+    bad = 0
     for name, builder in SUITE.items():
         mod = builder(scale)
         results = {}
@@ -32,6 +40,8 @@ def main(which: str, scale: int = 1) -> None:
         vals = {v[1] for v in results.values()}
         ok = "OK " if len(vals) == 1 and all(
             v[0] == "hlt" for v in results.values()) else "BAD"
+        if ok == "BAD":
+            bad += 1
         gp = results["guard-pages"][2]
         bc = results["bounds-check"][2]
         hf = results["hfi"][2]
@@ -39,8 +49,10 @@ def main(which: str, scale: int = 1) -> None:
         print(f"{ok} {name:16s} insn={results['guard-pages'][3]:7d} "
               f"gp={gp:9d} bc={bc/gp:5.2f} hfi={hf/gp:5.2f} "
               f"emu/hfi={em/hf:5.3f} t={time.time()-t0:.1f}s", flush=True)
+    return bad
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else "sightglass",
-         int(sys.argv[2]) if len(sys.argv) > 2 else 1)
+    bad = main(sys.argv[1] if len(sys.argv) > 1 else "sightglass",
+               int(sys.argv[2]) if len(sys.argv) > 2 else 1)
+    sys.exit(1 if bad else 0)

@@ -10,7 +10,7 @@ keeps the pipeline skeleton.
 """
 
 from .cache import Cache, CacheHierarchy, CacheStats
-from .decode import CodeMap, DecodedOp, decode_one, decode_program
+from .decode import DecodedOp, decode_one, decode_program
 from .journal import SpeculationJournal
 from .machine import Cpu, CpuStats, FaultInfo, RunResult
 from .predictors import (
@@ -32,7 +32,7 @@ from .trace import TraceEntry, Tracer
 __all__ = [
     "Cpu", "CpuStats", "FaultInfo", "RunResult", "Cache", "CacheHierarchy",
     "CacheStats", "Tlb", "PatternHistoryTable", "BranchTargetBuffer",
-    "ReturnStackBuffer", "Tracer", "TraceEntry", "CodeMap", "DecodedOp",
+    "ReturnStackBuffer", "Tracer", "TraceEntry", "DecodedOp",
     "decode_one", "decode_program", "SpeculationJournal",
     "InOrderTiming", "TimingBackend", "TIMING_MODELS", "create_timing",
     "default_timing", "set_default_timing",

@@ -19,10 +19,9 @@ built by the per-opcode entry in :data:`DECODERS`:
 Decoded ops are cached per ``Program`` only (``decode_program``), so
 reloading or sharing a program costs nothing, and an instruction holds
 no reference back to its op: a program nothing else refers to is freed
-without waiting for the cycle collector.  The CPU's ``_code`` map is a
-:class:`CodeMap` that invalidates the decoded entry on any write,
-keeping tests that patch instructions (and self-modifying setups)
-coherent.
+without waiting for the cycle collector.  ``decode_program`` is the one
+lowering: a core's code is the map of decoded ops its
+``load_program`` calls added, and nothing decodes at fetch time.
 
 The exec modules (``exec_alu``, ``exec_mem``, ``exec_control``,
 ``exec_system``, ``exec_hfi``) register their builders here via the
@@ -31,7 +30,7 @@ The exec modules (``exec_alu``, ``exec_mem``, ``exec_control``,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..core.checks import implicit_data_check
 from ..isa.instruction import Instruction, Program
@@ -60,7 +59,8 @@ def decoder(*opcodes: Opcode):
 
 
 class DecodedOp:
-    """One predecoded instruction: a bound handler plus metadata.
+    """One predecoded instruction at ``ins.addr``: a handler with its
+    static facts bound in, plus metadata.
 
     ``deps`` is the out-of-order timing model's dependence summary: a
     (reads, writes) pair of tuples of scoreboard key indices (the 16
@@ -68,18 +68,15 @@ class DecodedOp:
     under that model, so it lives and dies with the op.
     """
 
-    __slots__ = ("run", "ins", "addr", "next_rip", "deps")
+    __slots__ = ("run", "ins", "deps")
 
-    def __init__(self, run: Callable, ins: Instruction, addr: int,
-                 next_rip: int):
+    def __init__(self, run: Callable, ins: Instruction):
         self.run = run
         self.ins = ins
-        self.addr = addr
-        self.next_rip = next_rip
         self.deps = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<DecodedOp {self.ins!r} @ {self.addr:#x}>"
+        return f"<DecodedOp {self.ins!r} @ {self.ins.addr:#x}>"
 
 
 # ----------------------------------------------------------------------
@@ -199,76 +196,16 @@ STACK_WRITE = make_writer(STACK_SLOT)
 # ----------------------------------------------------------------------
 # decode entry points
 # ----------------------------------------------------------------------
-def _unimplemented(opcode: Opcode, next_rip: int) -> Callable:
-    def run(cpu):
-        cpu.regs.rip = next_rip
-        raise NotImplementedError(f"opcode {opcode} not implemented")
-    return run
-
-
-def decode_one(ins: Instruction, addr: int) -> DecodedOp:
-    """Lower one instruction mapped at ``addr``.
-
-    ``next_rip`` uses the *mapping* address, not ``ins.addr`` — tests
-    map instructions at addresses the assembler never laid out.
-    """
-    next_rip = addr + ins.length
-    build = DECODERS.get(ins.opcode)
-    if build is None:
-        run = _unimplemented(ins.opcode, next_rip)
-    else:
-        run = build(ins, addr, next_rip)
-    return DecodedOp(run, ins, addr, next_rip)
+def decode_one(ins: Instruction) -> DecodedOp:
+    """Lower one instruction at its laid-out address ``ins.addr``."""
+    addr = ins.addr
+    return DecodedOp(DECODERS[ins.opcode](ins, addr, addr + ins.length), ins)
 
 
 def decode_program(program: Program) -> Dict[int, DecodedOp]:
     """Decode a whole program once; cached on the Program object."""
     cache = getattr(program, "_decode_cache", None)
     if cache is None:
-        cache = {ins.addr: decode_one(ins, ins.addr)
-                 for ins in program.instructions}
+        cache = {ins.addr: decode_one(ins) for ins in program.instructions}
         program._decode_cache = cache
     return cache
-
-
-class CodeMap(dict):
-    """``addr -> Instruction`` map kept coherent with the decode cache.
-
-    Any write or delete drops the corresponding :class:`DecodedOp` so
-    the next fetch at that address re-decodes (lazily) — code patched
-    via ``cpu._code[addr] = ins`` behaves exactly as before the staged
-    engine.  ``Cpu.load_program`` and ``unload_program`` bypass these
-    per-address hooks and keep the map, the decoded ops and
-    ``invalidations`` coherent in bulk.
-    """
-
-    __slots__ = ("decoded", "invalidations")
-
-    def __init__(self, decoded: Dict[int, DecodedOp]):
-        super().__init__()
-        self.decoded = decoded
-        self.invalidations = 0
-
-    def _invalidate(self, addr) -> None:
-        if self.decoded.pop(addr, None) is not None:
-            self.invalidations += 1
-
-    def __setitem__(self, addr, ins) -> None:
-        self._invalidate(addr)
-        dict.__setitem__(self, addr, ins)
-
-    def __delitem__(self, addr) -> None:
-        dict.__delitem__(self, addr)
-        self._invalidate(addr)
-
-    def pop(self, addr, *default):
-        self._invalidate(addr)
-        return dict.pop(self, addr, *default)
-
-    def clear(self) -> None:
-        dict.clear(self)
-        self.decoded.clear()
-
-    def update(self, other=(), **kwargs) -> None:
-        for addr, ins in dict(other, **kwargs).items():
-            self[addr] = ins

@@ -39,7 +39,7 @@ from ..core.checks import code_pass_range
 from ..core.faults import FaultCause, HfiFault
 from ..core.regions import RegionError
 from ..core.state import HfiState
-from ..isa.instruction import Instruction, Program
+from ..isa.instruction import Program
 from ..isa.registers import MASK64, Reg, RegisterFile
 from ..os.address_space import AccessKind, AddressSpace, PageFault
 from ..os.kernel import Kernel
@@ -48,8 +48,7 @@ from ..params import DEFAULT_PARAMS, MachineParams
 from ..telemetry.sink import Telemetry, coalesce
 from ..telemetry.stats import ComponentStats, DecodeCacheStats
 from .cache import CacheHierarchy
-from .decode import CodeMap, DecodedOp, _StopSpeculation, decode_one, \
-    decode_program
+from .decode import DecodedOp, _StopSpeculation, decode_program
 from .journal import SpeculationJournal
 from .predictors import BranchTargetBuffer, PatternHistoryTable, ReturnStackBuffer
 from . import timing as timing_seam
@@ -189,12 +188,10 @@ class Cpu:
         self.btb = BranchTargetBuffer()
         self.rsb = ReturnStackBuffer()
         self.stats = CpuStats()
-        #: Ready-to-run predecoded ops, keyed by mapped address.
+        #: The core's code: the decoded ops of the loaded programs,
+        #: keyed by address.  Only load/unload_program write it.
         self._decoded: Dict[int, DecodedOp] = {}
-        #: Raw instruction map; writes invalidate ``_decoded`` entries.
-        self._code: Dict[int, Instruction] = CodeMap(self._decoded)
         self._predecoded = 0
-        self._lazy_decodes = 0
         #: The timing seam — all cycle charging by the exec layer.
         self.timing = create_timing(self.timing_model, self)
         #: Wrong-path state: register snapshot, page shadows, HFI bank.
@@ -250,31 +247,22 @@ class Cpu:
 
     def decode_stats(self) -> DecodeCacheStats:
         """Predecode-cache counters (``repro.telemetry`` surface)."""
-        executed = (self.stats.instructions
-                    + self.stats.speculative_instructions)
-        return DecodeCacheStats(
-            component="decode", predecoded=self._predecoded,
-            lazy_decodes=self._lazy_decodes,
-            invalidations=self._code.invalidations,
-            cached_ops=len(self._decoded), executed=executed)
+        return DecodeCacheStats(component="decode",
+                                predecoded=self._predecoded,
+                                cached_ops=len(self._decoded))
 
     # ------------------------------------------------------------------
     # program loading
     # ------------------------------------------------------------------
     def load_program(self, program: Program) -> None:
-        """Map a program's instructions at their laid-out addresses.
+        """Map a program's decoded ops at their laid-out addresses.
 
         The program is predecoded once (cached on the Program object),
         so repeated loads — and multiple cores sharing a program —
-        reuse the same DecodedOps.  Loading over an address that holds
-        a decoded op replaces it, and ``invalidations`` counts that as
-        the code write it is.  :meth:`unload_program` undoes a load.
+        reuse the same DecodedOps.  The latest load at an address wins;
+        :meth:`unload_program` undoes a load.
         """
         decoded = decode_program(program)
-        code = self._code
-        # one bulk update rather than a CodeMap write per address
-        code.invalidations += len(self._decoded.keys() & decoded.keys())
-        dict.update(code, {ins.addr: ins for ins in program.instructions})
         self._decoded.update(decoded)
         self._predecoded += len(decoded)
 
@@ -282,28 +270,12 @@ class Cpu:
         """Unmap a program mapped by :meth:`load_program` (its inverse).
 
         An address is dropped only while it still maps the program's
-        own instruction, so code patched in over the program stays.
-        Unloading is not a code write: ``invalidations`` does not count
-        it, and ``cached_ops`` afterwards counts live ops only.
+        own op, so code loaded over the program stays.
         """
-        code = self._code
-        decoded = self._decoded
-        for ins in program.instructions:
-            addr = ins.addr
-            if code.get(addr) is ins:
-                # dict's own delete: CodeMap's would count a code write
-                dict.__delitem__(code, addr)
-                decoded.pop(addr, None)
-
-    def _decode_at(self, pc: int) -> Optional[DecodedOp]:
-        """Lazy decode for instructions patched in via ``_code``."""
-        ins = self._code.get(pc)
-        if ins is None:
-            return None
-        dop = decode_one(ins, pc)
-        self._decoded[pc] = dop
-        self._lazy_decodes += 1
-        return dop
+        code = self._decoded
+        for addr, dop in decode_program(program).items():
+            if code.get(addr) is dop:
+                del code[addr]
 
     # ------------------------------------------------------------------
     # top-level run loop
@@ -376,12 +348,10 @@ class Cpu:
                 fetch_cycles = fetch(pc)
             dop = decoded.get(pc)
             if dop is None:
-                dop = self._decode_at(pc)
-                if dop is None:
-                    if not inline:
-                        timing.drain_pending()
-                    stats.cycles += fetch_cycles
-                    return RunResult("no_instruction", stats, rip=pc)
+                if not inline:
+                    timing.drain_pending()
+                stats.cycles += fetch_cycles
+                return RunResult("no_instruction", stats, rip=pc)
             stats.instructions += 1
             if inline:
                 stats.cycles += fetch_cycles + base_cycles
@@ -499,9 +469,7 @@ class Cpu:
                     fetch(pc)
                 dop = decoded.get(pc)
                 if dop is None:
-                    dop = self._decode_at(pc)
-                    if dop is None:
-                        break
+                    break
                 stats.speculative_instructions += 1
                 if tracer is not None:
                     tracer.record(pc, dop.ins, hfi_regs.enabled,

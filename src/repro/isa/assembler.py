@@ -271,7 +271,6 @@ class Assembler:
                         for operand in ins.operands
                     )
                     break
-        program.finalize()
         return program
 
     def _resolve(self, program: Program, ref: LabelRef) -> int:

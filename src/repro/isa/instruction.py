@@ -163,13 +163,5 @@ class Program:
         last = self.instructions[-1]
         return last.addr + last.length - self.base
 
-    def at(self, addr: int) -> Optional[Instruction]:
-        """Return the instruction at byte address ``addr`` (exact match)."""
-        return self._by_addr.get(addr)
-
-    def finalize(self) -> None:
-        """Build the address index after layout."""
-        self._by_addr = {ins.addr: ins for ins in self.instructions}
-
     def __len__(self) -> int:
         return len(self.instructions)

@@ -38,15 +38,6 @@ class Telemetry:
         self.spans = SpanLog(capacity=span_capacity)
         self._collectors: Dict[str, Callable[[], ComponentStats]] = {}
 
-    # -- identity across copy/deepcopy ---------------------------------
-    # The CPU deep-copies HfiState around speculation windows; any
-    # object graph holding a sink must share it, never clone it.
-    def __copy__(self) -> "Telemetry":
-        return self
-
-    def __deepcopy__(self, memo) -> "Telemetry":
-        return self
-
     # -- spans ---------------------------------------------------------
     def begin_span(self, name: str, cycle: int,
                    sandbox_id: Optional[int] = None,

@@ -300,29 +300,16 @@ class KernelStats(ComponentStats):
 
 @dataclass
 class DecodeCacheStats(ComponentStats):
-    """Predecode-cache effectiveness for the staged execution engine.
+    """The staged engine's code map.
 
-    ``predecoded`` counts ops lowered eagerly at ``load_program`` time,
-    ``lazy_decodes`` those first reached through the slow path (e.g.
-    instructions patched into ``_code`` by tests or JIT-style attacks),
-    and ``invalidations`` how many cached ops were discarded by such
-    patches.  ``executed`` is total committed + speculative dynamic
-    instructions, so ``hits`` approximates dynamic cache hits.
+    ``predecoded`` counts the ops ``load_program`` has mapped (a
+    reloaded program counts again), and ``cached_ops`` the ops the
+    core maps now.  Every op is decoded ahead of time, so there is no
+    miss to count.
     """
 
     predecoded: int = 0
-    lazy_decodes: int = 0
-    invalidations: int = 0
     cached_ops: int = 0
-    executed: int = 0
-
-    @property
-    def hits(self) -> int:
-        return max(self.executed - self.lazy_decodes, 0)
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.executed if self.executed else 0.0
 
 
 @dataclass

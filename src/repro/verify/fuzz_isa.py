@@ -8,10 +8,11 @@ in every flag combination, in- and out-of-bounds ``hmov``,
 ``hfi_exit``/``hfi_reenter``), a hybrid sandbox in the exit handler
 that rewrites its code regions and then runs or jumps past the new
 bound, ``xsave``/``xrstor`` pairs, syscalls, and deliberately-faulting
-accesses.  ``run_differential(seed)`` then
-executes the same program on every requested engine — by default the
-staged interpreter and the naive
-:class:`~repro.verify.reference.ReferenceCpu` — starting from
+accesses.  Every sandbox exit and native-sandbox syscall lands in the
+exit handler, which then resumes the body just past the episode that
+exited.  ``run_differential(seed)`` then executes the same program on
+every requested engine — by default the staged interpreter and the
+naive :class:`~repro.verify.reference.ReferenceCpu` — starting from
 bit-identical address spaces, and asserts equality of the full
 architectural end state against the first engine: every GPR, the
 flags, ``rip``, the stop reason, the fault record, the
@@ -89,6 +90,9 @@ SANDBOX_DESCS = [DATA_BASE + 0xF100 + 0x10 * i for i in range(4)]
 #: its sandbox: hybrid, with no exit handler.
 CODE_EPISODE_DESC = DATA_BASE + 0xF200
 CODE_EPISODE_SANDBOX = CODE_EPISODE_DESC + 32
+#: Where the exit handler finds its resume address: each ``hfi_enter``
+#: and ``hfi_reenter`` first stores the address just past its episode.
+RESUME_SLOT = DATA_BASE + 0xF300
 SANDBOX_FLAG_VARIANTS = [
     SandboxFlags(),                                      # native
     SandboxFlags(is_hybrid=True),
@@ -344,6 +348,15 @@ class _Generator:
     # ------------------------------------------------------------------
     # HFI sandbox episode
     # ------------------------------------------------------------------
+    def store_resume(self) -> str:
+        """Store a fresh label's address in :data:`RESUME_SLOT`; the
+        caller places the label after the episode's ``hfi_exit``."""
+        a = self.asm
+        resume = self.fresh_label("resume")
+        a.mov(Reg.R14, LabelRef(resume))
+        a.mov(Mem(disp=RESUME_SLOT, size=8), Reg.R14)
+        return resume
+
     def sandbox_episode(self) -> None:
         a, rng = self.asm, self.rng
         for number, desc in ((0, DESC_CODE), (2, DESC_DATA),
@@ -354,20 +367,25 @@ class _Generator:
             a.mov(Reg.RDI, Imm(DESC_HEAP_SMALL))
             a.hfi_set_region(7, Reg.RDI)
         a.mov(Reg.RDI, Imm(rng.choice(SANDBOX_DESCS)))
+        resume = self.store_resume()
         a.hfi_enter(Reg.RDI)
         for _ in range(rng.randint(2, 8)):
             self.sandboxed_step()
         a.hfi_exit()
+        a.label(resume)
         self.had_episode = True
         if rng.random() < 0.25:
+            resume = self.store_resume()
             a.hfi_reenter()
             for _ in range(rng.randint(1, 2)):
                 self.sandboxed_step()
             a.hfi_exit()
+            a.label(resume)
 
     def code_region_episode(self) -> None:
         """A hybrid sandbox rewrites its code regions (in the exit
-        handler, which ends most programs).
+        handler, before it resumes the body; its own sandbox has no
+        exit handler).
 
         Region 0 first covers all the code.  The sandbox then narrows
         it and runs off its end (``run_past``), narrows it and jumps
@@ -473,9 +491,11 @@ class _Generator:
             self.step_clflush()
         elif kind == "reenter":
             if self.had_episode:
+                resume = self.store_resume()
                 self.asm.hfi_reenter()
                 self.step_simple()
                 self.asm.hfi_exit()
+                self.asm.label(resume)
             else:
                 self.step_simple()
         else:
@@ -525,12 +545,13 @@ class _Generator:
                 op = rng.choice([a.add, a.sub, a.xor, a.imul])
                 op(rng.choice(SCRATCH), rng.choice(SCRATCH))
             a.ret()
-        # exit handler targeted by native-sandbox syscall interposition
+        # exit handler: every sandbox exit lands here, then resumes
         a.label("handler")
         a.nop()
         if self.code_rng.random() < 0.5:
             self.code_region_episode()
-        a.hlt()
+        a.mov(Reg.R14, Mem(disp=RESUME_SLOT, size=8))
+        a.jmp(Reg.R14)
 
         program = a.assemble()
         handler = program.labels["handler"]

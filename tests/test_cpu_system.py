@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.core.encoding import decode_region, encode_region, encode_sandbox
 from repro.cpu import Cpu
+from repro.cpu.decode import DECODERS
 from repro.isa import Assembler, Imm, Mem, Opcode, Reg
 from repro.os import AddressSpace, FileSystem, Kernel, Prot, Sys
 from repro.params import MachineParams
@@ -204,14 +205,9 @@ class TestFaultResumption:
 
 
 class TestRobustness:
-    def test_unknown_instruction_raises(self, params):
-        cpu, *_ = machine(params)
-        from repro.isa.instruction import Instruction
-        cpu._code[CODE] = Instruction(Opcode.WRPKRU)  # fine
-        # an opcode with no dispatch arm would raise NotImplementedError;
-        # all current opcodes are implemented:
-        for opcode in Opcode:
-            assert opcode is not None
+    def test_every_opcode_has_a_decoder(self):
+        """Predecode has no fallback: every opcode needs a builder."""
+        assert set(DECODERS) == set(Opcode)
 
     def test_division_by_zero_is_a_fault(self, params):
         cpu, *_ = machine(params)

@@ -147,14 +147,6 @@ class TestAssembler:
         program = asm.assemble()
         assert "end" in program.labels
 
-    def test_program_at_lookup(self):
-        asm = Assembler(base=0)
-        asm.nop()
-        asm.hlt()
-        program = asm.assemble()
-        assert program.at(0).opcode is Opcode.NOP
-        assert program.at(program.instructions[1].addr).opcode is Opcode.HLT
-
     def test_program_size_counts_bytes(self):
         asm = Assembler(base=0x100)
         asm.mov(Reg.RAX, Imm(5))

@@ -247,7 +247,6 @@ def test_assembler_layout_contiguous_and_indexed(n, seed):
     addr = 0x1000
     for ins in program.instructions:
         assert ins.addr == addr
-        assert program.at(addr) is ins
         assert ins.length == encoded_length(ins.opcode, ins.operands)
         addr += ins.length
     assert program.size == addr - 0x1000

@@ -5,9 +5,9 @@ into decode / exec / timing / journal stages:
 
 * the ``max_instructions`` boundary resolves a pending halt or fault
   instead of silently reporting ``instruction_limit``;
-* patching code through ``cpu._code``, or loading a program over
-  decoded code, invalidates the decoded entry (self-modifying setups
-  stay coherent with the predecode cache);
+* a core's code is the map of decoded ops its loads made: the latest
+  load at an address wins, and an unload drops an address only while
+  it still maps the program's own op (held to a plain model);
 * speculation squashes via the undo journal — the register file and
   HFI state keep their object identity, and ``copy.deepcopy`` never
   runs on the speculation or snapshot paths;
@@ -19,6 +19,8 @@ import copy
 import unittest.mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu import Cpu
 from repro.cpu.machine import ExecutionBackend, create_backend
@@ -26,6 +28,7 @@ from repro.isa import Assembler, Imm, Mem, Reg
 from repro.os import AddressSpace, Prot
 from repro.params import MachineParams
 from repro.telemetry import Telemetry
+from repro.telemetry.stats import DecodeCacheStats
 from repro.verify.fuzz_isa import DEFAULT_ENGINES
 from repro.verify.reference import ReferenceCpu
 
@@ -116,30 +119,11 @@ class TestPredecodeCache:
         assert stats.cached_ops == len(program.instructions)
         result = cpu.run(program.base)
         assert result.reason == "hlt"
-        assert cpu.decode_stats().lazy_decodes == 0
-
-    def test_code_patch_invalidates_decoded_entry(self, params):
-        cpu = make_cpu(params)
-        asm = Assembler()
-        asm.mov(Reg.RAX, Imm(1))
-        asm.hlt()
-        program = asm.assemble()
-        cpu.load_program(program)
-        assert cpu.run(program.base).reason == "hlt"
-        assert cpu.regs.read(Reg.RAX) == 1
-
-        patched = Assembler()
-        patched.mov(Reg.RAX, Imm(2))
-        patched.hlt()
-        replacement = patched.assemble().instructions[0]
-        cpu._code[program.base] = replacement
-        assert cpu._code.invalidations == 1
-
-        assert cpu.run(program.base).reason == "hlt"
-        assert cpu.regs.read(Reg.RAX) == 2
-        assert cpu.decode_stats().lazy_decodes >= 1
+        assert cpu.decode_stats() == stats
 
     def test_load_over_decoded_code_replaces_it(self, params):
+        """A whole run through code loaded over another program's (the
+        model property below runs one instruction at a time)."""
         cpu = make_cpu(params)
         asm = Assembler()
         asm.mov(Reg.RAX, Imm(1))
@@ -152,18 +136,12 @@ class TestPredecodeCache:
         second = asm.assemble()
         cpu.load_program(first)
         assert cpu.run(first.base).reason == "hlt"
-        assert cpu._code.invalidations == 0
 
         cpu.load_program(second)
-        # first's two decoded ops were replaced; the third address
-        # held none
-        assert cpu._code.invalidations == 2
         assert cpu.run(second.base).reason == "hlt"
         assert cpu.regs.read(Reg.RAX) == 5
-        assert cpu.decode_stats().lazy_decodes == 0
 
         cpu.unload_program(first)
-        assert cpu._code.invalidations == 2
         assert cpu.decode_stats().cached_ops == len(second.instructions)
         cpu.regs.write(Reg.RAX, 0)
         assert cpu.run(second.base).reason == "hlt"
@@ -184,6 +162,72 @@ class TestPredecodeCache:
         assert cpu_b.run(base).reason == "hlt"
         assert cpu_a.regs.read(Reg.RAX) == 3
         assert cpu_b.regs.read(Reg.RAX) == 3
+
+
+# ----------------------------------------------------------------------
+# the one code map, held to a plain model
+# ----------------------------------------------------------------------
+CODE_BASE = 0x1000
+
+
+@st.composite
+def load_unload_runs(draw):
+    """2-4 programs of 1-4 ``mov rax, tag`` at overlapping bases (each
+    tag names its program and slot), and a sequence of loads (True)
+    and unloads (False).  Short and long immediates give the programs
+    different layouts, so their instructions coincide at some
+    addresses and interleave at others."""
+    programs = []
+    for p in range(draw(st.integers(2, 4))):
+        asm = Assembler(base=CODE_BASE + draw(st.integers(0, 24)))
+        for i in range(draw(st.integers(1, 4))):
+            tag = 1 + 8 * p + i
+            asm.mov(Reg.RAX, Imm(tag if draw(st.booleans()) else tag << 20))
+        programs.append(asm.assemble())
+    steps = draw(st.lists(
+        st.tuples(st.booleans(), st.integers(0, len(programs) - 1)),
+        min_size=1, max_size=12))
+    return programs, steps
+
+
+@given(case=load_unload_runs())
+@settings(max_examples=60, deadline=None)
+def test_code_map_matches_model(case):
+    programs, steps = case
+    cpu = Cpu(MachineParams())
+    model = {}                      # addr -> the Instruction mapped there
+    predecoded = 0
+    end = max(program.base + program.size for program in programs)
+    for load, p in steps:
+        program = programs[p]
+        if load:
+            cpu.load_program(program)
+            predecoded += len(program)
+            for ins in program.instructions:
+                model[ins.addr] = ins
+        else:
+            cpu.unload_program(program)
+            for ins in program.instructions:
+                if model.get(ins.addr) is ins:
+                    del model[ins.addr]
+
+        assert cpu._decoded.keys() == model.keys()
+        assert all(cpu._decoded[addr].ins is ins
+                   for addr, ins in model.items())
+        assert cpu.decode_stats() == DecodeCacheStats(
+            component="decode", predecoded=predecoded,
+            cached_ops=len(model))
+        for addr in range(CODE_BASE - 1, end + 1):
+            cpu.regs.write(Reg.RAX, 0)
+            result = cpu.run(addr, max_instructions=1)
+            ins = model.get(addr)
+            if ins is None:
+                assert (result.reason, result.rip) == ("no_instruction",
+                                                       addr)
+            else:
+                assert (result.reason, result.rip) == (
+                    "instruction_limit", addr + ins.length)
+                assert cpu.regs.read(Reg.RAX) == ins.operands[1].value
 
 
 def _mispredicting_program():
@@ -263,8 +307,7 @@ class TestTelemetrySurface:
         assert {"decode", "journal"} <= set(snap["components"])
         decode = snap["components"]["decode"]
         assert decode["predecoded"] == len(program.instructions)
-        assert decode["executed"] >= 2
-        assert "hit_rate" in decode
+        assert decode["cached_ops"] == len(program.instructions)
         journal = snap["components"]["journal"]
         assert journal["windows"] == journal["rollbacks"]
 

@@ -2,8 +2,6 @@
 the sink's component registry, span nesting, the manager's per-sandbox
 ledger, null-sink parity, and the uniform ``.stats()`` component API."""
 
-import copy
-
 import pytest
 
 from repro.cpu import Cache, CacheHierarchy, Cpu, Tlb
@@ -255,14 +253,6 @@ class TestNullSinkParity:
         NULL_TELEMETRY.event("e", 0)
         assert NULL_TELEMETRY.snapshot() == {
             "spans": [], "spans_dropped": 0, "components": {}}
-
-    def test_sinks_survive_deepcopy_as_identity(self):
-        """The CPU deep-copies HfiState around speculation windows; a
-        sink reached from any copied object must stay shared."""
-        tel = Telemetry()
-        assert copy.deepcopy(tel) is tel
-        assert copy.copy(tel) is tel
-        assert copy.deepcopy(NULL_TELEMETRY) is NULL_TELEMETRY
 
 
 class TestUniformStats:

@@ -81,7 +81,6 @@ class TestTeardownReleases:
         assert runtime.instances == []
         stats = runtime.cpu.decode_stats()
         assert stats.cached_ops == 0
-        assert stats.invalidations == 0
         assert stats.predecoded > 0
 
     def test_survivor_runs_as_if_nothing_was_torn_down(self):
@@ -106,30 +105,28 @@ class TestTeardownReleases:
         assert result.stats == twin.stats
 
     def test_unload_leaves_patched_code_alone(self):
+        """Code loaded over a program outlives the program's unload."""
         params = MachineParams()
         asm = Assembler()
         asm.mov(Reg.RAX, Imm(1))
         asm.mov(Reg.RBX, Imm(2))
         asm.hlt()
         program = asm.assemble()
-        patch = Assembler()
-        patch.mov(Reg.RBX, Imm(7))
-        replacement = patch.assemble().instructions[0]
         patched_addr = program.instructions[1].addr
+        asm = Assembler(base=patched_addr)
+        asm.mov(Reg.RBX, Imm(7))
+        patch = asm.assemble()
 
         cpu = Cpu(params)
         cpu.load_program(program)
-        cpu._code[patched_addr] = replacement
-        assert cpu._code.invalidations == 1
+        cpu.load_program(patch)
         cpu.unload_program(program)
 
-        assert dict(cpu._code) == {patched_addr: replacement}
-        stats = cpu.decode_stats()
-        assert stats.invalidations == 1   # unloading is not a code write
-        assert stats.cached_ops == 0
+        assert list(cpu._decoded) == [patched_addr]
+        assert cpu._decoded[patched_addr].ins is patch.instructions[0]
+        assert cpu.decode_stats().cached_ops == 1
         assert cpu.run(patched_addr).reason == "no_instruction"
         assert cpu.regs.read(Reg.RBX) == 7
-        assert cpu.decode_stats().cached_ops == 1
 
 
 class TestDeadSandbox:
