@@ -1,7 +1,12 @@
 """Dev smoke: run a workload suite across strategies, print ratios.
 
-A row reads ``BAD`` when the strategies disagree on the workload's
-result or a run does not halt; the script then exits 1.
+Every (workload, strategy) cell runs under both timing models.  A row
+reads ``BAD`` when the strategies disagree on the workload's result, a
+run does not halt, or the in-order and out-of-order models disagree on
+a cell's stop reason, result or committed-instruction count
+(architectural state must not depend on timing); the script then exits
+1.  The ratios are in-order cycles; ``ooo`` is the out-of-order
+guard-pages run's cycles over the in-order one's.
 
     PYTHONPATH=src python scripts/smoke_workloads.py sightglass|spec [scale]
 """
@@ -9,6 +14,7 @@ result or a run does not halt; the script then exits 1.
 import sys
 import time
 
+from repro.cpu.timing import TIMING_MODELS
 from repro.wasm import (
     BoundsCheckStrategy,
     GuardPagesStrategy,
@@ -16,6 +22,9 @@ from repro.wasm import (
     HfiStrategy,
     WasmRuntime,
 )
+
+STRATEGIES = (GuardPagesStrategy, BoundsCheckStrategy, HfiStrategy,
+              HfiEmulationStrategy)
 
 
 def main(which: str, scale: int = 1) -> int:
@@ -29,26 +38,34 @@ def main(which: str, scale: int = 1) -> int:
         mod = builder(scale)
         results = {}
         t0 = time.time()
-        for strat in (GuardPagesStrategy(), BoundsCheckStrategy(),
-                      HfiStrategy(), HfiEmulationStrategy()):
-            rt = WasmRuntime()
-            inst = rt.instantiate(mod, strat)
-            res = rt.run(inst)
-            g = rt.space.read(inst.layout.globals_base)
-            results[strat.name] = (res.reason, g, res.stats.cycles,
-                                   res.stats.instructions)
+        for strategy in STRATEGIES:
+            for timing in TIMING_MODELS:
+                strat = strategy()
+                rt = WasmRuntime(timing=timing)
+                inst = rt.instantiate(mod, strat)
+                res = rt.run(inst)
+                g = rt.space.read(inst.layout.globals_base)
+                results[strat.name, timing] = (res.reason, g,
+                                               res.stats.instructions,
+                                               res.stats.cycles)
         vals = {v[1] for v in results.values()}
-        ok = "OK " if len(vals) == 1 and all(
+        # Stop reason, result and instruction count, per strategy.
+        agree = all(results[s, "inorder"][:3] == results[s, "ooo"][:3]
+                    for s, _ in results)
+        ok = "OK " if len(vals) == 1 and agree and all(
             v[0] == "hlt" for v in results.values()) else "BAD"
         if ok == "BAD":
             bad += 1
-        gp = results["guard-pages"][2]
-        bc = results["bounds-check"][2]
-        hf = results["hfi"][2]
-        em = results["hfi-emulation"][2]
-        print(f"{ok} {name:16s} insn={results['guard-pages'][3]:7d} "
+        gp = results["guard-pages", "inorder"][3]
+        bc = results["bounds-check", "inorder"][3]
+        hf = results["hfi", "inorder"][3]
+        em = results["hfi-emulation", "inorder"][3]
+        ooo = results["guard-pages", "ooo"][3]
+        print(f"{ok} {name:16s} "
+              f"insn={results['guard-pages', 'inorder'][2]:7d} "
               f"gp={gp:9d} bc={bc/gp:5.2f} hfi={hf/gp:5.2f} "
-              f"emu/hfi={em/hf:5.3f} t={time.time()-t0:.1f}s", flush=True)
+              f"emu/hfi={em/hf:5.3f} ooo={ooo/gp:5.2f} "
+              f"t={time.time()-t0:.1f}s", flush=True)
     return bad
 
 

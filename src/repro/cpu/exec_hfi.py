@@ -48,6 +48,7 @@ def _hfi_enter(ins, addr, next_rip):
                 cpu.timing.charge(cost)
             telemetry = cpu.telemetry
             if telemetry.enabled:
+                cpu.timing.settle()
                 telemetry.begin_span(
                     "hfi.sandbox", cpu.stats.cycles,
                     serialized=flags.is_serialized,
@@ -74,6 +75,7 @@ def _hfi_exit(ins, addr, next_rip):
                 cpu.timing.charge(outcome.cycles)
             telemetry = cpu.telemetry
             if telemetry.enabled:
+                cpu.timing.settle()
                 telemetry.end_span(cpu.stats.cycles, name="hfi.sandbox",
                                    reason="exit")
         if outcome.redirect_to is not None:
@@ -90,6 +92,7 @@ def _hfi_reenter(ins, addr, next_rip):
             cpu.timing.charge(cost)
             telemetry = cpu.telemetry
             if telemetry.enabled:
+                cpu.timing.settle()
                 telemetry.begin_span("hfi.sandbox", cpu.stats.cycles,
                                      reenter=True)
     return run
@@ -110,6 +113,7 @@ def _hfi_set_region(ins, addr, next_rip):
             cpu.timing.charge(cost)
             telemetry = cpu.telemetry
             if telemetry.enabled:
+                cpu.timing.settle()
                 telemetry.event("hfi.set_region", cpu.stats.cycles,
                                 region=number)
     return run

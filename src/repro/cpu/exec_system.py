@@ -40,6 +40,7 @@ def _syscall(ins, addr, next_rip):
             cpu.timing.serialize_drain(outcome.cycles, count=False)
             telemetry = cpu.telemetry
             if telemetry.enabled:
+                cpu.timing.settle()
                 telemetry.event("syscall.interposed", stats.cycles, nr=nr)
                 telemetry.end_span(stats.cycles, name="hfi.sandbox",
                                    reason="syscall")
@@ -93,7 +94,9 @@ def _rdtsc(ins, addr, next_rip):
     def run(cpu):
         cpu.regs.rip = next_rip
         # rdtsc reads the real cycle counter even on the wrong path.
-        cpu.timing.charge_always(cpu.params.rdtsc_cycles)
+        timing = cpu.timing
+        timing.charge_always(cpu.params.rdtsc_cycles)
+        timing.settle()
         cpu._wreg(Reg.RAX, cpu.stats.cycles)
         cpu._wreg(Reg.RDX, 0)
     return run

@@ -281,11 +281,20 @@ class Cpu:
     # top-level run loop
     # ------------------------------------------------------------------
     def run(self, entry: int, max_instructions: int = 5_000_000) -> RunResult:
-        self.telemetry.begin_span("cpu.run", self.stats.cycles, entry=entry)
-        result = self._run(entry, max_instructions)
-        self.telemetry.end_span(self.stats.cycles, name="cpu.run",
-                                reason=result.reason,
-                                instructions=self.stats.instructions)
+        telemetry = self.telemetry
+        telemetry.begin_span("cpu.run", self.stats.cycles, entry=entry)
+        result = None
+        try:
+            result = self._run(entry, max_instructions)
+        finally:
+            # The clock is exact once the timing backend settles; the
+            # span closes even when an exception escapes the loop, so
+            # the next run's span does not nest under it.
+            self.timing.settle()
+            telemetry.end_span(
+                self.stats.cycles, name="cpu.run",
+                reason=result.reason if result is not None else "exception",
+                instructions=self.stats.instructions)
         return result
 
     def _run(self, entry: int, max_instructions: int) -> RunResult:

@@ -19,6 +19,26 @@ backends ship:
   hooks.  Architectural state is bit-identical to ``inorder`` (the
   verify matrix sweeps both); only ``stats.cycles`` differs.
 
+``retire`` may queue the instruction rather than time it at once:
+the ``ooo`` backend walks its queue in runs, so between runs
+``stats.cycles`` lags the instructions already retired.
+:meth:`~TimingBackend.settle` brings the clock up to date, and the
+rule is that whoever reads or writes ``stats.cycles`` while a run may
+have queued instructions settles first:
+
+* reads inside a run — ``rdtsc`` and every telemetry stamp in the exec
+  units — call ``cpu.timing.settle()`` before the read;
+* a backend's own charge hooks settle before they write the clock
+  directly (a hook with no instruction in flight, a wrong-path
+  ``charge_always``), and so does ``drain_pending``, which covers the
+  direct charges of fault delivery;
+* ``Cpu.run`` settles before its span ends and it returns (also when
+  an exception escapes the loop), so the clock is exact between runs;
+* a backend's introspection (``ooo_stats``, ``audit``,
+  ``window_occupancy``) settles itself.
+
+In-order, ``settle`` is a no-op: its clock is always exact.
+
 Three charging disciplines exist in the machine model and each has a
 named method, because mixing them up is exactly the kind of silent
 timing drift the golden-cycle fixture exists to catch:
@@ -93,6 +113,9 @@ class TimingBackend(Protocol):
     in :meth:`Cpu._run` additionally consults :attr:`inline_commit` to
     decide whether to add fetch+base cycles itself (the in-order fast
     path) or to hand each instruction to :meth:`issue` / :meth:`retire`.
+    :meth:`retire` may only queue the instruction; :meth:`settle` times
+    everything queued and leaves ``stats.cycles`` exact, and must run
+    before any read or direct write of the clock (the rule above).
     """
 
     #: Registry name ("inorder", "ooo", ...).
@@ -110,6 +133,7 @@ class TimingBackend(Protocol):
                         count: bool = True) -> None: ...
     def issue(self, dop, fetch_cycles: int) -> None: ...
     def retire(self, dop) -> None: ...
+    def settle(self) -> None: ...
     def drain_pending(self) -> None: ...
     def audit(self) -> List[str]: ...
 
@@ -119,7 +143,7 @@ class InOrderTiming:
 
     This is the conforming fast default: every charge lands directly in
     ``stats.cycles`` at the call site, the commit loop adds fetch+base
-    cost inline (``inline_commit``), and the issue/retire/drain hooks
+    cost inline (``inline_commit``), and the retire/settle/drain hooks
     are no-ops.
     """
 
@@ -207,6 +231,10 @@ class InOrderTiming:
         self.stats.cycles += fetch_cycles + self.params.base_cycles
 
     def retire(self, dop) -> None:
+        return None
+
+    def settle(self) -> None:
+        """Nothing is ever queued: the clock is always exact."""
         return None
 
     def drain_pending(self) -> None:

@@ -181,8 +181,11 @@ class Request:
     injection: Optional[Injection] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestOutcome:
+    """One request's fate.  The serving loop keeps one per request for
+    the whole run, so it carries no per-instance ``__dict__``."""
+
     request: Request
     status: str                 # "ok" | "shed" | "failed"
     attempts: int = 0

@@ -14,6 +14,14 @@ the 48-entry LSQ.  So the differential below runs the ISA fuzzer's
 programs (faults, syscalls, ``xsave``, hmov, mispredicts) on shapes
 that stall each structure in turn, and checks that each shape
 exercises the structure it is meant to.
+
+``cpu/ooo.py`` also queues retired instructions and walks them in
+runs, so its clock is exact only once it settles; the reference walks
+each instruction as it retires.  The fuzz programs never read the
+clock mid-run, so a second differential runs programs that do:
+``rdtsc`` on the commit path and on mispredicted wrong paths,
+telemetry stamps at sandbox transitions, an interposed syscall and a
+fault, and charge hooks called with no instruction in flight.
 """
 
 from collections import deque
@@ -22,11 +30,18 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.core import ImplicitCodeRegion, ImplicitDataRegion, SandboxFlags
+from repro.core.encoding import encode_region, encode_sandbox
+from repro.cpu import Cpu
 from repro.cpu.timing import InOrderTiming
+from repro.cpu.trace import Tracer
+from repro.isa import Assembler, Imm
 from repro.isa.opcodes import CONDITIONAL_JUMPS, HMOV_REGION, Opcode
 from repro.isa.operands import Mem
 from repro.isa.registers import Reg
+from repro.os import AddressSpace, Prot
 from repro.params import MachineParams
+from repro.telemetry import Telemetry
 from repro.telemetry.stats import OooStats
 from repro.verify.fuzz_isa import _fresh_backend, _guarded_run, build_case
 
@@ -605,3 +620,215 @@ def test_programs_cover_the_slow_paths():
             totals[name] += getattr(run["ooo_stats"], name)
     assert all(totals.values()), totals
     assert {"hlt", "fault"} <= reasons, reasons
+
+
+# ----------------------------------------------------------------------
+# the clock reads
+# ----------------------------------------------------------------------
+
+_CODE = 0x40_0000
+_HANDLER = 0x41_0000
+_DESC = 0x20_0000
+_HEAP = 0x10_0000
+_HEAP_BYTES = 1 << 16
+_XS = _HEAP + 0x1000          # the victim's x per round
+_STAMPS = _HEAP + 0x2000      # committed in-bounds timestamps
+_ROUNDS = 30
+
+#: The shapes the clock programs run on: the default machine, and one
+#: that stalls every structure.
+CLOCK_SHAPES = ("default", "all-tight")
+
+
+def _machine(shape, reference, telemetry=None):
+    """A fresh OoO core over a heap and a descriptor page."""
+    params = MachineParams().with_overrides(**SHAPES[shape][0])
+    space = AddressSpace(params)
+    space.mmap(_HEAP_BYTES, Prot.rw(), addr=_HEAP)
+    space.mmap(4096, Prot.rw(), addr=_DESC)
+    cpu = Cpu(params, memory=space, telemetry=telemetry, timing="ooo")
+    if reference:
+        cpu.timing = ReferenceOooTiming(cpu)
+    cpu.tracer = Tracer(record_entries=False)
+    return cpu
+
+
+def _work(asm, k):
+    """Loads, a store and dependent ALU ops: records for the queue."""
+    asm.mov(Reg.RBX, Imm(_HEAP))
+    asm.mov(Reg.RAX, Mem(base=Reg.RBX, disp=8 * (k % 16)))
+    asm.add(Reg.RAX, Imm(k + 1))
+    asm.mov(Mem(base=Reg.RBX, disp=8 * ((k + 5) % 16)), Reg.RAX)
+    asm.imul(Reg.RAX, Reg.RAX)
+    asm.xor(Reg.RSI, Reg.RAX)
+
+
+def _end_state(cpu, result):
+    timing = cpu.timing
+    return {
+        "reason": result.reason,
+        "regs": dict(cpu.regs.regs),
+        "heap": cpu.mem.read_bytes(_HEAP, _HEAP_BYTES, check=False),
+        "cycles": cpu.stats.cycles,
+        "instructions": cpu.stats.instructions,
+        "ooo_stats": timing.ooo_stats(),
+        "window_occupancy": timing.window_occupancy,
+        "audit": timing.audit(),
+        "spans": cpu.telemetry.spans.as_dicts(),
+    }
+
+
+def _run_rdtsc_victim(shape, reference):
+    """The PHT victim in a loop, reading the clock every round.
+
+    ``x`` is in bounds except every fifth round, so the bounds check
+    trains one way and then mispredicts: the in-bounds ``rdtsc`` runs
+    on the wrong path of an out-of-bounds round.  Every round also
+    reads the clock on the commit path into a running sum.
+    """
+    cpu = _machine(shape, reference)
+    for i in range(_ROUNDS):
+        cpu.mem.write(_XS + 8 * i, 1000 if i % 5 == 4 else i % 16, 8)
+    asm = Assembler(base=_CODE)
+    asm.mov(Reg.RCX, Imm(0))
+    asm.mov(Reg.RDI, Imm(0))
+    asm.label("round")
+    _work(asm, 3)
+    asm.mov(Reg.RDX, Mem(index=Reg.RCX, scale=8, disp=_XS))
+    asm.cmp(Reg.RDX, Imm(16))
+    asm.jae("skip")                              # the bounds check
+    asm.rdtsc()
+    asm.mov(Mem(index=Reg.RCX, scale=8, disp=_STAMPS), Reg.RAX)
+    asm.label("skip")
+    _work(asm, 7)
+    asm.rdtsc()
+    asm.add(Reg.RDI, Reg.RAX)
+    asm.inc(Reg.RCX)
+    asm.cmp(Reg.RCX, Imm(_ROUNDS))
+    asm.jne("round")
+    asm.hlt()
+    cpu.load_program(asm.assemble())
+    return cpu, _end_state(cpu, cpu.run(_CODE))
+
+
+@pytest.mark.parametrize("shape", CLOCK_SHAPES)
+def test_rdtsc_reads_the_retired_clock(shape):
+    cpu, mine = _run_rdtsc_victim(shape, reference=False)
+    _, want = _run_rdtsc_victim(shape, reference=True)
+    assert mine == want
+    assert mine["reason"] == "hlt" and mine["audit"] == []
+    # The program reads the clock on both paths.
+    assert cpu.tracer.mix[Opcode.RDTSC] > _ROUNDS
+    assert cpu.tracer.spec_mix[Opcode.RDTSC] > 0
+
+
+def _run_transitions(shape, reference):
+    """Sandbox transitions, an interposed syscall and a fault, each
+    stamped on a live telemetry sink after a few queued records."""
+    telemetry = Telemetry()
+    cpu = _machine(shape, reference, telemetry)
+    mem = cpu.mem
+    mem.write_bytes(_DESC, encode_region(
+        ImplicitCodeRegion.covering(_CODE, 1 << 17)))
+    mem.write_bytes(_DESC + 24, encode_region(
+        ImplicitDataRegion(_HEAP, _HEAP_BYTES - 1, True, True)))
+    mem.write_bytes(_DESC + 72, encode_sandbox(
+        SandboxFlags(is_hybrid=False, is_serialized=True), exit_handler=0))
+    mem.write_bytes(_DESC + 96, encode_sandbox(
+        SandboxFlags(is_hybrid=False, is_serialized=False),
+        exit_handler=_HANDLER))
+    asm = Assembler(base=_CODE)
+    asm.mov(Reg.RDI, Imm(_DESC))
+    asm.hfi_set_region(0, Reg.RDI)
+    _work(asm, 0)
+    asm.mov(Reg.RDI, Imm(_DESC + 24))
+    asm.hfi_set_region(2, Reg.RDI)
+    _work(asm, 1)
+    asm.mov(Reg.RDI, Imm(_DESC + 72))
+    asm.hfi_enter(Reg.RDI)                       # serialized
+    _work(asm, 2)
+    asm.hfi_exit()
+    _work(asm, 3)
+    asm.hfi_reenter()
+    _work(asm, 4)
+    asm.hfi_exit()
+    _work(asm, 5)
+    asm.mov(Reg.RDI, Imm(_DESC + 96))
+    asm.hfi_enter(Reg.RDI)                       # unserialized
+    _work(asm, 6)
+    asm.mov(Reg.RAX, Imm(39))
+    asm.syscall()                                # to the exit handler
+    asm.hlt()
+    handler = Assembler(base=_HANDLER)
+    _work(handler, 7)
+    handler.mov(Reg.RDI, Imm(_DESC + 72))
+    handler.hfi_enter(Reg.RDI)
+    _work(handler, 8)
+    handler.mov(Reg.RBX, Imm(_DESC))             # outside the data region
+    handler.mov(Reg.RAX, Mem(base=Reg.RBX))
+    handler.hlt()
+    cpu.load_program(asm.assemble())
+    cpu.load_program(handler.assemble())
+    return _end_state(cpu, cpu.run(_CODE))
+
+
+@pytest.mark.parametrize("shape", CLOCK_SHAPES)
+def test_telemetry_stamps_read_the_retired_clock(shape):
+    mine = _run_transitions(shape, reference=False)
+    want = _run_transitions(shape, reference=True)
+    assert mine == want
+    assert mine["reason"] == "fault" and mine["audit"] == []
+    stamped = [(span["name"], span["attrs"].get("reason"))
+               for span in mine["spans"]]
+    assert stamped == [
+        ("cpu.run", "fault"),
+        ("hfi.set_region", None), ("hfi.set_region", None),
+        ("hfi.sandbox", "exit"), ("hfi.sandbox", "exit"),
+        ("hfi.sandbox", "syscall"), ("syscall.interposed", None),
+        ("hfi.sandbox", "fault"), ("hfi.fault", None),
+    ]
+
+
+#: Charge hooks called with no instruction in flight: each lands on
+#: the clock directly.
+_DIRECT_CHARGES = (
+    lambda timing: timing.charge(7),
+    lambda timing: timing.charge_always(3),
+    lambda timing: timing.mem_access(_HEAP + 0x3000),
+    lambda timing: timing.hmov_check(2),
+    lambda timing: timing.mispredict(),
+    lambda timing: timing.serialize_drain(5),
+)
+
+
+def _drive_with_direct_charges(shape, reference):
+    """Commit straight-line code through the timing protocol by hand,
+    calling a charge hook between commits every third instruction."""
+    cpu = _machine(shape, reference)
+    asm = Assembler(base=_CODE)
+    for k in range(8 * len(_DIRECT_CHARGES)):
+        _work(asm, k)
+    program = asm.assemble()
+    cpu.load_program(program)
+    timing = cpu.timing
+    clocks = []
+    cpu.regs.rip = _CODE
+    for i in range(len(program)):
+        pc = cpu.regs.rip
+        dop = cpu._decoded[pc]
+        timing.issue(dop, timing.fetch(pc))
+        dop.run(cpu)
+        timing.retire(dop)
+        if i % 3 == 2:
+            _DIRECT_CHARGES[i // 3 % len(_DIRECT_CHARGES)](timing)
+            timing.settle()
+            clocks.append(cpu.stats.cycles)
+    timing.drain_pending()
+    return clocks, cpu.stats.cycles, timing.ooo_stats(), timing.audit()
+
+
+@pytest.mark.parametrize("shape", CLOCK_SHAPES)
+def test_direct_charges_land_on_the_retired_clock(shape):
+    mine = _drive_with_direct_charges(shape, reference=False)
+    assert mine == _drive_with_direct_charges(shape, reference=True)
+    assert mine[3] == []

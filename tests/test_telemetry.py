@@ -10,6 +10,8 @@ from repro.cpu.predictors import (
     PatternHistoryTable,
     ReturnStackBuffer,
 )
+from repro.cpu.timing import TIMING_MODELS
+from repro.isa import Assembler, Imm, Reg
 from repro.params import MachineParams
 from repro.runtime import (
     InstancePool,
@@ -140,6 +142,32 @@ class TestSpans:
             assert box.duration is not None and box.duration > 0
         hfi = tel.collect()["hfi"]
         assert hfi.enters >= len(boxes) and hfi.exits >= 1
+
+    @pytest.mark.parametrize("timing", TIMING_MODELS)
+    def test_run_span_closes_when_the_run_raises(self, params, timing):
+        """An exception escaping the commit loop still ends the run's
+        span at the settled clock, so the next run's span is a root
+        rather than its child."""
+        tel = Telemetry()
+        cpu = Cpu(params, telemetry=tel, timing=timing)
+        bad = Assembler(base=0x1000)
+        bad.mov(Reg.RAX, Imm(1))
+        bad.add(Reg.RAX, "junk")   # unreadable: raises when it runs
+        bad.hlt()
+        good = Assembler(base=0x2000)
+        good.mov(Reg.RAX, Imm(2))
+        good.hlt()
+        cpu.load_program(bad.assemble())
+        cpu.load_program(good.assemble())
+        with pytest.raises(TypeError):
+            cpu.run(0x1000)
+        first = tel.spans.named("cpu.run")[0]
+        assert first.end_cycle == cpu.stats.cycles > 0
+        assert tel.spans.depth == 0
+        assert cpu.run(0x2000).reason == "hlt"
+        second = tel.spans.named("cpu.run")[1]
+        assert (second.parent_id, second.depth) == (None, 0)
+        assert first.end_cycle <= second.begin_cycle
 
     @pytest.mark.parametrize("run", ["manager", "wasm"])
     def test_closed_spans_lie_within_their_closed_parents(self, params,
