@@ -2,11 +2,12 @@
 
 Every (workload, strategy) cell runs under both timing models.  A row
 reads ``BAD`` when the strategies disagree on the workload's result, a
-run does not halt, or the in-order and out-of-order models disagree on
+run does not halt, the in-order and out-of-order models disagree on
 a cell's stop reason, result or committed-instruction count
-(architectural state must not depend on timing); the script then exits
-1.  The ratios are in-order cycles; ``ooo`` is the out-of-order
-guard-pages run's cycles over the in-order one's.
+(architectural state must not depend on timing), or an out-of-order
+cell's scoreboard audit reports a problem (printed under the row); the
+script then exits 1.  The ratios are in-order cycles; ``ooo`` is the
+out-of-order guard-pages run's cycles over the in-order one's.
 
     PYTHONPATH=src python scripts/smoke_workloads.py sightglass|spec [scale]
 """
@@ -37,6 +38,7 @@ def main(which: str, scale: int = 1) -> int:
     for name, builder in SUITE.items():
         mod = builder(scale)
         results = {}
+        problems = []
         t0 = time.time()
         for strategy in STRATEGIES:
             for timing in TIMING_MODELS:
@@ -45,6 +47,9 @@ def main(which: str, scale: int = 1) -> int:
                 inst = rt.instantiate(mod, strat)
                 res = rt.run(inst)
                 g = rt.space.read(inst.layout.globals_base)
+                # the in-order model's audit is always empty
+                problems += [f"{strat.name}/{timing}: {problem}"
+                             for problem in rt.cpu.timing.audit()]
                 results[strat.name, timing] = (res.reason, g,
                                                res.stats.instructions,
                                                res.stats.cycles)
@@ -52,7 +57,7 @@ def main(which: str, scale: int = 1) -> int:
         # Stop reason, result and instruction count, per strategy.
         agree = all(results[s, "inorder"][:3] == results[s, "ooo"][:3]
                     for s, _ in results)
-        ok = "OK " if len(vals) == 1 and agree and all(
+        ok = "OK " if len(vals) == 1 and agree and not problems and all(
             v[0] == "hlt" for v in results.values()) else "BAD"
         if ok == "BAD":
             bad += 1
@@ -66,6 +71,8 @@ def main(which: str, scale: int = 1) -> int:
               f"gp={gp:9d} bc={bc/gp:5.2f} hfi={hf/gp:5.2f} "
               f"emu/hfi={em/hf:5.3f} ooo={ooo/gp:5.2f} "
               f"t={time.time()-t0:.1f}s", flush=True)
+        for problem in problems:
+            print(f"    audit {problem}", flush=True)
     return bad
 
 

@@ -292,9 +292,9 @@ def cmd_telemetry(args) -> int:
 def cmd_verify(args) -> int:
     """Run the differential-oracle + invariant battery (repro.verify).
 
-    Exit status 0 iff the run is clean: zero staged-vs-reference
-    divergences, zero unclassified comparator disagreements, zero
-    poison hits, zero invariant violations, zero failed attack
+    Exit status 0 iff the run is clean: zero divergences among the
+    differential's cells, zero unclassified comparator disagreements,
+    zero poison hits, zero invariant violations, zero failed attack
     cells."""
     from .verify import run_verify
 
@@ -308,11 +308,11 @@ def cmd_verify(args) -> int:
         comparator_seed=args.seed_base)
     comparator = report["comparator"]
     lines = [
-        f"engines:           {' vs '.join(report['engines'])}",
-        f"timing matrix:     {' vs '.join(report['matrix'])}",
+        f"cells:             {' vs '.join(report['matrix'])}",
         f"oracle runs:       {report['oracle_runs']} "
         f"(seeds {seeds.start}..{seeds.stop - 1}, "
-        f"{report['instructions']:,} instructions)",
+        f"{report['instructions']:,} instructions, "
+        f"{report['fault_stops']:,} fault stops compared)",
         f"divergences:       {report['divergences']}",
         f"comparator trials: {comparator['trials']:,} "
         f"({', '.join(f'{k}={v}' for k, v in sorted(comparator['classified'].items()))})",

@@ -33,7 +33,7 @@ deep-copying the machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, Optional, Tuple
 
 from ..core.checks import code_pass_range
 from ..core.faults import FaultCause, HfiFault
@@ -107,61 +107,12 @@ class RunResult:
         return self.stats.cycles
 
 
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """What the verify differential needs of an execution backend.
-
-    Two conforming backends exist, both built by name through
-    :func:`create_backend`:
-
-    * ``"staged"`` — :class:`Cpu`, the per-instruction commit loop over
-      predecoded :class:`~repro.cpu.decode.DecodedOp` closures: the
-      engine every workload, figure and benchmark runs on;
-    * ``"reference"`` — the deliberately naive differential oracle
-      (:class:`repro.verify.reference.ReferenceCpu`).
-
-    A backend must expose the architectural surface the verify layer
-    digests (``regs``, ``hfi``, ``mem``, ``stats``) and the program
-    lifecycle below.  Timing parity is *not* part of the contract: the
-    reference oracle charges a simplified cost model, while ``staged``
-    is held bit-identical by the golden-cycle fixtures.
-    """
-
-    engine: str
-
-    def load_program(self, program: Program) -> None: ...
-
-    def run(self, entry: int, max_instructions: int = ...) -> RunResult: ...
-
-    def attach_telemetry(self, telemetry: Optional[Telemetry]) -> None: ...
-
-
 #: The one execution engine (the name benchmark envelopes report).
 DEFAULT_ENGINE = "staged"
 
 
-def create_backend(engine: str, timing: Optional[str] = None,
-                   **kwargs) -> "ExecutionBackend":
-    """Construct a conforming backend by name (the verify-layer seam).
-
-    ``"staged"`` builds a :class:`Cpu`, ``"reference"`` the oracle;
-    ``timing`` picks the timing backend
-    (:data:`repro.cpu.timing.TIMING_MODELS`), defaulting to the
-    process-wide setting.
-    """
-    if engine == DEFAULT_ENGINE:
-        return Cpu(timing=timing, **kwargs)
-    if engine == "reference":
-        from ..verify.reference import ReferenceCpu
-        return ReferenceCpu(timing=timing, **kwargs)
-    raise ValueError(f"unknown engine {engine!r}; "
-                     f"expected {DEFAULT_ENGINE!r} or 'reference'")
-
-
 class Cpu:
     """A single simulated core."""
-
-    engine = DEFAULT_ENGINE
 
     def __init__(self, params: MachineParams = DEFAULT_PARAMS,
                  memory: Optional[AddressSpace] = None,

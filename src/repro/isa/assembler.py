@@ -25,6 +25,8 @@ from .operands import Imm, LabelRef, Mem, Operand
 from .registers import Reg
 
 Target = Union[str, LabelRef, Imm, Reg]
+#: The operand types an instruction may hold besides a label reference.
+_OPERANDS = (Reg, Imm, Mem)
 
 
 class AssemblerError(Exception):
@@ -246,7 +248,12 @@ class Assembler:
     # layout & resolution
     # ------------------------------------------------------------------
     def assemble(self) -> Program:
-        """Lay out instructions from ``base`` and resolve label refs."""
+        """Lay out instructions from ``base`` and resolve label refs.
+
+        An operand that is not a :class:`Reg`, :class:`Imm`,
+        :class:`Mem` or :class:`LabelRef` raises
+        :class:`AssemblerError` naming its instruction.
+        """
         if self._pending_label is not None:
             self.emit(Opcode.NOP)
 
@@ -261,16 +268,24 @@ class Assembler:
                     raise AssemblerError(f"duplicate label {ins.label!r}")
                 program.labels[ins.label] = ins.addr
 
-        # only the few operand tuples that hold a label are rebuilt
+        # every operand is checked; only the few operand tuples that
+        # hold a label are rebuilt
         for ins in program.instructions:
+            labelled = False
             for op in ins.operands:
-                if isinstance(op, LabelRef):
-                    ins.operands = tuple(
-                        Imm(self._resolve(program, operand))
-                        if isinstance(operand, LabelRef) else operand
-                        for operand in ins.operands
-                    )
-                    break
+                if not isinstance(op, _OPERANDS):
+                    if not isinstance(op, LabelRef):
+                        raise AssemblerError(
+                            f"{ins.opcode.name.lower()} at {ins.addr:#x}: "
+                            f"operand {op!r} is not a Reg, Imm, Mem or "
+                            f"LabelRef")
+                    labelled = True
+            if labelled:
+                ins.operands = tuple(
+                    Imm(self._resolve(program, operand))
+                    if isinstance(operand, LabelRef) else operand
+                    for operand in ins.operands
+                )
         return program
 
     def _resolve(self, program: Program, ref: LabelRef) -> int:

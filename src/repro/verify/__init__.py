@@ -6,15 +6,19 @@ recycling runtime:
 * :mod:`repro.verify.reference` — a deliberately naive straight-line
   interpreter whose architectural end state is the oracle.
 * :mod:`repro.verify.fuzz_isa` — seeded program generation over the
-  full opcode table, executed on the staged engine and the reference
-  oracle (under every timing model) with full-state equality asserted
-  against the first.
+  full opcode table, executed on three cells (the staged engine under
+  the ``inorder`` and ``ooo`` timing models, and the reference oracle)
+  with every stop and the full end state asserted equal to the first
+  cell's.  The staged cells carry the CPU invariant checks on every
+  seed: the speculation identity probe, the ``ooo`` scoreboard audit
+  before and after a drain, and agreement on serializations.
 * :mod:`repro.verify.fuzz_checks` — randomized sweep of the §4.2
   hardware comparator against the golden hmov semantics, with every
   disagreement classified.
 * :mod:`repro.verify.invariants` — sanitizer-style probes (pool
   poison-on-discard, free-list consistency, speculation identity),
-  armed only on demand.
+  armed only on demand.  A new CPU-level check belongs on the
+  differential's cells, so it runs on every seed.
 * a short :mod:`repro.chaos` soak — seeded fault injection through the
   serving loop on real sandboxes, gated on zero leaked slots, zero zombie
   sandboxes, and a fully accounted fault ledger.
@@ -45,13 +49,11 @@ from .fuzz_checks import (
     sweep,
 )
 from .fuzz_isa import (
-    DEFAULT_ENGINES,
-    DEFAULT_TIMINGS,
+    CELLS,
     DifferentialOutcome,
     FuzzCase,
     architectural_digest,
     build_case,
-    build_matrix,
     run_differential,
     run_seeds,
 )
@@ -68,8 +70,7 @@ from .reference import ReferenceCpu
 __all__ = [
     "ReferenceCpu",
     "FuzzCase", "DifferentialOutcome", "build_case", "run_differential",
-    "run_seeds", "architectural_digest", "DEFAULT_ENGINES",
-    "DEFAULT_TIMINGS", "build_matrix",
+    "run_seeds", "architectural_digest", "CELLS",
     "ComparatorSweep", "ComparatorTrial", "classify", "sweep",
     "boundary_sweep", "AGREE", "PERMISSION", "VA_WIDTH", "UNCLASSIFIED",
     "PoolInvariants", "SpeculationIdentityProbe", "InvariantViolation",
@@ -163,113 +164,6 @@ def _chaos_smoke(stats: VerifyStats, failures: List[str],
     failures.extend(report.failures()[:12])
 
 
-def _speculation_smoke(stats: VerifyStats, failures: List[str]) -> None:
-    """Run a mispredicting loop with the identity probe armed, under
-    every timing model."""
-    from ..cpu.machine import Cpu
-    from ..cpu.timing import TIMING_MODELS
-    from ..isa.assembler import Assembler
-    from ..isa.operands import Imm
-    from ..isa.registers import Reg
-
-    asm = Assembler()
-    asm.mov(Reg.RCX, Imm(64))
-    asm.mov(Reg.RAX, Imm(0))
-    asm.label("top")
-    asm.add(Reg.RAX, Imm(3))
-    asm.dec(Reg.RCX)
-    asm.jne("top")
-    asm.hlt()
-    program = asm.assemble()
-
-    for timing in TIMING_MODELS:
-        cpu = Cpu(timing=timing)
-        probe = SpeculationIdentityProbe(raise_on_violation=False)
-        cpu.install_invariant_probe(probe)
-        cpu.load_program(program)
-        result = cpu.run(program.base)
-        if result.reason != "hlt" or cpu.regs.regs[Reg.RAX] != 192:
-            failures.append(
-                f"speculation smoke [{timing}] run misbehaved: "
-                f"reason={result.reason} rax={cpu.regs.regs[Reg.RAX]}")
-        if probe.checks == 0:
-            failures.append(f"speculation probe [{timing}] never fired "
-                            "(no rollback observed in a mispredicting "
-                            "loop)")
-        stats.invariant_checks += probe.checks
-        stats.invariant_violations += probe.violations
-        failures.extend(f"speculation invariant [{timing}]: {m}"
-                        for m in probe.violation_log)
-
-
-def _ooo_smoke(stats: VerifyStats, failures: List[str]) -> None:
-    """The OoO invariant probe: run a mispredicting, serializing loop
-    under the scoreboarded backend and audit its structural invariants
-    — every physical register is accounted for, the ROB, IQ and LSQ
-    stay within their depths, drains empty the window — plus
-    architectural parity (registers, serializations, instruction
-    count) against the in-order model on the same program."""
-    from ..cpu.machine import Cpu
-    from ..isa.assembler import Assembler
-    from ..isa.operands import Imm
-    from ..isa.registers import Reg
-
-    def build():
-        asm = Assembler()
-        asm.mov(Reg.RCX, Imm(48))
-        asm.mov(Reg.RAX, Imm(0))
-        asm.mov(Reg.RBX, Imm(7))
-        asm.label("top")
-        asm.add(Reg.RAX, Imm(3))
-        asm.xor(Reg.RBX, Reg.RAX)
-        asm.cpuid()                     # serializer inside the loop body
-        asm.dec(Reg.RCX)
-        asm.jne("top")
-        asm.hlt()
-        return asm.assemble()
-
-    results = {}
-    for timing in ("inorder", "ooo"):
-        program = build()
-        cpu = Cpu(timing=timing)
-        cpu.load_program(program)
-        result = cpu.run(program.base)
-        results[timing] = (result, cpu)
-        if result.reason != "hlt":
-            failures.append(f"ooo smoke [{timing}]: reason="
-                            f"{result.reason}, expected hlt")
-
-    (_, inorder_cpu), (_, ooo_cpu) = results["inorder"], results["ooo"]
-    checks = [
-        ("architectural parity",
-         all(inorder_cpu.regs.regs[r] == ooo_cpu.regs.regs[r]
-             for r in Reg)),
-        ("serializations parity",
-         inorder_cpu.stats.serializations == ooo_cpu.stats.serializations),
-        ("instruction parity",
-         inorder_cpu.stats.instructions == ooo_cpu.stats.instructions),
-    ]
-    timing = ooo_cpu.timing
-    probs = timing.audit()
-    checks.append(("scoreboard audit", not probs))
-    for message in probs:
-        failures.append(f"ooo invariant: {message}")
-    drains_before = timing.ooo_stats().drains
-    timing.drain_pending()
-    snap = timing.ooo_stats()
-    checks.append(("drain empties the window",
-                   timing.window_occupancy == 0
-                   and snap.drains == drains_before + 1))
-    checks.append(("post-drain audit", not timing.audit()))
-    checks.append(("serializers drained",
-                   snap.drains >= 48))          # one per cpuid at least
-    stats.invariant_checks += len(checks)
-    for label, ok in checks:
-        if not ok:
-            stats.invariant_violations += 1
-            failures.append(f"ooo invariant: {label} failed")
-
-
 def _attack_smoke(stats: VerifyStats, failures: List[str],
                   params: Optional[MachineParams] = None) -> None:
     """Signal without HFI, no signal with HFI (§5.3), on every timing
@@ -338,31 +232,31 @@ def run_verify(seeds: Iterable[int] = range(50),
                comparator_trials: int = 20_000,
                comparator_seed: int = 0,
                params: Optional[MachineParams] = None,
-               engines: Tuple[str, ...] = DEFAULT_ENGINES,
-               timings: Tuple[str, ...] = DEFAULT_TIMINGS,
                ) -> Tuple[VerifyStats, Dict[str, object]]:
     """Run the whole verify battery; returns (stats, detail report).
 
-    ``engines`` x ``timings`` is the differential-oracle matrix: every
-    (engine, timing) cell runs every seed, and full architectural
-    state is asserted equal against the first cell — cycle counts may
-    differ across timing models, architecture may not.
+    Every seed runs on each of the differential's :data:`CELLS`, and
+    every stop and the full architectural state are asserted equal to
+    the first cell's — cycle counts may differ across timing models,
+    architecture may not.  The staged cells' probe and audit results
+    count as invariant checks, not divergences.
 
-    ``stats.clean`` is the gate: zero cross-backend divergences, zero
+    ``stats.clean`` is the gate: zero cross-cell divergences, zero
     unclassified comparator disagreements, zero poison hits, zero
     invariant violations, zero failed attack cells.
     """
     stats = VerifyStats(component="verify")
     failures: List[str] = []
 
-    outcomes = run_seeds(seeds, params=params, engines=engines,
-                         timings=timings)
+    outcomes = run_seeds(seeds, params=params)
     stats.oracle_runs = len(outcomes)
     for outcome in outcomes:
-        if not outcome.ok:
+        if outcome.divergences:
             stats.divergences += 1
-            for line in outcome.divergences[:8]:
-                failures.append(f"seed {outcome.seed}: {line}")
+        stats.invariant_checks += outcome.invariant_checks
+        stats.invariant_violations += len(outcome.violations)
+        for line in (outcome.divergences + outcome.violations)[:8]:
+            failures.append(f"seed {outcome.seed}: {line}")
 
     comparator = sweep(trials=comparator_trials, seed=comparator_seed)
     directed = boundary_sweep()
@@ -375,19 +269,16 @@ def run_verify(seeds: Iterable[int] = range(50),
         failures.append(f"comparator: {trial.describe()}")
 
     _pool_smoke(stats, failures)
-    _speculation_smoke(stats, failures)
-    _ooo_smoke(stats, failures)
     _chaos_smoke(stats, failures, params=params)
     _determinism_smoke(stats, failures, params=params)
     _attack_smoke(stats, failures, params=params)
 
     report = {
-        "engines": list(engines),
-        "timings": list(timings),
-        "matrix": [f"{e}/{t}" for e, t in build_matrix(engines, timings)],
+        "matrix": list(CELLS),
         "oracle_runs": stats.oracle_runs,
         "divergences": stats.divergences,
         "instructions": sum(o.instructions for o in outcomes),
+        "fault_stops": sum(o.fault_stops for o in outcomes),
         "comparator": {
             "trials": stats.comparator_trials,
             "classified": dict(comparator.counts),

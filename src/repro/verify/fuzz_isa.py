@@ -1,4 +1,4 @@
-"""Seeded ISA-level differential fuzzing across execution backends.
+"""Seeded ISA-level differential fuzzing of the staged engine.
 
 ``build_case(seed)`` generates a well-formed program over the full
 opcode table — ALU traffic, loads/stores of every operand size,
@@ -10,18 +10,24 @@ that rewrites its code regions and then runs or jumps past the new
 bound, ``xsave``/``xrstor`` pairs, syscalls, and deliberately-faulting
 accesses.  Every sandbox exit and native-sandbox syscall lands in the
 exit handler, which then resumes the body just past the episode that
-exited.  ``run_differential(seed)`` then executes the same program on
-every requested engine — by default the staged interpreter and the
-naive :class:`~repro.verify.reference.ReferenceCpu` — starting from
-bit-identical address spaces, and asserts equality of the full
-architectural end state against the first engine: every GPR, the
-flags, ``rip``, the stop reason, the fault record, the
-committed-instruction count, the HFI bank (regions, sandbox flags,
-cause MSR, lifecycle counters), and all non-zero memory.
+exited; every fault stop restarts at the fault handler, which resumes
+the same way.  Each prologue runs a fixed two-iteration loop and a
+``cpuid``, so every program mispredicts a branch and serializes.
 
-Backends are constructed by name through
-:func:`repro.cpu.machine.create_backend`, the one place that maps an
-engine name to a backend.
+``run_differential(seed)`` executes the same program on each of the
+:data:`CELLS` — the staged :class:`~repro.cpu.machine.Cpu` under the
+``inorder`` and ``ooo`` timing models, and the naive
+:class:`~repro.verify.reference.ReferenceCpu` — starting from
+bit-identical address spaces, and asserts equality against the first
+cell: every stop's reason, ``rip`` and fault record, the committed
+instruction and fault counts, and the full architectural end state
+(every GPR, the flags, ``rip``, the HFI bank — regions, sandbox flags,
+cause MSR, lifecycle counters — and all non-zero memory).  The staged
+cells also carry the CPU invariant checks: each runs with a
+:class:`~repro.verify.invariants.SpeculationIdentityProbe` armed and
+must open a wrong-path window, the ``ooo`` cell's scoreboard must
+drain and audit clean before and after a final drain, and the two
+must agree on ``stats.serializations``.
 
 ``rdtsc`` is the one architectural instruction never generated: it
 reads the cycle counter, which the reference engine does not model.
@@ -31,7 +37,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from itertools import zip_longest
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.encoding import encode_region, encode_sandbox
 from ..core.regions import (
@@ -40,22 +48,15 @@ from ..core.regions import (
     ImplicitDataRegion,
 )
 from ..core.registers import SandboxFlags
-from ..cpu.machine import create_backend
+from ..cpu.machine import Cpu
 from ..isa.assembler import Assembler
 from ..isa.instruction import Program
 from ..isa.operands import Imm, LabelRef, Mem
 from ..isa.registers import Reg
 from ..os.address_space import AddressSpace, Prot
 from ..params import MachineParams
-
-#: The default differential matrix: the staged interpreter as the
-#: baseline, and the reference oracle it is compared against.
-DEFAULT_ENGINES: Tuple[str, ...] = ("staged", "reference")
-
-#: Timing models the verify gate crosses with the engine matrix.  The
-#: architectural end state must be identical across all of them; only
-#: cycle counts may differ.
-DEFAULT_TIMINGS: Tuple[str, ...] = ("inorder", "ooo")
+from .invariants import SpeculationIdentityProbe
+from .reference import ReferenceCpu
 
 # ----------------------------------------------------------------------
 # fixed memory layout shared by every generated case
@@ -90,8 +91,10 @@ SANDBOX_DESCS = [DATA_BASE + 0xF100 + 0x10 * i for i in range(4)]
 #: its sandbox: hybrid, with no exit handler.
 CODE_EPISODE_DESC = DATA_BASE + 0xF200
 CODE_EPISODE_SANDBOX = CODE_EPISODE_DESC + 32
-#: Where the exit handler finds its resume address: each ``hfi_enter``
-#: and ``hfi_reenter`` first stores the address just past its episode.
+#: Where the exit and fault handlers find their resume address: each
+#: ``hfi_enter`` and ``hfi_reenter`` first stores the address just past
+#: its episode, and each top-level fault or division the address just
+#: past itself.
 RESUME_SLOT = DATA_BASE + 0xF300
 SANDBOX_FLAG_VARIANTS = [
     SandboxFlags(),                                      # native
@@ -115,6 +118,8 @@ class FuzzCase:
     seed: int
     program: Program
     entry: int
+    #: Where the differential restarts a run after a fault stop.
+    fault_handler: int
     mappings: List[Tuple[int, int, Prot, str]]
     preload: List[Tuple[int, bytes]]
     max_instructions: int = 200_000
@@ -276,11 +281,13 @@ class _Generator:
 
     def step_div(self) -> None:
         a, rng = self.asm, self.rng
+        resume = self.store_resume()
         a.mov(Reg.RCX, self.imm() if rng.random() < 0.5
               else Imm(rng.randrange(1, 1 << 32)))
         # RCX may still be zero (the imm pool contains 0): a genuine
         # division fault is a legal outcome both engines must agree on.
         rng.choice([a.idiv, a.imod])(self.reg(), Reg.RCX)
+        a.label(resume)
 
     def step_clflush(self) -> None:
         a, rng = self.asm, self.rng
@@ -306,8 +313,10 @@ class _Generator:
             a.hmov(slot, mem, src)
 
     # ------------------------------------------------------------------
-    # deliberate faults — each typically ends the run; both engines
-    # must agree on the cause, address, and final state.
+    # deliberate faults — each stops the run, which the differential
+    # restarts at the fault handler; every cell must agree on the cause,
+    # address, and final state.  A sandboxed fault resumes past its
+    # episode, a top-level one just past itself.
     # ------------------------------------------------------------------
     def step_fault(self, sandboxed: bool) -> None:
         a, rng = self.asm, self.rng
@@ -332,6 +341,7 @@ class _Generator:
             else:
                 a.xrstor(Mem(base=Reg.RBP, disp=XSAVE_OFF))
         else:
+            resume = self.store_resume()
             kind = rng.choice(["unmapped", "div0", "xrstor_bad",
                                "hmov_disabled"])
             if kind == "unmapped":
@@ -344,6 +354,7 @@ class _Generator:
             else:
                 a.mov(Reg.R12, Imm(0))
                 a.hmov(0, self.reg(), Mem(index=Reg.R12, size=8))
+            a.label(resume)
 
     # ------------------------------------------------------------------
     # HFI sandbox episode
@@ -535,6 +546,13 @@ class _Generator:
         a.mov(Reg.RBP, Imm(DATA_BASE))
         for reg in SCRATCH:
             a.mov(reg, Imm(rng.randrange(0, 1 << 64)))
+        # a fixed two-iteration loop mispredicts a branch, so each staged
+        # cell opens a wrong-path window, and cpuid drains the ooo window
+        a.mov(Reg.R13, Imm(2))
+        a.label("prologue_loop")
+        a.dec(Reg.R13)
+        a.jne("prologue_loop")
+        a.cpuid()
         for _ in range(rng.randint(10, 40)):
             self.toplevel_step()
         a.hlt()
@@ -550,6 +568,11 @@ class _Generator:
         a.nop()
         if self.code_rng.random() < 0.5:
             self.code_region_episode()
+        a.mov(Reg.R14, Mem(disp=RESUME_SLOT, size=8))
+        a.jmp(Reg.R14)
+        # fault handler: the differential restarts each run here after
+        # a fault stop, and it resumes the same way
+        a.label("fault_handler")
         a.mov(Reg.R14, Mem(disp=RESUME_SLOT, size=8))
         a.jmp(Reg.R14)
 
@@ -584,6 +607,7 @@ class _Generator:
             (HEAP_BASE, HEAP_BYTES, Prot.READ | Prot.WRITE, "heap"),
         ]
         return FuzzCase(seed=seed, program=program, entry=CODE_BASE,
+                        fault_handler=program.labels["fault_handler"],
                         mappings=mappings, preload=preload)
 
 
@@ -595,38 +619,32 @@ def build_case(seed: int) -> FuzzCase:
 # ----------------------------------------------------------------------
 # differential execution
 # ----------------------------------------------------------------------
-def _fresh_backend(engine: str, case: FuzzCase, params: MachineParams,
-                   timing: str = "inorder"):
-    """A named backend with the case's address space, program loaded."""
+#: The differential's cells, each built directly: the staged engine
+#: under both timing models, then the reference oracle, which has no
+#: timing model and so runs once.  Every cell is compared against the
+#: first.
+CELLS: Dict[str, Callable[..., object]] = {
+    "staged/inorder": partial(Cpu, timing="inorder"),
+    "staged/ooo": partial(Cpu, timing="ooo"),
+    "reference/inorder": ReferenceCpu,
+}
+
+
+def _fresh_cell(make: Callable[..., object], case: FuzzCase,
+                params: MachineParams):
+    """A cell's core over the case's address space, program loaded."""
     space = AddressSpace(params)
     for base, length, prot, name in case.mappings:
         space.mmap(length, prot, addr=base, name=name)
     for addr, data in case.preload:
         space.write_bytes(addr, data, check=False)
-    cpu = create_backend(engine, timing=timing, params=params, memory=space)
+    cpu = make(params, memory=space)
     cpu.load_program(case.program)
     return cpu
 
 
-def build_matrix(engines: Tuple[str, ...],
-                 timings: Tuple[str, ...]) -> List[Tuple[str, str]]:
-    """The (engine, timing) cross, minus redundant cells.
-
-    The reference oracle has no timing backend (it is architectural
-    only), so it appears once, as ``reference/inorder``, regardless of
-    which timing models are swept or which one leads.
-    """
-    matrix: List[Tuple[str, str]] = []
-    for engine in engines:
-        if engine == "reference":
-            matrix.append((engine, "inorder"))
-            continue
-        for timing in timings:
-            matrix.append((engine, timing))
-    return matrix
-
-
 def _guarded_run(cpu, entry: int, max_instructions: int) -> Dict[str, object]:
+    """One run from ``entry``: its stop, or the exception it raised."""
     try:
         result = cpu.run(entry, max_instructions=max_instructions)
     except Exception as exc:  # engines must agree even on escapes
@@ -638,6 +656,19 @@ def _guarded_run(cpu, entry: int, max_instructions: int) -> Dict[str, object]:
         "fault": (None if fault is None else
                   (fault.kind, fault.hfi_cause, fault.addr, fault.detail)),
     }
+
+
+def _run_case(cpu, case: FuzzCase) -> List[Dict[str, object]]:
+    """Every stop of the case: each fault stop restarts the run at the
+    fault handler, until a halt, an exception or the instruction
+    budget."""
+    stops = [_guarded_run(cpu, case.entry, case.max_instructions)]
+    while (stops[-1].get("reason") == "fault"
+           and cpu.stats.instructions < case.max_instructions):
+        stops.append(_guarded_run(
+            cpu, case.fault_handler,
+            case.max_instructions - cpu.stats.instructions))
+    return stops
 
 
 def _hfi_digest(hfi) -> Dict[str, object]:
@@ -658,16 +689,20 @@ def _hfi_digest(hfi) -> Dict[str, object]:
 
 
 def architectural_digest(cpu) -> Dict[str, object]:
-    """Full architectural end state of either engine, comparison-ready.
+    """Full architectural end state of any cell, comparison-ready.
 
     All-zero memory pages are dropped: the engines may lazily
     materialize different page sets, but the bytes must agree.
     """
     flags = cpu.regs.flags
+    stats = cpu.stats
     return {
         "regs": {reg.name: cpu.regs.regs[reg] for reg in Reg},
         "flags": (flags.zf, flags.sf, flags.cf, flags.of),
         "rip": cpu.regs.rip,
+        "counts": {"instructions": stats.instructions,
+                   "hfi_faults": stats.hfi_faults,
+                   "page_faults": stats.page_faults},
         "hfi": _hfi_digest(cpu.hfi),
         "memory": {page: bytes(buf)
                    for page, buf in cpu.mem._pages.items() if any(buf)},
@@ -676,16 +711,32 @@ def architectural_digest(cpu) -> Dict[str, object]:
 
 @dataclass
 class DifferentialOutcome:
-    """Result of one staged-vs-reference run."""
+    """One seed across every cell: the first cell's last stop, its
+    committed instructions and fault stops, the disagreements with it,
+    and the staged cells' invariant checks."""
 
     seed: int
     reason: str = ""
     instructions: int = 0
+    fault_stops: int = 0
     divergences: List[str] = field(default_factory=list)
+    invariant_checks: int = 0
+    violations: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.divergences
+        return not self.divergences and not self.violations
+
+
+def _diff_stops(base: List[Dict], other: List[Dict], base_name: str,
+                other_name: str, out: List[str]) -> None:
+    for index, (mine, theirs) in enumerate(
+            zip_longest(base, other, fillvalue={})):
+        for key in sorted(set(mine) | set(theirs)):
+            if mine.get(key) != theirs.get(key):
+                out.append(f"stop {index} {key}: "
+                           f"{base_name}={mine.get(key)!r} "
+                           f"{other_name}={theirs.get(key)!r}")
 
 
 def _diff_digests(base: Dict, other: Dict, base_name: str,
@@ -701,11 +752,12 @@ def _diff_digests(base: Dict, other: Dict, base_name: str,
     if base["rip"] != other["rip"]:
         out.append(f"rip: {base_name}={base['rip']:#x} "
                    f"{other_name}={other['rip']:#x}")
-    for key, value in base["hfi"].items():
-        theirs = other["hfi"][key]
-        if value != theirs:
-            out.append(f"hfi.{key}: {base_name}={value!r} "
-                       f"{other_name}={theirs!r}")
+    for section in ("counts", "hfi"):
+        for key, value in base[section].items():
+            theirs = other[section][key]
+            if value != theirs:
+                out.append(f"{section}.{key}: {base_name}={value!r} "
+                           f"{other_name}={theirs!r}")
     pages = set(base["memory"]) | set(other["memory"])
     for page in sorted(pages):
         mine = base["memory"].get(page)
@@ -717,61 +769,78 @@ def _diff_digests(base: Dict, other: Dict, base_name: str,
                 f"{other_name}={'present' if theirs else 'absent'})")
 
 
-def run_differential(seed: int,
-                     params: Optional[MachineParams] = None,
-                     max_instructions: int = 200_000,
-                     engines: Tuple[str, ...] = DEFAULT_ENGINES,
-                     timings: Tuple[str, ...] = ("inorder",),
+def _check_staged(name: str, cpu: Cpu, probe: SpeculationIdentityProbe,
+                  outcome: DifferentialOutcome) -> None:
+    """A staged cell's invariants: a wrong-path window opened and every
+    squash kept the state's identity; under ``ooo`` the window drained,
+    the scoreboard audits clean, and a final drain empties the window
+    and leaves it auditing clean."""
+    problems = list(probe.violation_log)
+    if not probe.checks:
+        problems.append("no wrong-path window opened")
+    checks = probe.checks + 1
+    if cpu.timing_model == "ooo":
+        timing = cpu.timing
+        problems += [f"audit: {p}" for p in timing.audit()]
+        if not timing.ooo_stats().drains:
+            problems.append("the window never drained")
+        timing.drain_pending()
+        if timing.window_occupancy:
+            problems.append(f"{timing.window_occupancy} ROB entries "
+                            "left after a drain")
+        problems += [f"audit after the drain: {p}" for p in timing.audit()]
+        checks += 4
+    outcome.invariant_checks += checks
+    outcome.violations += [f"{name}: {p}" for p in problems]
+
+
+def run_differential(seed: int, params: Optional[MachineParams] = None
                      ) -> DifferentialOutcome:
-    """Run one seed on every (engine, timing) cell; report
-    disagreements vs the first cell.
+    """Run one seed on every cell; report disagreements with the first
+    cell, and the staged cells' invariant checks.
 
     Timing models must not change architecture: cycle counts may (and
-    do) differ across ``timings``, but registers, flags, rip, memory,
-    the HFI bank, committed instruction counts, and run outcomes must
-    be bit-identical — that is the pluggable-timing contract.
+    do) differ across cells, but every stop, the registers, flags, rip,
+    memory, the HFI bank, and the instruction and fault counts must be
+    bit-identical.
     """
     params = params if params is not None else MachineParams()
     case = build_case(seed)
-    matrix = build_matrix(engines, timings)
-    base_engine, base_timing = matrix[0]
-    base_name = (base_engine if len(timings) == 1
-                 else f"{base_engine}/{base_timing}")
-    base = _fresh_backend(base_engine, case, params, timing=base_timing)
-    base_out = _guarded_run(base, case.entry, case.max_instructions)
-
-    outcome = DifferentialOutcome(
-        seed=seed, reason=str(base_out.get("reason", "exception")),
-        instructions=base.stats.instructions)
-    base_ok = "exception" not in base_out
-    base_digest = architectural_digest(base) if base_ok else None
-    for other_engine, other_timing in matrix[1:]:
-        other_name = (other_engine if len(timings) == 1
-                      else f"{other_engine}/{other_timing}")
-        other = _fresh_backend(other_engine, case, params,
-                               timing=other_timing)
-        other_out = _guarded_run(other, case.entry, case.max_instructions)
-        for key in sorted(set(base_out) | set(other_out)):
-            if base_out.get(key) != other_out.get(key):
-                outcome.divergences.append(
-                    f"outcome.{key}: {base_name}={base_out.get(key)!r} "
-                    f"{other_name}={other_out.get(key)!r}")
-        if not base_ok or "exception" in other_out:
-            continue
-        if base.stats.instructions != other.stats.instructions:
-            outcome.divergences.append(
-                f"instructions: {base_name}={base.stats.instructions} "
-                f"{other_name}={other.stats.instructions}")
-        _diff_digests(base_digest, architectural_digest(other),
-                      base_name, other_name, outcome.divergences)
+    outcome = DifferentialOutcome(seed=seed)
+    serializations: Dict[str, int] = {}
+    base_name = base_stops = base_digest = None
+    for name, make in CELLS.items():
+        cpu = _fresh_cell(make, case, params)
+        probe = None
+        if isinstance(cpu, Cpu):
+            probe = SpeculationIdentityProbe(raise_on_violation=False)
+            cpu.install_invariant_probe(probe)
+        stops = _run_case(cpu, case)
+        digest = (None if "exception" in stops[-1]
+                  else architectural_digest(cpu))
+        if base_name is None:
+            base_name, base_stops, base_digest = name, stops, digest
+            outcome.reason = str(stops[-1].get("reason", "exception"))
+            outcome.instructions = cpu.stats.instructions
+            outcome.fault_stops = sum(stop.get("reason") == "fault"
+                                      for stop in stops)
+        else:
+            _diff_stops(base_stops, stops, base_name, name,
+                        outcome.divergences)
+            if base_digest is not None and digest is not None:
+                _diff_digests(base_digest, digest, base_name, name,
+                              outcome.divergences)
+        if probe is not None:
+            _check_staged(name, cpu, probe, outcome)
+            serializations[name] = cpu.stats.serializations
+    outcome.invariant_checks += 1
+    if len(set(serializations.values())) > 1:
+        outcome.violations.append("serializations disagree: " + ", ".join(
+            f"{name}={count}" for name, count in serializations.items()))
     return outcome
 
 
-def run_seeds(seeds, params: Optional[MachineParams] = None,
-              engines: Tuple[str, ...] = DEFAULT_ENGINES,
-              timings: Tuple[str, ...] = ("inorder",),
+def run_seeds(seeds, params: Optional[MachineParams] = None
               ) -> List[DifferentialOutcome]:
     """Differentially execute every seed; returns one outcome per seed."""
-    return [run_differential(seed, params=params, engines=engines,
-                             timings=timings)
-            for seed in seeds]
+    return [run_differential(seed, params=params) for seed in seeds]

@@ -16,6 +16,11 @@ out each instruction's semantics independently, so an inlining or
 closure-capture bug in the staged fast paths shows up as a divergence
 instead of being faithfully reproduced on both sides.
 
+It is the last of the differential's three cells
+(:data:`repro.verify.fuzz_isa.CELLS`), built directly like the two
+staged ones; having no timing model, it runs once rather than under
+each.
+
 Known, documented non-determinism: ``rdtsc`` reads the cycle counter,
 which the reference does not model (its counter stays 0).  The ISA
 fuzzer never emits ``rdtsc`` for exactly this reason.
@@ -63,30 +68,17 @@ _CONDITIONS = {
 class ReferenceCpu:
     """Straight-line architectural interpreter of ``isa`` programs.
 
-    A conforming :class:`repro.cpu.machine.ExecutionBackend`: it is
-    what ``create_backend("reference")`` builds for the verify
-    differential.  The public surface mirrors the subset of
-    :class:`repro.cpu.Cpu` that the differential harness needs:
-    ``load_program``, ``run``, ``regs``, ``hfi``, ``mem``, ``stats``,
-    ``fault_resume_address``.  ``telemetry`` is accepted for
-    constructor parity but the oracle registers no components — it has
-    no microarchitecture to observe, and keeping it bare is what makes
-    it a trustworthy oracle.
+    The verify differential's oracle cell.  Its public surface mirrors
+    the subset of :class:`repro.cpu.Cpu` that the differential harness
+    needs: ``load_program``, ``run``, ``regs``, ``hfi``, ``mem``,
+    ``stats``, ``fault_resume_address``.  It takes no timing model and
+    no telemetry sink: it has no clock or microarchitecture to observe,
+    and keeping it bare is what makes it a trustworthy oracle.
     """
-
-    engine = "reference"
 
     def __init__(self, params: MachineParams = DEFAULT_PARAMS,
                  memory: Optional[AddressSpace] = None,
-                 process=None, kernel=None, telemetry=None,
-                 timing: Optional[str] = None):
-        # The oracle is architectural-only: any *valid* timing model is
-        # accepted and ignored (its simplified cost stream is never
-        # compared), so matrix construction sites need no special case.
-        if timing is not None:
-            from ..cpu.timing import _validate_timing
-            _validate_timing(timing)
-        self.timing_model = "reference"
+                 process=None, kernel=None):
         self.params = params
         if process is not None:
             self.mem = process.address_space
@@ -104,9 +96,6 @@ class ReferenceCpu:
         self._halted = False
         self._fault: Optional[FaultInfo] = None
         self.fault_resume_address: Optional[int] = None
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Backend-protocol no-op: the oracle exposes no components."""
 
     # ------------------------------------------------------------------
     # program loading

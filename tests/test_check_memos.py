@@ -22,13 +22,13 @@ from repro.core.faults import FaultCause, HfiFault
 from repro.core.regions import NUM_CODE_REGIONS, ImplicitCodeRegion
 from repro.core.registers import SandboxFlags
 from repro.cpu import Cpu
-from repro.cpu.machine import create_backend
 from repro.cpu.predictors import PatternHistoryTable
 from repro.cpu.trace import Tracer
 from repro.isa import Assembler, Imm, Mem, Reg
 from repro.os import AddressSpace, Prot
 from repro.os.address_space import PAGE, AccessKind, PageFault
 from repro.params import MachineParams
+from repro.verify.reference import ReferenceCpu
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +122,8 @@ def _backend(engine, timing=None):
     space = AddressSpace(MachineParams())
     space.mmap(PAGE, Prot.rw(), addr=DESC)
     space.write_bytes(SANDBOX, encode_sandbox(SandboxFlags(is_hybrid=True)))
-    cpu = create_backend(engine, timing=timing, memory=space)
+    cpu = (ReferenceCpu(memory=space) if engine == "reference"
+           else Cpu(timing=timing, memory=space))
     return cpu, space
 
 

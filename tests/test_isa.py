@@ -131,6 +131,25 @@ class TestAssembler:
         with pytest.raises(AssemblerError):
             asm.assemble()
 
+    @pytest.mark.parametrize("bad", ["junk", 7, None])
+    def test_non_operand_raises_naming_the_instruction(self, bad):
+        """An operand that is not a Reg, Imm, Mem or LabelRef fails at
+        assembly, naming its instruction, not when the instruction
+        runs."""
+        asm = Assembler()
+        asm.mov(Reg.RAX, Imm(1))
+        asm.add(Reg.RAX, bad)
+        asm.hlt()
+        with pytest.raises(AssemblerError, match=r"^add at 0x"):
+            asm.assemble()
+
+    def test_operand_after_a_label_is_checked(self):
+        asm = Assembler()
+        asm.label("top")
+        asm.emit(Opcode.CMP, LabelRef("top"), "junk")
+        with pytest.raises(AssemblerError, match="'junk'"):
+            asm.assemble()
+
     def test_duplicate_label_raises(self):
         asm = Assembler()
         asm.label("x")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cpu import Cpu
-from repro.cpu.machine import create_backend
 from repro.isa import Assembler, Imm, Mem, Reg
 from repro.mpk import (
     AD,
@@ -16,6 +15,7 @@ from repro.mpk import (
 )
 from repro.os import AddressSpace, Kernel, Prot
 from repro.params import MachineParams
+from repro.verify.reference import ReferenceCpu
 
 
 @pytest.fixture
@@ -139,8 +139,8 @@ class TestStraddlingAccess:
         vault = manager.pkey_alloc("vault")
         manager.pkey_mprotect(vault, self.VAULT, 1 << 16)
         space.write(self.VAULT, self.SECRET, 8)
-        cpu = create_backend(engine, params=params, process=proc,
-                             kernel=kernel)
+        core = ReferenceCpu if engine == "reference" else Cpu
+        cpu = core(params, process=proc, kernel=kernel)
         proc.pkru = pkru_allowing(set())      # vault key not granted
         return cpu, space
 

@@ -43,7 +43,7 @@ from repro.os import AddressSpace, Prot
 from repro.params import MachineParams
 from repro.telemetry import Telemetry
 from repro.telemetry.stats import OooStats
-from repro.verify.fuzz_isa import _fresh_backend, _guarded_run, build_case
+from repro.verify.fuzz_isa import CELLS, _fresh_cell, _guarded_run, build_case
 
 # ----------------------------------------------------------------------
 # the reference: the rename-map scoreboard, kept as it was
@@ -577,7 +577,7 @@ def _run(seed, params, reference):
     because each scoreboard fills ``DecodedOp.deps`` in its own format
     and a program's decoded ops are shared by every core it loads on."""
     case = build_case(seed)
-    cpu = _fresh_backend("staged", case, params, timing="ooo")
+    cpu = _fresh_cell(CELLS["staged/ooo"], case, params)
     if reference:
         cpu.timing = ReferenceOooTiming(cpu)
     outcome = _guarded_run(cpu, case.entry, case.max_instructions)

@@ -11,8 +11,9 @@ into decode / exec / timing / journal stages:
 * speculation squashes via the undo journal — the register file and
   HFI state keep their object identity, and ``copy.deepcopy`` never
   runs on the speculation or snapshot paths;
-* ``create_backend`` maps the verify matrix's engine names to the
-  staged ``Cpu`` and the reference oracle, and rejects any other name.
+* the verify differential's cells are the staged ``Cpu`` under each
+  timing model and the reference oracle, each exposing the state the
+  differential digests.
 """
 
 import copy
@@ -23,13 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import Cpu
-from repro.cpu.machine import ExecutionBackend, create_backend
 from repro.isa import Assembler, Imm, Mem, Reg
 from repro.os import AddressSpace, Prot
 from repro.params import MachineParams
 from repro.telemetry import Telemetry
 from repro.telemetry.stats import DecodeCacheStats
-from repro.verify.fuzz_isa import DEFAULT_ENGINES
+from repro.verify.fuzz_isa import CELLS
 from repro.verify.reference import ReferenceCpu
 
 UNMAPPED = 0x66_0000
@@ -313,21 +313,23 @@ class TestTelemetrySurface:
 
 
 class TestBackendApi:
+    """The verify differential's cells, built directly."""
+
     def test_staged_engine_is_the_cpu(self, params):
-        assert type(create_backend("staged", params=params)) is Cpu
+        for name in ("staged/inorder", "staged/ooo"):
+            cpu = CELLS[name](params)
+            assert type(cpu) is Cpu
+            assert cpu.timing_model == name.split("/")[1]
 
     def test_reference_engine_is_the_oracle(self, params):
-        assert isinstance(create_backend("reference", params=params),
-                          ReferenceCpu)
+        assert type(CELLS["reference/inorder"](params)) is ReferenceCpu
 
     def test_every_engine_conforms(self, params):
-        for engine in DEFAULT_ENGINES:
-            backend = create_backend(engine, params=params)
-            assert isinstance(backend, ExecutionBackend)
-            assert backend.engine == engine
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            create_backend("blocks")
-        with pytest.raises(ValueError, match="unknown engine"):
-            create_backend("Staged")
+        """Each cell takes an address space and exposes the state and
+        the program lifecycle the differential uses."""
+        space = AddressSpace(params)
+        for make in CELLS.values():
+            cpu = make(params, memory=space)
+            assert cpu.mem is space
+            for name in ("regs", "hfi", "stats", "load_program", "run"):
+                assert hasattr(cpu, name), name

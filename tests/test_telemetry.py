@@ -152,12 +152,16 @@ class TestSpans:
         cpu = Cpu(params, telemetry=tel, timing=timing)
         bad = Assembler(base=0x1000)
         bad.mov(Reg.RAX, Imm(1))
-        bad.add(Reg.RAX, "junk")   # unreadable: raises when it runs
+        bad.add(Reg.RAX, Imm(1))
         bad.hlt()
+        program = bad.assemble()
+        # the assembler rejects a non-operand, so plant it afterwards:
+        # the add's source is unreadable and raises when it runs
+        program.instructions[1].operands = (Reg.RAX, "junk")
         good = Assembler(base=0x2000)
         good.mov(Reg.RAX, Imm(2))
         good.hlt()
-        cpu.load_program(bad.assemble())
+        cpu.load_program(program)
         cpu.load_program(good.assemble())
         with pytest.raises(TypeError):
             cpu.run(0x1000)

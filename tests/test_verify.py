@@ -51,19 +51,25 @@ class TestReferenceOracle:
         assert cpu.regs.regs[Reg.RAX] == 42
 
     def test_fifty_seeds_agree_with_staged_engine(self):
-        """The tentpole gate: 50 fuzzed programs, full architectural
-        end-state equality (registers, flags, rip, memory, HFI bank,
-        fault record) between the staged engine and the oracle."""
+        """50 fuzzed programs, every stop (reason, rip, fault record)
+        and full architectural end-state equality (registers, flags,
+        rip, memory, HFI bank, instruction and fault counts) across
+        the staged cells and the oracle, with clean invariants."""
         outcomes = run_seeds(range(50))
         divergent = [o for o in outcomes if not o.ok]
         assert not divergent, "\n".join(
-            f"seed {o.seed}: " + "; ".join(o.divergences[:4])
+            f"seed {o.seed}: " + "; ".join((o.divergences
+                                            + o.violations)[:4])
             for o in divergent)
 
     def test_fuzzer_exercises_both_halts_and_faults(self):
-        reasons = {run_differential(seed).reason for seed in range(50)}
-        assert "hlt" in reasons
-        assert "fault" in reasons
+        """Runs restart at the fault handler after each fault stop, so
+        they end in a halt, and the fault stops on the way are
+        compared."""
+        outcomes = [run_differential(seed) for seed in range(50)]
+        assert "hlt" in {o.reason for o in outcomes}
+        assert sum(o.fault_stops for o in outcomes) > 0
+        assert any(o.fault_stops > 1 for o in outcomes)
 
     def test_divergence_reporting_names_the_state(self):
         """A deliberately perturbed staged run must be *reported*, not
@@ -275,6 +281,7 @@ class TestRunVerify:
         assert report["matrix"] == ["staged/inorder", "staged/ooo",
                                     "reference/inorder"]
         assert stats.oracle_runs == 8
+        assert report["fault_stops"] > 0
         assert stats.comparator_trials > 2_000   # + boundary sweep
         assert stats.poison_writes > 0
         assert stats.invariant_checks > 0
@@ -302,6 +309,46 @@ class TestRunVerify:
         assert stats.attack_failures == 6
         assert all("hfi=True" in line for line in failures)
         assert not stats.clean
+
+    @pytest.mark.parametrize("mutant", ["rollback_rebinds_regs",
+                                        "drain_leaves_rob",
+                                        "serialize_uncounted"])
+    def test_differential_catches_cpu_mutant(self, monkeypatch, mutant):
+        """Each CPU check on the differential's cells catches a planted
+        fault on the first seed: an invariant violation, not a
+        divergence, that makes the verdict DIRTY."""
+        from repro.cpu.journal import SpeculationJournal
+        from repro.cpu.ooo import OutOfOrderTiming
+
+        if mutant == "rollback_rebinds_regs":
+            rollback = SpeculationJournal.rollback
+
+            def rebinding(self, cpu):
+                cpu.regs.regs = dict(cpu.regs.regs)
+                rollback(self, cpu)
+            monkeypatch.setattr(SpeculationJournal, "rollback", rebinding)
+            expected = "rebound cpu.regs.regs"
+        elif mutant == "drain_leaves_rob":
+            def leaky(self):
+                if self._cur is not None:
+                    self.retire()
+                self.settle()
+                self._drains += 1
+            monkeypatch.setattr(OutOfOrderTiming, "drain_pending", leaky)
+            expected = "ROB entries left after a drain"
+        else:
+            serialize = OutOfOrderTiming.serialize_drain
+            monkeypatch.setattr(
+                OutOfOrderTiming, "serialize_drain",
+                lambda self, cost=None, count=True:
+                    serialize(self, cost, count=False))
+            expected = "serializations disagree"
+        stats, report = run_verify(seeds=range(1), comparator_trials=100)
+        assert not stats.clean
+        assert stats.divergences == 0
+        assert stats.invariant_violations > 0
+        assert any(line.startswith("seed 0: ") and expected in line
+                   for line in report["failures"]), report["failures"]
 
     def test_verify_stats_clean_property(self):
         from repro.telemetry import VerifyStats
